@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .antenna_link import aperture_transmission, combine_paths, improvement_onset_ghz
-from .design_sweep import SweepConfig, SweepError, min_feasible_separation, run_sweep
+from .design_sweep import SweepConfig, SweepError, run_sweep
 from .fdtd import Fdtd1dConfig, FdtdError, validate_against_tmm
 from .inverse import SpectrumFormatError, fit_permittivity, normalize_spectrum, read_spectrum
 from .layered_em import Incidence, Spectrum, amplitude_db, tmm_coefficients, transmission_spectrum
@@ -173,7 +173,7 @@ def cmd_sweep(args) -> int:
     if result.selected_mm is None:
         print(result.rationale)
         return EXIT_INFEASIBLE
-    smallest = min_feasible_separation(cfg, scenario.cell, scenario.boundary)
+    smallest = min(rec.separation_mm for rec in result.records if rec.feasible)
     print(f"smallest feasible separation: {smallest:.0f} mm (U limit {cfg.u_limit} W/(m^2 K))")
     print(result.rationale)
     return EXIT_OK

@@ -84,14 +84,6 @@ class SweepResult:
                     )
 
 
-def _bare_levels(cell: UnitCell, cfg: SweepConfig) -> dict[float, float]:
-    levels = {}
-    for f in cfg.frequencies_ghz:
-        t, _ = tmm_coefficients(cell.wall, Incidence(f, cfg.theta_deg, cfg.polarization))
-        levels[f] = float(amplitude_db(t))
-    return levels
-
-
 def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = ThermalBoundary()) -> SweepResult:
     """Evaluate every separation and select the best feasible one.
 
@@ -103,7 +95,12 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
     """
     if not cell_template.has_antenna_system:
         raise SweepError("sweep needs a unit cell with an antenna system")
-    bare_db = _bare_levels(cell_template, cfg)
+    # with_separation resizes the cell only, so every separation shares the wall's transmission
+    bare_t = {
+        f: tmm_coefficients(cell_template.wall, Incidence(f, cfg.theta_deg, cfg.polarization))[0]
+        for f in cfg.frequencies_ghz
+    }
+    bare_db = {f: float(amplitude_db(t)) for f, t in bare_t.items()}
     records = []
     for s in cfg.separations_mm:
         sized = cell_template.with_separation(s)
@@ -111,8 +108,7 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
         thermal = solve_steady_state(grid, bc, tol=cfg.thermal_tol)
         transmission = {}
         improvement = {}
-        for f in cfg.frequencies_ghz:
-            t_wall, _ = tmm_coefficients(sized.wall, Incidence(f, cfg.theta_deg, cfg.polarization))
+        for f, t_wall in bare_t.items():
             combined = combine_paths(t_wall, aperture_transmission(sized, f, cfg.theta_deg), cfg.combination)
             level = float(amplitude_db(combined))
             transmission[f] = level

@@ -105,6 +105,26 @@ def test_sweep_infeasible_exit_code(tmp_path, capsys):
     assert "no separation" in printed
 
 
+def test_sweep_solves_each_separation_once(monkeypatch, capsys):
+    from signalwall import design_sweep
+
+    solved = []
+    solve = design_sweep.solve_steady_state
+
+    def counting_solve(grid, *args, **kwargs):
+        solved.append(float(grid.x_nodes_mm[-1]))
+        return solve(grid, *args, **kwargs)
+
+    monkeypatch.setattr(design_sweep, "solve_steady_state", counting_solve)
+    assert main(["sweep", "--separations", "70,80"]) == 0
+    printed = capsys.readouterr().out
+    assert sorted(solved) == [70.0, 80.0]
+    rows = [line.split() for line in printed.splitlines() if line.split() and line.split()[0].isdigit()]
+    smallest = min(float(row[0]) for row in rows if row[2] == "True")
+    edge = float(printed.split("smallest feasible separation:")[1].split("mm")[0])
+    assert edge == smallest
+
+
 def test_empty_separations_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--separations", "nonsense"])

@@ -10,6 +10,7 @@ from signalwall.thermal import (
     MeshOptions,
     ThermalBoundary,
     ThermalError,
+    VoxelGrid,
     solve_steady_state,
     u_value_analytical,
     voxelize_unit_cell,
@@ -94,6 +95,98 @@ def test_antenna_cell_u_value(antenna_fv_result, bare_fv_result):
     assert antenna_fv_result.converged
     assert antenna_fv_result.u == pytest.approx(0.16, abs=0.015)
     assert antenna_fv_result.u > bare_fv_result.u
+
+
+def test_antenna_cell_solved_on_mirror_quarter(antenna_cell, antenna_fv_result):
+    grid = voxelize_unit_cell(antenna_cell)
+    assert (grid.nx, grid.ny, grid.nz) == (48, 43, 178)
+    assert antenna_fv_result.unknowns == 24 * 22 * 178 == 93984
+    assert antenna_fv_result.temperature.shape == (48, 43, 178)
+    assert antenna_fv_result.u == pytest.approx(0.1563047, abs=1e-7)
+
+
+def _dense_fv(grid, bc):
+    """Reference solve: the full-cell finite-volume system, assembled cell by cell, solved densely."""
+    lam = grid.conductivity_field()
+    widths = (grid.dx_m, grid.dy_m, grid.dz_m)
+    shape = lam.shape
+    n = lam.size
+    a = np.zeros((n, n))
+    b = np.zeros(n)
+    g_in = np.zeros(shape)
+    g_out = np.zeros(shape)
+    for cell in np.ndindex(shape):
+        p = np.ravel_multi_index(cell, shape)
+        for axis in range(3):
+            other = list(cell)
+            other[axis] += 1
+            if other[axis] == shape[axis]:
+                continue
+            other = tuple(other)
+            area = np.prod([widths[ax][cell[ax]] for ax in range(3) if ax != axis])
+            g = area / (0.5 * widths[axis][cell[axis]] / lam[cell] + 0.5 * widths[axis][other[axis]] / lam[other])
+            q = np.ravel_multi_index(other, shape)
+            a[p, p] += g
+            a[q, q] += g
+            a[p, q] -= g
+            a[q, p] -= g
+        face = widths[0][cell[0]] * widths[1][cell[1]]
+        if cell[2] == 0:
+            g_out[cell] = face / (bc.r_se + 0.5 * widths[2][0] / lam[cell])
+            a[p, p] += g_out[cell]
+            b[p] += g_out[cell] * bc.t_outside_k
+        if cell[2] == shape[2] - 1:
+            g_in[cell] = face / (bc.r_si + 0.5 * widths[2][-1] / lam[cell])
+            a[p, p] += g_in[cell]
+            b[p] += g_in[cell] * bc.t_inside_k
+    t = np.linalg.solve(a, b).reshape(shape)
+    flow = 0.5 * (np.sum(g_in * (bc.t_inside_k - t)) + np.sum(g_out * (t - bc.t_outside_k)))
+    return flow / (grid.area_m2 * bc.delta_t), t
+
+
+def _mirrored(half, n, axis):
+    """Extend the first (n + 1) // 2 entries along ``axis`` to n by reflection."""
+    rows = np.minimum(np.arange(n), n - 1 - np.arange(n))
+    return np.take(half, rows, axis=axis)
+
+
+@pytest.mark.parametrize(
+    "x_widths, y_widths, mirror_x, mirror_y, folds",
+    [
+        ([1.0, 3.0, 2.0, 3.0, 1.0], [2.0, 1.0, 4.0, 4.0, 1.0, 2.0], True, True, (True, True)),
+        ([2.0, 1.0, 3.0, 3.0, 1.0, 2.0], [1.0, 2.5, 1.0], True, True, (True, True)),
+        ([1.0, 3.0, 2.0, 3.0, 1.0], [2.0, 1.0, 4.0, 4.0, 1.0, 2.0], True, False, (True, False)),
+        # mirrored materials on asymmetric x widths, asymmetric materials on mirrored y widths
+        ([1.0, 3.0, 2.0, 3.5, 1.0], [2.0, 1.0, 4.0, 4.0, 1.0, 2.0], True, False, (False, False)),
+    ],
+)
+def test_mirror_fold_matches_dense_full_cell_solve(x_widths, y_widths, mirror_x, mirror_y, folds):
+    rng = np.random.default_rng(7)
+    nx, ny = len(x_widths), len(y_widths)
+    z_widths = [4.0, 1.0, 6.0, 6.0, 3.0, 0.5, 5.0, 2.0, 4.0]
+    material = rng.integers(0, 3, size=(nx, ny, len(z_widths)))
+    if mirror_x:
+        material = _mirrored(material, nx, 0)
+    if mirror_y:
+        material = _mirrored(material, ny, 1)
+    grid = VoxelGrid(
+        np.concatenate([[0.0], np.cumsum(x_widths)]),
+        np.concatenate([[0.0], np.cumsum(y_widths)]),
+        np.concatenate([[0.0], np.cumsum(z_widths)]),
+        material,
+        [0.04, 1.3, 16.0],
+        ["insulation", "concrete", "steel"],
+    )
+    bc = ThermalBoundary()
+    result = solve_steady_state(grid, bc, cg_rtol=1e-14)
+    u_ref, t_ref = _dense_fv(grid, bc)
+    fold_x, fold_y = folds
+    assert result.unknowns == ((nx + 1) // 2 if fold_x else nx) * ((ny + 1) // 2 if fold_y else ny) * grid.nz
+    assert result.u == pytest.approx(u_ref, rel=1e-9)
+    np.testing.assert_allclose(result.temperature, t_ref, rtol=1e-9)
+    for axis, folded in enumerate(folds):
+        if folded:
+            assert np.array_equal(result.temperature, np.flip(result.temperature, axis))
 
 
 def test_copper_bridge_is_worse(db, antenna_cell, boundary, antenna_fv_result):
