@@ -147,6 +147,8 @@ def cmd_fit(args) -> int:
     mid = float(dut.frequencies_ghz[len(dut.frequencies_ghz) // 2])
     value = permittivity_at(eps, mid)
     print(f"  eps_r({mid:.2f} GHz) = {value.eps_real:.3f} - j{value.eps_imag:.3f}")
+    converged = sum(1 for start in fit.starts if start["success"])
+    print(f"  starts: {converged}/{len(fit.starts)} converged, {fit.evaluations} model evaluations")
     return EXIT_OK
 
 
@@ -188,6 +190,12 @@ def cmd_fdtd_validate(args) -> int:
     for f, a, b, d in zip(table["frequencies_ghz"], table["tmm_db"], table["fdtd_db"], table["delta_db"]):
         print(f"{f:7.2f} {a:9.3f} {b:9.3f} {d:9.3f}")
     print(f"max |delta|: {table['max_abs_delta_db']:.3f} dB over {len(table['frequencies_ghz'])} points")
+    if not table["decayed"]:
+        print(
+            f"warning: FDTD probe traces had not decayed by 80 dB after {table['n_steps']} steps; "
+            "the FDTD column may carry truncation error",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

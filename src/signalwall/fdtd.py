@@ -243,6 +243,20 @@ def _decayed(trace, threshold_db=-80.0):
     return np.all(tail <= peak * 10.0 ** (threshold_db / 20.0) + 1e-300)
 
 
+def _run_until_decayed(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int):
+    """Time loop extended 1.5x, at most twice, until the transmitted traces have decayed.
+
+    A fixed ``cfg.n_steps`` runs once.  Returns the traces, dt, the step
+    count actually run and whether the traces decayed.
+    """
+    for attempt in range(3):
+        trans, refl, dt = _time_step_batch(eps, sig, layout, cfg, n_steps)
+        decayed = bool(_decayed(trans))
+        if decayed or cfg.n_steps is not None or attempt == 2:
+            return trans, refl, dt, n_steps, decayed
+        n_steps = int(n_steps * 1.5)
+
+
 def _check_resolution(stack: LayerStack, cfg: Fdtd1dConfig):
     """Highest frequency the grid resolves with the configured cell count."""
     eps_max = max(
@@ -280,11 +294,7 @@ def run_fdtd(stack: LayerStack, cfg: Fdtd1dConfig = Fdtd1dConfig()) -> Spectrum:
 
     dt = cfg.cfl * layout.dz / C0
     n_steps = cfg.n_steps or _auto_steps(stack, cfg, layout, dt)
-    for _ in range(3):
-        trans, refl, dt = _time_step_batch(eps, sig, layout, cfg, n_steps)
-        if cfg.n_steps is not None or _decayed(trans):
-            break
-        n_steps = int(n_steps * 1.5)
+    trans, refl, dt, n_steps, decayed = _run_until_decayed(eps, sig, layout, cfg, n_steps)
     trans_ref, _, _ = _time_step_batch(eps_ref, sig_ref, layout, cfg, n_steps)
 
     spec_dut = _dft(trans, dt, freqs)[0]
@@ -305,7 +315,7 @@ def run_fdtd(stack: LayerStack, cfg: Fdtd1dConfig = Fdtd1dConfig()) -> Spectrum:
             "band_truncated": truncated,
             "n_steps": n_steps,
             "dt_s": dt,
-            "decayed": bool(_decayed(trans)),
+            "decayed": decayed,
         },
     )
 
@@ -353,11 +363,7 @@ def validate_against_tmm(
 
     dt = run_cfg.cfl * layout.dz / C0
     n_steps = run_cfg.n_steps or _auto_steps(stack, run_cfg, layout, dt)
-    for _ in range(3):
-        trans, refl, dt = _time_step_batch(eps, sig, layout, run_cfg, n_steps)
-        if run_cfg.n_steps is not None or _decayed(trans):
-            break
-        n_steps = int(n_steps * 1.5)
+    trans, _, dt, n_steps, decayed = _run_until_decayed(eps, sig, layout, run_cfg, n_steps)
     trans_ref, _, _ = _time_step_batch(np.ones((1, layout.n_nodes)), np.zeros((1, layout.n_nodes)), layout, run_cfg, n_steps)
 
     ref = _dft(trans_ref, dt, freqs)[0]
@@ -377,4 +383,5 @@ def validate_against_tmm(
         "delta_db": delta,
         "max_abs_delta_db": float(np.max(np.abs(delta))),
         "n_steps": n_steps,
+        "decayed": decayed,
     }

@@ -9,7 +9,11 @@ identifiable.
 The fit minimizes the RMS error in dB between the measured |S21| and the
 exact slab transmission, using a derivative-free simplex search restarted
 from deterministic seeded points inside the bounds; the objective has
-Fabry-Perot local minima, hence the multistart.
+Fabry-Perot local minima, hence the multistart.  The slab model is the
+closed-form (Airy) transmission of one slab in vacuum, which equals the
+transfer-matrix cascade of :mod:`signalwall.layered_em` for a one-layer
+stack at a fraction of its cost; every objective evaluation is one call of
+:func:`slab_transmission`.  ``FitResult.evaluations`` counts those calls.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .layered_em import _tmm_linear
-from .materials import Material, PermittivityModel
+from .constants import C0
+from .materials import MaterialError, PermittivityModel
 
 
 class SpectrumFormatError(ValueError):
@@ -113,6 +117,7 @@ class FitResult:
     iterations: int
     converged: bool
     starts: list = field(default_factory=list, repr=False)
+    evaluations: int = 0  # objective calls over all starts, a complex fit's magnitude pre-fit included
 
     @property
     def model(self) -> PermittivityModel:
@@ -120,18 +125,38 @@ class FitResult:
 
 
 def slab_transmission(a, b, c, d, thickness_mm, frequencies_ghz):
-    """Complex normal-incidence t of a single slab with power-law coefficients."""
-    material = Material("fit", 1.0, PermittivityModel(a, b, c, d))
-    f = np.asarray(frequencies_ghz, dtype=float)
-    eps = material.complex_permittivity(f)
-    ambient = np.ones_like(f, dtype=complex)
-    t, _ = _tmm_linear([ambient, eps, ambient], [thickness_mm * 1e-3], f, 0.0, "TE")
-    return t
+    """Complex normal-incidence t of a single slab in vacuum with power-law coefficients.
+
+    Closed-form (Airy) sum of the slab's multiple reflections: with the
+    refractive index n = sqrt(eps) on the decaying branch (Im n <= 0), the
+    interface reflection r = (1 - n)/(1 + n) and the one-way propagation
+    factor p = exp(-j k0 n t),  t = (1 - r^2) p / (1 - r^2 p^2).  Equal to
+    the transfer-matrix cascade of a one-layer stack.
+    """
+    f = np.atleast_1d(np.asarray(frequencies_ghz, dtype=float))
+    if np.any(f <= 0.0):
+        raise MaterialError("frequency must be > 0 GHz")
+    eps = PermittivityModel(a, b, c, d).complex_permittivity(f)
+    n = np.sqrt(eps)  # Im eps <= 0, so the principal root already has Im n <= 0
+    r2 = ((1.0 - n) / (1.0 + n)) ** 2
+    p = np.exp(-1j * (2.0 * math.pi * 1e9 / C0) * thickness_mm * 1e-3 * f * n)
+    return (1.0 - r2) * p / (1.0 - r2 * p * p)
 
 
 def slab_transmission_db(a, b, c, d, thickness_mm, frequencies_ghz):
     """|t| in dB of a single slab with the given power-law coefficients."""
     return 20.0 * np.log10(np.abs(slab_transmission(a, b, c, d, thickness_mm, frequencies_ghz)))
+
+
+def _check_bounds(bounds):
+    """Reject (a, c, d) bounds that hold points outside the model's domain."""
+    for name, (lo, hi) in zip("acd", bounds):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"bounds: {name} bounds must be finite, got ({lo}, {hi})")
+    if bounds[0][0] <= 0.0:
+        raise ValueError(f"bounds: the low bound of a must be > 0, got {bounds[0][0]}")
+    if bounds[1][0] < 0.0:
+        raise ValueError(f"bounds: the low bound of c must be >= 0, got {bounds[1][0]}")
 
 
 def fit_permittivity(
@@ -162,6 +187,10 @@ def fit_permittivity(
         raise ValueError("slab thickness must be given and > 0 mm")
     if complex_objective and spectrum.magnitude_only:
         raise ValueError("complex objective needs complex S21 data")
+    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    if len(bounds) != 3 or any(lo >= hi for lo, hi in bounds):
+        raise ValueError("bounds must be three (low, high) pairs for (a, c, d)")
+    _check_bounds(bounds)
     f = spectrum.frequencies_ghz
     measured_db = spectrum.magnitude_db
     if f.size < 10 or f[-1] / f[0] < 2.0:
@@ -169,9 +198,6 @@ def fit_permittivity(
             "fit input has fewer than 10 points or spans less than one octave; the estimate may be poorly conditioned",
             stacklevel=2,
         )
-    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    if len(bounds) != 3 or any(lo >= hi for lo, hi in bounds):
-        raise ValueError("bounds must be three (low, high) pairs for (a, c, d)")
 
     def objective(x):
         if complex_objective:
@@ -186,10 +212,12 @@ def fit_permittivity(
     hi = np.array([b[1] for b in bounds])
     starts = [0.5 * (lo + hi)]
     starts.extend(lo + (hi - lo) * rng.random(3) for _ in range(max(n_starts - 1, 0)))
+    evaluations = 0
     if complex_objective:
         magnitude_fit = fit_permittivity(
             spectrum, thickness, bounds, n_starts, b_fixed, seed, max_iterations, complex_objective=False
         )
+        evaluations += magnitude_fit.evaluations
         if magnitude_fit.converged:
             starts.insert(0, np.array([magnitude_fit.a, magnitude_fit.c, magnitude_fit.d]))
 
@@ -205,6 +233,7 @@ def fit_permittivity(
             options={"maxiter": max_iterations, "xatol": 1e-6, "fatol": 1e-10},
         )
         total_iterations += result.nit
+        evaluations += result.nfev
         entry = {"start": index, "x0": np.asarray(x0), "x": result.x, "residual": float(result.fun), "success": bool(result.success)}
         diagnostics.append(entry)
         if result.success and math.isfinite(result.fun):
@@ -212,11 +241,11 @@ def fit_permittivity(
                 best = entry
 
     if best is None:
-        return FitResult(math.nan, b_fixed, math.nan, math.nan, math.inf, total_iterations, False, diagnostics)
+        return FitResult(math.nan, b_fixed, math.nan, math.nan, math.inf, total_iterations, False, diagnostics, evaluations)
     a, c, d = best["x"]
     model_db = slab_transmission_db(a, b_fixed, c, d, thickness, f)
     residual_db = float(np.sqrt(np.mean((model_db - measured_db) ** 2)))
-    return FitResult(float(a), b_fixed, float(c), float(d), residual_db, total_iterations, True, diagnostics)
+    return FitResult(float(a), b_fixed, float(c), float(d), residual_db, total_iterations, True, diagnostics, evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,10 @@ class PermittivityModel:
         """Conductivity sigma(f) = c * f**d in S/m for f in GHz."""
         return self.c * np.power(frequency_ghz, self.d)
 
+    def complex_permittivity(self, frequency_ghz):
+        """eps' - j eps'' for GHz frequencies > 0, scalar or ndarray."""
+        return self.a * frequency_ghz**self.b - 1j * loss_permittivity(self.conductivity(frequency_ghz), frequency_ghz)
+
 
 @dataclass(frozen=True)
 class FixedPermittivity:
@@ -165,10 +169,7 @@ class Material:
             return np.broadcast_to(
                 complex(self.permittivity.eps_real, -self.permittivity.eps_imag), f.shape
             ).copy() if f.shape else complex(self.permittivity.eps_real, -self.permittivity.eps_imag)
-        m = self.permittivity
-        eps_real = m.a * f ** m.b
-        eps_imag = loss_permittivity(m.conductivity(f), f)
-        return eps_real - 1j * eps_imag
+        return self.permittivity.complex_permittivity(f)
 
 
 def _normalize(name: str) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -29,6 +30,12 @@ class ScenarioError(ValueError):
 _MISSING = object()
 
 
+def _number(value, path):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{path}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _expect(data, key, kind, path, default=_MISSING):
     if key not in data:
         if default is not _MISSING:
@@ -36,12 +43,30 @@ def _expect(data, key, kind, path, default=_MISSING):
         raise ScenarioError(f"{path}.{key}: required field is missing")
     value = data[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
-        return float(value)
-    if not isinstance(value, kind):
+        return _number(value, f"{path}.{key}")
+    # bool is an int subclass, but true is not a count
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ScenarioError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _expect_numbers(data, key, path, default):
+    """A JSON list of numbers as a tuple of floats; an entry's error names its index."""
+    values = _expect(data, key, list, path, default)
+    if values is default:
+        return default
+    return tuple(_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(values))
+
+
+@contextmanager
+def _reported_at(path):
+    """Re-raise a model's own validation error under the JSON path it came from."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -116,27 +141,23 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
     cell = _parse_cell(cell_data, wall, db) if cell_data is not None else UnitCell(150.0, 150.0, wall)
 
     thermal_data = _expect(data, "thermal", dict, "$", default={})
-    try:
+    with _reported_at("thermal"):
         boundary = ThermalBoundary(
             r_si=_expect(thermal_data, "r_si", float, "thermal", default=0.13),
             r_se=_expect(thermal_data, "r_se", float, "thermal", default=0.04),
             t_inside_k=_expect(thermal_data, "t_inside_k", float, "thermal", default=293.0),
             t_outside_k=_expect(thermal_data, "t_outside_k", float, "thermal", default=271.0),
         )
-    except ValueError as exc:
-        raise ScenarioError(f"thermal: {exc}") from exc
 
     sweep_data = _expect(data, "sweep", dict, "$", default={})
     defaults = SweepConfig()
-    try:
+    with _reported_at("sweep"):
         sweep = SweepConfig(
-            separations_mm=tuple(float(s) for s in sweep_data.get("separations_mm", defaults.separations_mm)),
-            frequencies_ghz=tuple(float(f) for f in sweep_data.get("frequencies_ghz", defaults.frequencies_ghz)),
+            separations_mm=_expect_numbers(sweep_data, "separations_mm", "sweep", defaults.separations_mm),
+            frequencies_ghz=_expect_numbers(sweep_data, "frequencies_ghz", "sweep", defaults.frequencies_ghz),
             u_limit=_expect(sweep_data, "u_limit", float, "sweep", default=defaults.u_limit),
             combination=_expect(sweep_data, "combination", str, "sweep", default=defaults.combination),
         )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"sweep: {exc}") from exc
 
     return Scenario(
         name=data.get("name", "unnamed"),
@@ -155,22 +176,28 @@ def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> Unit
     antenna = None
     if "antenna" in cell_data:
         a = _expect(cell_data, "antenna", dict, "unit_cell")
-        table = a.get("gain_table")
-        try:
+        table = []
+        for i, entry in enumerate(_expect(a, "gain_table", list, "unit_cell.antenna", default=[])):
+            entry_path = f"unit_cell.antenna.gain_table[{i}]"
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ScenarioError(f"{entry_path}: expected a [GHz, dBi] pair, got {entry!r}")
+            table.append(tuple(_number(v, f"{entry_path}[{j}]") for j, v in enumerate(entry)))
+        with _reported_at("unit_cell.antenna"):
             antenna = AntennaSpec(
                 gain_dbi=_expect(a, "gain_dbi", float, "unit_cell.antenna", default=4.6),
                 cutoff_ghz=_expect(a, "cutoff_ghz", float, "unit_cell.antenna", default=2.7),
                 rolloff_db_per_octave=_expect(a, "rolloff_db_per_octave", float, "unit_cell.antenna", default=24.0),
                 pattern_exponent=_expect(a, "pattern_exponent", float, "unit_cell.antenna", default=1.0),
-                gain_table=tuple((float(f), float(g)) for f, g in table) if table else None,
+                gain_table=tuple(table) if table else None,
             )
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"unit_cell.antenna: {exc}") from exc
 
     coax = None
     if "coax" in cell_data:
         c = _expect(cell_data, "coax", dict, "unit_cell")
-        try:
+        count = _expect(c, "count", int, "unit_cell.coax", default=2)
+        if count < 1:
+            raise ScenarioError(f"unit_cell.coax.count: must be >= 1, got {count}")
+        with _reported_at("unit_cell.coax"):
             coax = CoaxSpec(
                 inner_radius_mm=_expect(c, "inner_radius_mm", float, "unit_cell.coax", default=0.1435),
                 outer_radius_mm=_expect(c, "outer_radius_mm", float, "unit_cell.coax", default=0.88),
@@ -179,10 +206,8 @@ def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> Unit
                 tan_delta=_expect(c, "tan_delta", float, "unit_cell.coax", default=0.004),
                 resistivity_ohm_m=_expect(c, "resistivity_ohm_m", float, "unit_cell.coax", default=6.9e-7),
                 length_m=_expect(c, "length_m", float, "unit_cell.coax", default=wall.depth_mm * 1e-3),
-                count=int(_expect(c, "count", float, "unit_cell.coax", default=2)),
+                count=count,
             )
-        except ValueError as exc:
-            raise ScenarioError(f"unit_cell.coax: {exc}") from exc
 
     def feature_material(key):
         if key not in cell_data:
@@ -206,7 +231,7 @@ def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> Unit
         conductor = db.get(conductor_name)
         dielectric = db.get(dielectric_name)
 
-    try:
+    with _reported_at("unit_cell"):
         return UnitCell(
             sx_mm=sx,
             sy_mm=sy,
@@ -222,5 +247,3 @@ def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> Unit
             laminate_size_mm=laminate_size if laminate_size is not None else 40.0,
             laminate_thickness_mm=laminate_thickness if laminate_thickness is not None else 0.5,
         )
-    except ValueError as exc:
-        raise ScenarioError(f"unit_cell: {exc}") from exc

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,28 @@ def test_fit_permittivity_roundtrip_via_cli(tmp_path, capsys):
     assert "residual" in printed
 
 
+def test_fit_prints_start_and_evaluation_counts_last(tmp_path, capsys):
+    f = np.linspace(2.0, 8.0, 41)
+    db = slab_transmission_db(5.24, 0.0, 0.0462, 0.78, 60.0, f)
+    path = tmp_path / "meas.csv"
+    path.write_text("freq_GHz,s21_dB\n" + "".join(f"{fi:.6f},{di:.9f}\n" for fi, di in zip(f, db)))
+    assert main(["fit-permittivity", str(path), "--thickness", "60", "--starts", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("  eps_r(")
+    converged, starts, evaluations = re.fullmatch(r"  starts: (\d+)/(\d+) converged, (\d+) model evaluations", lines[-1]).groups()
+    assert int(starts) == 3 and 1 <= int(converged) <= 3 and int(evaluations) > 0
+    # output parsers look for these fields on the lines above
+    assert not any(key in lines[-1] for key in ("a = ", "c = ", "d = ", "residual:"))
+
+
+def test_fit_rejects_nonpositive_a_bound(tmp_path, capsys):
+    path = tmp_path / "meas.csv"
+    path.write_text("freq_GHz,s21_dB\n2.0,-3.0\n4.0,-4.0\n8.0,-5.0\n")
+    argv = ["fit-permittivity", str(path), "--thickness", "60", "--bounds", "0", "15", "1e-4", "2", "0", "2"]
+    assert main(argv) == 2
+    assert "low bound of a must be > 0" in capsys.readouterr().err
+
+
 def test_fit_requires_thickness(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text("freq_GHz,s21_dB\n1.0,-3.0\n")
@@ -154,3 +177,16 @@ def test_fdtd_validate_small_band(capsys):
     assert "max |delta|" in printed
     max_delta = float(printed.splitlines()[-1].split(":")[1].split("dB")[0])
     assert max_delta <= 0.5
+
+
+def test_fdtd_validate_warns_when_traces_have_not_decayed(tmp_path, monkeypatch, capsys):
+    from signalwall import fdtd
+
+    monkeypatch.setattr(fdtd, "_decayed", lambda trace, threshold_db=-80.0: False)
+    scenario = tmp_path / "slab.json"
+    scenario.write_text(json.dumps({"wall": {"layers": [{"material": "concrete", "thickness_mm": 20.0}]}}))
+    argv = ["fdtd-validate", "--scenario", str(scenario), "--band", "2:3", "--step", "1", "--dz", "2"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "max |delta|" in captured.out
+    assert "warning: FDTD probe traces had not decayed" in captured.err

@@ -101,3 +101,18 @@ def test_reduced_cfl_still_accurate(glass_slab):
         [amplitude_db(tmm_coefficients(glass_slab, Incidence(f))[0]) for f in spectrum.frequencies_ghz]
     )
     assert np.max(np.abs(spectrum.t_db - tmm_db)) < 0.3
+
+
+def test_validation_reports_decay_and_the_steps_it_ran(glass_slab, monkeypatch):
+    from signalwall import fdtd
+
+    cfg = Fdtd1dConfig(dz_mm=2.0)
+    table = validate_against_tmm(glass_slab, 2.0, 3.0, 1.0, cfg)
+    assert table["decayed"]
+    # never decayed: the run is extended twice, and the reference and the DFT
+    # use the steps of the last run
+    monkeypatch.setattr(fdtd, "_decayed", lambda trace, threshold_db=-80.0: False)
+    extended = validate_against_tmm(glass_slab, 2.0, 3.0, 1.0, cfg)
+    assert not extended["decayed"]
+    assert extended["n_steps"] == int(int(table["n_steps"] * 1.5) * 1.5)
+    assert np.max(np.abs(extended["delta_db"])) <= 0.5

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signalwall import inverse
 from signalwall.inverse import (
     MeasuredSpectrum,
     SpectrumFormatError,
@@ -11,8 +12,11 @@ from signalwall.inverse import (
     read_spectrum,
     read_spectrum_csv,
     read_touchstone,
+    slab_transmission,
     slab_transmission_db,
 )
+from signalwall.layered_em import Layer, LayerStack, transmission_spectrum
+from signalwall.materials import Material, MaterialError, PermittivityModel
 
 TRUE = (5.84, 0.205, 0.06)
 THICKNESS_MM = 290.0
@@ -82,6 +86,81 @@ def test_noiseless_roundtrip_recovery(clean_spectrum):
     assert fit.residual_db_rms < 0.1
     reproduced = slab_transmission_db(fit.a, fit.b, fit.c, fit.d, THICKNESS_MM, clean_spectrum.frequencies_ghz)
     assert np.sqrt(np.mean((reproduced - clean_spectrum.magnitude_db) ** 2)) < 0.1
+
+
+def test_closed_form_slab_matches_transfer_matrix():
+    # the Airy closed form against the multi-layer cascade of a one-layer stack
+    rng = np.random.default_rng(2040)
+    compared = total = 0
+    for _ in range(300):
+        a, b, c, d = rng.uniform(1.0, 15.0), rng.uniform(-0.5, 0.5), rng.uniform(1e-4, 2.0), rng.uniform(0.0, 2.0)
+        thickness = rng.uniform(5.0, 300.0)
+        f_start, f_stop = np.sort(rng.uniform(1.0, 100.0, 2))
+        stack = LayerStack([Layer(Material("slab", 1.0, PermittivityModel(a, b, c, d)), thickness)])
+        # below ~-6000 dB the cascade overflows to NaN; such points are not compared
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = transmission_spectrum(stack, f_start, f_stop, 40, 0.0, "TE")
+        t = slab_transmission(a, b, c, d, thickness, reference.frequencies_ghz)
+        resolved = np.abs(reference.t) > 1e-150
+        assert np.all(np.abs(t[resolved] - reference.t[resolved]) <= 1e-10 * np.abs(reference.t[resolved]))
+        assert np.all(np.abs(t[~resolved]) <= 1e-140)
+        compared += int(resolved.sum())
+        total += resolved.size
+    assert compared >= total // 4
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [(0.0, 0.0, 0.1, 0.5), (-2.0, 0.0, 0.1, 0.5), (5.0, 0.0, -0.1, 0.5)]
+    + [tuple(np.nan if i == j else v for j, v in enumerate((5.0, 0.0, 0.1, 0.5))) for i in range(4)],
+)
+def test_slab_transmission_rejects_invalid_coefficients(coefficients):
+    with pytest.raises(MaterialError):
+        slab_transmission(*coefficients, 50.0, np.linspace(2.0, 8.0, 5))
+
+
+def test_slab_transmission_rejects_nonpositive_frequency():
+    with pytest.raises(MaterialError):
+        slab_transmission(5.0, 0.0, 0.1, 0.5, 50.0, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    ("bounds", "message"),
+    [
+        (((0.0, 15.0), (1e-4, 2.0), (0.0, 2.0)), "low bound of a"),
+        (((1.0, 15.0), (-0.1, 2.0), (0.0, 2.0)), "low bound of c"),
+        (((1.0, np.inf), (1e-4, 2.0), (0.0, 2.0)), "a bounds must be finite"),
+        (((1.0, 15.0), (1e-4, 2.0), (np.nan, 2.0)), "d bounds must be finite"),
+    ],
+)
+def test_invalid_bounds_rejected_before_any_evaluation(clean_spectrum, monkeypatch, bounds, message):
+    def no_model(*args):
+        raise AssertionError("the model was evaluated")
+
+    monkeypatch.setattr(inverse, "slab_transmission", no_model)
+    with pytest.raises(ValueError, match=message):
+        fit_permittivity(clean_spectrum, bounds=bounds, n_starts=2)
+
+
+@pytest.mark.parametrize("complex_objective", [False, True])
+def test_evaluations_count_every_model_call(clean_spectrum, monkeypatch, complex_objective):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return slab_transmission(*args)
+
+    spectrum = MeasuredSpectrum(
+        clean_spectrum.frequencies_ghz,
+        slab_transmission(TRUE[0], 0.0, TRUE[1], TRUE[2], THICKNESS_MM, clean_spectrum.frequencies_ghz),
+        thickness_mm=THICKNESS_MM,
+    )
+    monkeypatch.setattr(inverse, "slab_transmission", counting)
+    fit = fit_permittivity(spectrum, n_starts=3, max_iterations=200, complex_objective=complex_objective)
+    # each fit level evaluates its returned optimum once more for the dB residual
+    fits = 2 if complex_objective else 1
+    assert fit.evaluations == len(calls) - fits
+    assert fit.evaluations >= fit.iterations
 
 
 def test_zero_thickness_rejected(clean_spectrum):

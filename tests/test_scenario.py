@@ -5,6 +5,7 @@ import pytest
 from signalwall.scenario import (
     MATERIALS_ENV_VAR,
     ScenarioError,
+    default_scenario_text,
     load_scenario,
     material_database,
     scenario_from_dict,
@@ -20,6 +21,7 @@ def test_default_scenario_loads():
     assert scenario.boundary.r_si == 0.13
     assert scenario.sweep.u_limit == 0.17
     assert len(scenario.sweep.separations_mm) == 14
+    assert scenario.cell.coax.count == 2 and type(scenario.cell.coax.count) is int
 
 
 def test_error_messages_carry_json_path():
@@ -97,3 +99,47 @@ def test_bare_cell_strips_features():
     bare = scenario.bare_cell()
     assert not bare.has_antenna_system
     assert bare.sx_mm == scenario.cell.sx_mm
+
+
+def _scenario_with(section, key, value):
+    data = json.loads(default_scenario_text())
+    target = data
+    for part in section.split("."):
+        target = target[part]
+    target[key] = value
+    return data
+
+
+@pytest.mark.parametrize("count", [2.7, 2.0, True, "2"])
+def test_coax_count_must_be_a_json_integer(count):
+    with pytest.raises(ScenarioError, match=r"^unit_cell\.coax\.count: expected int"):
+        scenario_from_dict(_scenario_with("unit_cell.coax", "count", count))
+
+
+def test_coax_count_must_be_positive():
+    with pytest.raises(ScenarioError, match=r"^unit_cell\.coax\.count: must be >= 1"):
+        scenario_from_dict(_scenario_with("unit_cell.coax", "count", 0))
+
+
+@pytest.mark.parametrize("entry", ["80", True, None])
+def test_separations_entries_must_be_numbers(entry):
+    with pytest.raises(ScenarioError, match=r"^sweep\.separations_mm\[1\]: expected a number"):
+        scenario_from_dict(_scenario_with("sweep", "separations_mm", [70, entry, 90]))
+    with pytest.raises(ScenarioError, match=r"^sweep\.separations_mm: expected list"):
+        scenario_from_dict(_scenario_with("sweep", "separations_mm", "70,80"))
+
+
+@pytest.mark.parametrize("entry", ["3.5", False])
+def test_frequency_entries_must_be_numbers(entry):
+    with pytest.raises(ScenarioError, match=r"^sweep\.frequencies_ghz\[2\]: expected a number"):
+        scenario_from_dict(_scenario_with("sweep", "frequencies_ghz", [1.5, 3.5, entry]))
+
+
+def test_gain_table_entries_must_be_number_pairs():
+    table = [[1.0, -10.0], [2.0, "0.5"]]
+    with pytest.raises(ScenarioError, match=r"^unit_cell\.antenna\.gain_table\[1\]\[1\]: expected a number"):
+        scenario_from_dict(_scenario_with("unit_cell.antenna", "gain_table", table))
+    with pytest.raises(ScenarioError, match=r"^unit_cell\.antenna\.gain_table\[0\]: expected a \[GHz, dBi\] pair"):
+        scenario_from_dict(_scenario_with("unit_cell.antenna", "gain_table", [[1.0, -10.0, 3.0]]))
+    parsed = scenario_from_dict(_scenario_with("unit_cell.antenna", "gain_table", [[1.0, -10.0], [4, 4.5]]))
+    assert parsed.cell.antenna.gain_table == ((1.0, -10.0), (4.0, 4.5))
