@@ -65,13 +65,6 @@ class CoaxSpec:
     def shield_inner_radius_mm(self) -> float:
         return self.outer_radius_mm - self.shield_thickness_mm
 
-    def conductor_area_m2(self) -> float:
-        """Metal cross-section (shield annulus + pin) of the whole assembly."""
-        b = self.outer_radius_mm * 1e-3
-        bi = self.shield_inner_radius_mm * 1e-3
-        a = self.inner_radius_mm * 1e-3
-        return self.count * math.pi * ((b * b - bi * bi) + a * a)
-
 
 def coax_impedance(spec: CoaxSpec) -> float:
     """Characteristic impedance of a single line, ohms."""
@@ -136,8 +129,8 @@ class AntennaSpec:
     low-frequency roll-off below ``cutoff_ghz``.  The roll-off captures the
     collapse of a spiral element's realized gain once the outer turn is
     electrically small; the default cutoff approximates c0/(2 pi r_outer)
-    for the recorded spiral geometry.  The broadside pattern falls off as
-    cos(theta)**pattern_exponent.
+    for the paper's spiral (r_outer = 17.4 mm).  The broadside pattern falls
+    off as cos(theta)**pattern_exponent.
     """
 
     gain_dbi: float = 4.6
@@ -145,9 +138,6 @@ class AntennaSpec:
     rolloff_db_per_octave: float = 24.0
     pattern_exponent: float = 1.0
     gain_table: tuple[tuple[float, float], ...] | None = None
-    spiral_inner_radius_mm: float = 1.08
-    spiral_outer_radius_mm: float = 17.4
-    spiral_turns: int = 6
 
     def __post_init__(self):
         if not math.isfinite(self.gain_dbi):

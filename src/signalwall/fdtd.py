@@ -17,8 +17,18 @@ a single vectorized time loop.
 
 Transmission is the ratio of discrete Fourier transforms of the transmitted
 probe signal with the stack present versus a free-space reference run of
-identical grid and source.  The spectrum is only reported where the source
-amplitude spectrum is within 40 dB of its peak.
+identical grid and source.  The reference is one more (vacuum) row of the
+same batch, so a single time loop serves both.  The spectrum is only
+reported where the source amplitude spectrum is within 40 dB of its peak.
+
+The time loop holds the fields node-major, (n_nodes, n_runs), so every
+shifted slice is one contiguous block, and updates them in place through
+preallocated difference buffers.  Both incident waveforms are evaluated
+once per call, at the same accumulated step times a scalar loop would
+use, and each node sees the same operations in the same order, so the
+traces are bit-identical to a row-major loop with the source evaluated
+every step.  A run that has not decayed is extended from its saved fields
+rather than restarted.
 """
 
 from __future__ import annotations
@@ -153,6 +163,11 @@ def _material_arrays(stack: LayerStack, cfg: Fdtd1dConfig, layout: _Layout, free
     return eps, sig
 
 
+def _with_reference_row(eps, sig):
+    """Appends the free-space reference run: the same grid and source, no stack."""
+    return np.vstack((eps, np.ones_like(eps[:1]))), np.vstack((sig, np.zeros_like(sig[:1])))
+
+
 def _source(cfg: Fdtd1dConfig, t):
     """Modulated Gaussian pulse; t may be an ndarray."""
     t0 = 4.5 * cfg.sigma_t
@@ -173,68 +188,122 @@ def _auto_steps(stack: LayerStack, cfg: Fdtd1dConfig, layout: _Layout, dt: float
     return int(math.ceil(t_end / dt))
 
 
-def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int):
-    """Vectorized leapfrog over (n_runs, n_nodes) states; returns probe traces."""
+@dataclass
+class _Fields:
+    """Leapfrog state between `_time_step_batch` calls, node-major.
+
+    ``t_n`` is the accumulated time of the next step, so a continued run
+    sees the same source samples as one run of the combined length.
+    """
+
+    ex: np.ndarray  # (n_nodes, n_runs)
+    hy: np.ndarray  # (n_nodes - 1, n_runs)
+    step: int = 0
+    t_n: float = 0.0
+
+    @classmethod
+    def zeros(cls, n_nodes: int, n_runs: int) -> "_Fields":
+        return cls(np.zeros((n_nodes, n_runs)), np.zeros((n_nodes - 1, n_runs)))
+
+
+def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int, probes=None, fields=None):
+    """Advance ``n_steps`` leapfrog steps of every run; returns one trace per probe.
+
+    ``eps``/``sig`` are (n_runs, n_nodes).  ``probes`` lists the recorded
+    nodes (default: the transmit probe); each trace is (n_runs, n_steps).
+    ``fields`` carries the state of an earlier call on, and starts from
+    rest when None.  The state is held node-major, (n_nodes, n_runs), so
+    each shifted slice is one contiguous block, and updated in place.
+    """
     dz = layout.dz
     dt = cfg.cfl * dz / C0
     n_runs, n_nodes = eps.shape
+    probes = (layout.i_transmit,) if probes is None else probes
+    fields = _Fields.zeros(n_nodes, n_runs) if fields is None else fields
 
-    eps_abs = eps * EPS0
+    eps_abs = np.ascontiguousarray(eps.T) * EPS0
+    sig = np.ascontiguousarray(sig.T)
     ca = (eps_abs / dt - 0.5 * sig) / (eps_abs / dt + 0.5 * sig)
     cb = (1.0 / dz) / (eps_abs / dt + 0.5 * sig)
     ch = dt / (MU0 * dz)
-
-    ex = np.zeros((n_runs, n_nodes))
-    hy = np.zeros((n_runs, n_nodes - 1))
-
     mur = (C0 * dt - dz) / (C0 * dt + dz)
 
-    trans = np.zeros((n_runs, n_steps))
-    refl = np.zeros((n_runs, n_steps))
+    # the incident waveforms at every step, sampled at the accumulated t_n
+    t = np.empty(n_steps)
+    t[0], t[1:] = fields.t_n, dt
+    np.add.accumulate(t, out=t)
+    h_inc = ch * _source(cfg, t)  # incident wave referenced to the TFSF plane
+    e_inc = _source(cfg, (t + 0.5 * dt) + 0.5 * dz / C0)
 
+    ex, hy = fields.ex, fields.hy
+    ex_hi, ex_lo, hy_hi, hy_lo = ex[1:], ex[:-1], hy[1:], hy[:-1]
+    ex_first, ex_second, ex_penult, ex_last = ex[0], ex[1], ex[-2], ex[-1]
+    ex_in, ca_in, cb_in = ex[1:-1], ca[1:-1], cb[1:-1]
     i_tfsf = layout.i_tfsf
-    z_tfsf = 0.0  # incident wave referenced to the TFSF plane
-    t_n = 0.0
+    hy_tfsf, ex_tfsf, cb_tfsf = hy[i_tfsf - 1], ex[i_tfsf], cb[i_tfsf]
+    d_ex = np.empty_like(hy)
+    d_hy = np.empty_like(ex_in)
+    inc = np.empty(n_runs)
+    edge = np.empty((2, n_runs))  # ex[1], ex[-2] before the E update
+    mur_d = np.empty(n_runs)
+    traces = [np.empty((n_steps, n_runs)) for _ in probes]
+    recorders = [(trace, ex[i]) for trace, i in zip(traces, probes)]
 
     peak_guard = 50.0
     for n in range(n_steps):
         # H update, then TFSF correction for the scattered-field side
-        hy -= ch * (ex[:, 1:] - ex[:, :-1])
-        hy[:, i_tfsf - 1] += ch * _source(cfg, t_n - z_tfsf / C0)
+        np.subtract(ex_hi, ex_lo, out=d_ex)
+        d_ex *= ch
+        hy -= d_ex
+        hy_tfsf += h_inc[n]
 
         # E update on interior nodes, then TFSF correction
-        ex_left = ex[:, 0].copy()
-        ex_right = ex[:, -1].copy()
-        ex_left_in = ex[:, 1].copy()
-        ex_right_in = ex[:, -2].copy()
-        ex[:, 1:-1] = ca[:, 1:-1] * ex[:, 1:-1] - cb[:, 1:-1] * (hy[:, 1:] - hy[:, :-1])
-        t_half = t_n + 0.5 * dt
-        ex[:, i_tfsf] += cb[:, i_tfsf] * _source(cfg, t_half + 0.5 * dz / C0) / ETA0
+        edge[0] = ex_second
+        edge[1] = ex_penult
+        np.subtract(hy_hi, hy_lo, out=d_hy)
+        d_hy *= cb_in
+        ex_in *= ca_in
+        ex_in -= d_hy
+        np.multiply(cb_tfsf, e_inc[n], out=inc)
+        inc /= ETA0
+        ex_tfsf += inc
 
-        # first-order Mur terminations (boundaries sit in vacuum)
-        ex[:, 0] = ex_left_in + mur * (ex[:, 1] - ex_left)
-        ex[:, -1] = ex_right_in + mur * (ex[:, -2] - ex_right)
+        # first-order Mur terminations (boundaries sit in vacuum); the end
+        # nodes are untouched by the E update, so they still hold step n-1
+        np.subtract(ex_second, ex_first, out=mur_d)
+        mur_d *= mur
+        np.add(edge[0], mur_d, out=ex_first)
+        np.subtract(ex_penult, ex_last, out=mur_d)
+        mur_d *= mur
+        np.add(edge[1], mur_d, out=ex_last)
 
-        trans[:, n] = ex[:, layout.i_transmit]
-        refl[:, n] = ex[:, layout.i_reflect]
-        t_n += dt
+        for trace, node in recorders:
+            trace[n] = node
 
-        if n % 2000 == 1999:
+        if (fields.step + n) % 2000 == 1999:
             peak = float(np.max(np.abs(ex)))
             if not math.isfinite(peak) or peak > peak_guard:
                 raise FdtdInstabilityError(
-                    f"field grew to {peak:.3g} at step {n}; check the CFL factor (cfl={cfg.cfl}, dz={cfg.dz_mm} mm)"
+                    f"field grew to {peak:.3g} at step {fields.step + n}; "
+                    f"check the CFL factor (cfl={cfg.cfl}, dz={cfg.dz_mm} mm)"
                 )
-    return trans, refl, dt
+    fields.step += n_steps
+    fields.t_n = float(t[-1]) + dt
+    return [trace.T for trace in traces]
+
+
+def _dft_kernel(n_steps: int, dt: float, f_ghz):
+    """exp(-2j pi f t) on (frequency, step), built in one complex array."""
+    f = np.atleast_1d(np.asarray(f_ghz, dtype=float)) * 1e9
+    kernel = np.zeros((f.size, n_steps), dtype=complex)
+    np.multiply.outer(f, np.arange(n_steps) * dt, out=kernel.imag)
+    kernel.imag *= -2.0 * math.pi
+    return np.exp(kernel, out=kernel)
 
 
 def _dft(signal, dt, f_ghz):
     """DFT of probe traces at arbitrary frequencies; signal (n_runs, n_steps)."""
-    f = np.atleast_1d(np.asarray(f_ghz, dtype=float)) * 1e9
-    n = signal.shape[-1]
-    t = np.arange(n) * dt
-    kernel = np.exp(-2j * math.pi * np.outer(f, t))
-    return signal @ kernel.T if signal.ndim == 1 else np.einsum("rn,fn->rf", signal, kernel)
+    return np.einsum("rn,fn->rf", signal, _dft_kernel(signal.shape[-1], dt, f_ghz))
 
 
 def _decayed(trace, threshold_db=-80.0):
@@ -243,18 +312,23 @@ def _decayed(trace, threshold_db=-80.0):
     return np.all(tail <= peak * 10.0 ** (threshold_db / 20.0) + 1e-300)
 
 
-def _run_until_decayed(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int):
-    """Time loop extended 1.5x, at most twice, until the transmitted traces have decayed.
+def _run_until_decayed(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int, probes):
+    """Time loop extended 1.5x, at most twice, until the first probe's traces have decayed.
 
-    A fixed ``cfg.n_steps`` runs once.  Returns the traces, dt, the step
-    count actually run and whether the traces decayed.
+    An extension continues from the saved fields, so the traces equal one
+    run of the final length.  A fixed ``cfg.n_steps`` runs once.  Returns
+    one trace per probe, the step count run and whether the traces decayed.
     """
+    fields = _Fields.zeros(layout.n_nodes, len(eps))
+    traces = _time_step_batch(eps, sig, layout, cfg, n_steps, probes, fields)
     for attempt in range(3):
-        trans, refl, dt = _time_step_batch(eps, sig, layout, cfg, n_steps)
-        decayed = bool(_decayed(trans))
+        decayed = bool(_decayed(traces[0]))
         if decayed or cfg.n_steps is not None or attempt == 2:
-            return trans, refl, dt, n_steps, decayed
-        n_steps = int(n_steps * 1.5)
+            return traces, n_steps, decayed
+        more = int(n_steps * 1.5) - n_steps
+        tails = _time_step_batch(eps, sig, layout, cfg, more, probes, fields)
+        traces = [np.concatenate((trace, tail), axis=1) for trace, tail in zip(traces, tails)]
+        n_steps += more
 
 
 def _check_resolution(stack: LayerStack, cfg: Fdtd1dConfig):
@@ -288,18 +362,15 @@ def run_fdtd(stack: LayerStack, cfg: Fdtd1dConfig = Fdtd1dConfig()) -> Spectrum:
     else:
         freqs = np.arange(math.ceil(f_lo / 0.05) * 0.05, f_hi + 1e-9, 0.05)
 
-    eps, sig = _material_arrays(stack, cfg, layout, cfg.source_center_ghz)
-    eps_ref = np.ones_like(eps)
-    sig_ref = np.zeros_like(sig)
+    eps, sig = _with_reference_row(*_material_arrays(stack, cfg, layout, cfg.source_center_ghz))
 
     dt = cfg.cfl * layout.dz / C0
     n_steps = cfg.n_steps or _auto_steps(stack, cfg, layout, dt)
-    trans, refl, dt, n_steps, decayed = _run_until_decayed(eps, sig, layout, cfg, n_steps)
-    trans_ref, _, _ = _time_step_batch(eps_ref, sig_ref, layout, cfg, n_steps)
+    (trans, refl), n_steps, decayed = _run_until_decayed(
+        eps, sig, layout, cfg, n_steps, (layout.i_transmit, layout.i_reflect)
+    )
 
-    spec_dut = _dft(trans, dt, freqs)[0]
-    spec_ref = _dft(trans_ref, dt, freqs)[0]
-    spec_scat = _dft(refl, dt, freqs)[0]
+    spec_dut, spec_ref, spec_scat = _dft(np.vstack((trans, refl[:1])), dt, freqs)
     t = spec_dut / spec_ref
     r = spec_scat / spec_ref  # magnitude-faithful; phase referenced to the transmit probe
 
@@ -359,18 +430,15 @@ def validate_against_tmm(
         raise FdtdError(f"dz={cfg.dz_mm} mm resolves only {f_resolved:.2f} GHz; reduce the spatial step")
 
     layout = _build_layout(stack, run_cfg)
-    eps, sig = _material_arrays(stack, run_cfg, layout, freqs)
+    eps, sig = _with_reference_row(*_material_arrays(stack, run_cfg, layout, freqs))
 
     dt = run_cfg.cfl * layout.dz / C0
     n_steps = run_cfg.n_steps or _auto_steps(stack, run_cfg, layout, dt)
-    trans, _, dt, n_steps, decayed = _run_until_decayed(eps, sig, layout, run_cfg, n_steps)
-    trans_ref, _, _ = _time_step_batch(np.ones((1, layout.n_nodes)), np.zeros((1, layout.n_nodes)), layout, run_cfg, n_steps)
+    (trans,), n_steps, decayed = _run_until_decayed(eps, sig, layout, run_cfg, n_steps, (layout.i_transmit,))
 
-    ref = _dft(trans_ref, dt, freqs)[0]
-    # run k is only read at its own freeze frequency freqs[k]
-    t_axis = np.arange(n_steps) * dt
-    kernel = np.exp(-2j * math.pi * np.outer(freqs * 1e9, t_axis))
-    fdtd_t = np.einsum("kn,kn->k", trans, kernel) / ref
+    # run k is only read at its own freeze frequency freqs[k]; the reference at all of them
+    kernel = _dft_kernel(n_steps, dt, freqs)
+    fdtd_t = np.einsum("kn,kn->k", trans[:-1], kernel) / np.einsum("rn,fn->rf", trans[-1:], kernel)[0]
 
     tmm_t = np.array([tmm_coefficients(stack, Incidence(f, 0.0, "TE"))[0] for f in freqs])
     fdtd_db = amplitude_db(fdtd_t)

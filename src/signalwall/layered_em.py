@@ -17,9 +17,11 @@ homogeneous slabs with vacuum ambient on both sides.  Conventions:
   flipped by the specular bounce; radar conventions would label the
   reflected "co" component here as cross-polar.
 
-Running transfer matrices are rescaled layer by layer, which keeps the
-cascade finite for arbitrarily thick lossy stacks; |t| itself underflows to
-zero below roughly -3000 dB, far past any physically meaningful level.
+Each layer's attenuation is factored out of its propagation terms before
+they are exponentiated, and running transfer matrices are rescaled layer by
+layer, which keeps the cascade finite for arbitrarily thick lossy stacks;
+|t| itself underflows to zero below roughly -6400 dB, far past any
+physically meaningful level.
 """
 
 from __future__ import annotations
@@ -174,16 +176,19 @@ def _tmm_linear(eps_media, d_m, f_ghz, theta_deg, pol):
         )
         if n <= len(d_m):
             phase = kz[n] * d_m[n - 1]
-            p = np.exp(1j * phase)      # |p| >= 1 in lossy layers
+            # |exp(j phase)| = exp(g) overflows past ~709 nepers in one layer,
+            # so g is factored out of both propagation terms before exp
+            g = -phase.imag  # one-way attenuation in nepers, >= 0
+            p = np.exp(1j * phase - g)
             m11 = m11 * p
             m21 = m21 * p
-            pm = np.exp(-1j * phase)
+            pm = np.exp(-1j * phase - g)
             m12 = m12 * pm
             m22 = m22 * pm
             scale = np.abs(m11)
             scale = np.where(scale > 1.0, scale, 1.0)
             m11, m12, m21, m22 = m11 / scale, m12 / scale, m21 / scale, m22 / scale
-            log_scale += np.log(scale)
+            log_scale += g + np.log(scale)
 
     t = np.exp(-log_scale) / m11
     r = m21 / m11

@@ -104,10 +104,6 @@ class ComplexPermittivity:
     def value(self) -> complex:
         return complex(self.eps_real, -self.eps_imag)
 
-    @property
-    def loss_tangent(self) -> float:
-        return self.eps_imag / self.eps_real
-
 
 def loss_permittivity(sigma_s_per_m, frequency_ghz):
     """eps'' = sigma / (eps0 * omega) with omega = 2*pi*f*1e9."""

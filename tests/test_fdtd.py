@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from signalwall import fdtd
+from signalwall.constants import C0, EPS0, ETA0, MU0
 from signalwall.fdtd import (
     Fdtd1dConfig,
     FdtdError,
@@ -116,3 +118,81 @@ def test_validation_reports_decay_and_the_steps_it_ran(glass_slab, monkeypatch):
     assert not extended["decayed"]
     assert extended["n_steps"] == int(int(table["n_steps"] * 1.5) * 1.5)
     assert np.max(np.abs(extended["delta_db"])) <= 0.5
+
+
+def _reference_time_loop(eps, sig, layout, cfg, n_steps):
+    """Row-major leapfrog with the source evaluated every step: the oracle
+    the in-place, node-major `fdtd._time_step_batch` must match bit for bit."""
+    dz = layout.dz
+    dt = cfg.cfl * dz / C0
+    n_runs, n_nodes = eps.shape
+    eps_abs = eps * EPS0
+    ca = (eps_abs / dt - 0.5 * sig) / (eps_abs / dt + 0.5 * sig)
+    cb = (1.0 / dz) / (eps_abs / dt + 0.5 * sig)
+    ch = dt / (MU0 * dz)
+    mur = (C0 * dt - dz) / (C0 * dt + dz)
+    ex = np.zeros((n_runs, n_nodes))
+    hy = np.zeros((n_runs, n_nodes - 1))
+    trans = np.zeros((n_runs, n_steps))
+    refl = np.zeros((n_runs, n_steps))
+    i_tfsf = layout.i_tfsf
+    t_n = 0.0
+    for n in range(n_steps):
+        hy -= ch * (ex[:, 1:] - ex[:, :-1])
+        hy[:, i_tfsf - 1] += ch * fdtd._source(cfg, t_n)
+        ex_left, ex_right = ex[:, 0].copy(), ex[:, -1].copy()
+        ex_left_in, ex_right_in = ex[:, 1].copy(), ex[:, -2].copy()
+        ex[:, 1:-1] = ca[:, 1:-1] * ex[:, 1:-1] - cb[:, 1:-1] * (hy[:, 1:] - hy[:, :-1])
+        t_half = t_n + 0.5 * dt
+        ex[:, i_tfsf] += cb[:, i_tfsf] * fdtd._source(cfg, t_half + 0.5 * dz / C0) / ETA0
+        ex[:, 0] = ex_left_in + mur * (ex[:, 1] - ex_left)
+        ex[:, -1] = ex_right_in + mur * (ex[:, -2] - ex_right)
+        trans[:, n] = ex[:, layout.i_transmit]
+        refl[:, n] = ex[:, layout.i_reflect]
+        t_n += dt
+    return trans, refl
+
+
+def _wall_batch(wall, cfl):
+    cfg = Fdtd1dConfig(dz_mm=2.0, cfl=cfl, source_center_ghz=2.0, source_bandwidth_ghz=2.0)
+    layout = fdtd._build_layout(wall, cfg)
+    eps, sig = fdtd._material_arrays(wall, cfg, layout, [1.5, 2.0, 2.5])
+    return eps, sig, layout, cfg
+
+
+@pytest.mark.parametrize("cfl", [1.0, 0.7])
+def test_time_loop_matches_row_major_reference_bit_for_bit(wall, cfl):
+    eps, sig, layout, cfg = _wall_batch(wall, cfl)
+    assert np.any(sig > 0.0)
+    trans, refl = fdtd._time_step_batch(eps, sig, layout, cfg, 2500, (layout.i_transmit, layout.i_reflect))
+    ref_trans, ref_refl = _reference_time_loop(eps, sig, layout, cfg, 2500)
+    assert np.max(np.abs(ref_trans)) > 1e-3
+    assert np.array_equal(trans, ref_trans)
+    assert np.array_equal(refl, ref_refl)
+
+
+def test_folded_reference_row_equals_a_vacuum_run(wall):
+    eps, sig, layout, cfg = _wall_batch(wall, 0.7)
+    (batch,) = fdtd._time_step_batch(*fdtd._with_reference_row(eps, sig), layout, cfg, 2000)
+    (alone,) = fdtd._time_step_batch(np.ones((1, layout.n_nodes)), np.zeros((1, layout.n_nodes)), layout, cfg, 2000)
+    assert np.array_equal(batch[-1], alone[0])
+
+
+def test_extension_continues_the_time_loop(wall, monkeypatch):
+    eps, sig, layout, cfg = _wall_batch(wall, 0.7)
+    probes = (layout.i_transmit, layout.i_reflect)
+    advanced = []
+    loop = fdtd._time_step_batch
+
+    def counted(eps, sig, layout, cfg, n_steps, *args):
+        advanced.append(n_steps)
+        return loop(eps, sig, layout, cfg, n_steps, *args)
+
+    monkeypatch.setattr(fdtd, "_decayed", lambda trace, threshold_db=-80.0: False)
+    monkeypatch.setattr(fdtd, "_time_step_batch", counted)
+    traces, n_steps, decayed = fdtd._run_until_decayed(eps, sig, layout, cfg, 1000, probes)
+    assert not decayed
+    assert n_steps == int(int(1000 * 1.5) * 1.5) == sum(advanced)
+    assert len(advanced) == 3
+    fresh = loop(eps, sig, layout, cfg, n_steps, probes)
+    assert all(np.array_equal(a, b) for a, b in zip(traces, fresh))

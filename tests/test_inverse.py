@@ -97,9 +97,8 @@ def test_closed_form_slab_matches_transfer_matrix():
         thickness = rng.uniform(5.0, 300.0)
         f_start, f_stop = np.sort(rng.uniform(1.0, 100.0, 2))
         stack = LayerStack([Layer(Material("slab", 1.0, PermittivityModel(a, b, c, d)), thickness)])
-        # below ~-6000 dB the cascade overflows to NaN; such points are not compared
-        with np.errstate(over="ignore", invalid="ignore"):
-            reference = transmission_spectrum(stack, f_start, f_stop, 40, 0.0, "TE")
+        reference = transmission_spectrum(stack, f_start, f_stop, 40, 0.0, "TE")
+        assert np.all(np.isfinite(reference.t))
         t = slab_transmission(a, b, c, d, thickness, reference.frequencies_ghz)
         resolved = np.abs(reference.t) > 1e-150
         assert np.all(np.abs(t[resolved] - reference.t[resolved]) <= 1e-10 * np.abs(reference.t[resolved]))

@@ -14,7 +14,8 @@ from signalwall.layered_em import (
     tmm_coefficients,
     transmission_spectrum,
 )
-from signalwall.materials import FixedPermittivity, Material
+from signalwall.inverse import slab_transmission
+from signalwall.materials import FixedPermittivity, Material, PermittivityModel
 
 C0 = 299792458.0
 
@@ -193,6 +194,18 @@ def test_deep_lossy_stack_does_not_overflow():
     t, r = tmm_coefficients(stack, Incidence(8.0))
     assert math.isfinite(abs(t)) and abs(t) < 1e-10
     assert math.isfinite(abs(r)) and abs(r) <= 1.0
+
+
+def test_one_layer_past_exp_overflow_stays_finite():
+    # 300 mm of (a=5, c=2 S/m, d=2) attenuates by more than the ~709 nepers
+    # exp can hold from ~9 GHz up
+    stack = LayerStack([Layer(Material("slab", 1.0, PermittivityModel(5.0, 0.0, 2.0, 2.0)), 300.0)])
+    spectrum = transmission_spectrum(stack, 1.0, 100.0, 100, 0.0, "TE")
+    assert np.all(np.isfinite(spectrum.t)) and np.all(np.isfinite(spectrum.r))
+    closed = slab_transmission(5.0, 0.0, 2.0, 2.0, 300.0, spectrum.frequencies_ghz)
+    resolved = np.abs(spectrum.t) > 1e-150
+    assert resolved.sum() >= 5
+    assert np.all(np.abs(closed[resolved] - spectrum.t[resolved]) <= 1e-10 * np.abs(spectrum.t[resolved]))
 
 
 def test_incidence_validation():
