@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C0, ETA0, MU0
-from .layered_em import Incidence, LayerStack, tmm_coefficients
+from .layered_em import Incidence, LayerStack, _coefficients, tmm_coefficients
 from .materials import Material
 
 COMBINATION_MODES = ("incoherent", "coherent_best", "coherent_worst")
@@ -285,13 +285,15 @@ def improvement_onset_ghz(
     """
     if not cell.has_antenna_system:
         return None
+    Incidence(f_start_ghz, theta_deg, polarization)  # reuse validation
 
     def excess(f):
         t_wall, _ = tmm_coefficients(cell.wall, Incidence(f, theta_deg, polarization))
         return aperture_transmission(cell, f, theta_deg) - abs(t_wall)
 
     grid = np.arange(f_start_ghz, f_stop_ghz + 1e-9, 0.1)
-    values = [excess(f) for f in grid]
+    t_grid, _ = _coefficients(cell.wall, grid, theta_deg, polarization)
+    values = [aperture_transmission(cell, f, theta_deg) - abs(t) for f, t in zip(grid, t_grid.tolist())]
     if values[0] >= 0.0:
         return float(grid[0])
     crossing = None

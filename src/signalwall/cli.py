@@ -14,11 +14,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .antenna_link import aperture_transmission, combine_paths, improvement_onset_ghz
+from .antenna_link import aperture_transmission, coax_attenuation, combine_paths, improvement_onset_ghz
 from .design_sweep import SweepConfig, SweepError, run_sweep
 from .fdtd import Fdtd1dConfig, FdtdError, validate_against_tmm
 from .inverse import SpectrumFormatError, fit_permittivity, normalize_spectrum, read_spectrum
-from .layered_em import Incidence, Spectrum, amplitude_db, tmm_coefficients, transmission_spectrum
+from .layered_em import Spectrum, _coefficients, amplitude_db, transmission_spectrum
 from .materials import MaterialError, PermittivityModel, UnknownMaterialError, FixedPermittivity
 from .scenario import ScenarioError, load_scenario, material_database
 from .thermal import ThermalError, solve_steady_state, u_value_analytical, voxelize_unit_cell, write_vtk
@@ -44,10 +44,16 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         if ":" in text:
             start, stop, step = (float(v) for v in text.split(":"))
-            return tuple(np.round(np.arange(start, stop + 1e-9, step), 9).tolist())
-        return tuple(float(v) for v in text.split(","))
+            if not step > 0.0:
+                raise argparse.ArgumentTypeError(f"range step must be > 0, got {step:g}")
+            values = tuple(np.round(np.arange(start, stop + 1e-9, step), 9).tolist())
+        else:
+            values = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"range {text} is empty")
+    return values
 
 
 def cmd_transmission(args) -> int:
@@ -57,6 +63,7 @@ def cmd_transmission(args) -> int:
 
     cell = scenario.cell
     summary_freqs = [f for f in (3.5, 8.0) if f1 <= f <= f2]
+    t_summary = _coefficients(scenario.wall, summary_freqs, args.theta, args.pol)[0].tolist()
     lines = []
     if args.with_antennas:
         if not cell.has_antenna_system:
@@ -69,8 +76,7 @@ def cmd_transmission(args) -> int:
             ]
         )
         spectrum = Spectrum(spectrum.frequencies_ghz, combined, spectrum.r, spectrum.polarization, spectrum.theta_deg)
-        for f in summary_freqs:
-            t_wall, _ = tmm_coefficients(scenario.wall, Incidence(f, args.theta, args.pol))
+        for f, t_wall in zip(summary_freqs, t_summary):
             level = combine_paths(t_wall, aperture_transmission(cell, f, args.theta), args.combine)
             lines.append(
                 f"  {f:.1f} GHz: combined {amplitude_db(level):8.2f} dB   "
@@ -78,9 +84,16 @@ def cmd_transmission(args) -> int:
             )
         onset = improvement_onset_ghz(cell, max(f1, 1.0), f2, args.theta, args.pol)
         lines.append(f"  improvement onset: {onset:.2f} GHz" if onset else "  improvement onset: none in band")
+        thin = [f for f in spectrum.frequencies_ghz if not coax_attenuation(cell.coax, f).skin_depth_ok]
+        if thin:
+            print(
+                f"warning: the skin depth exceeds the {cell.coax.shield_thickness_mm:g} mm coax shield at "
+                f"{len(thin)} of {n} band frequencies ({thin[0]:.2f}-{thin[-1]:.2f} GHz); "
+                "the conductor loss there assumes a thick shield",
+                file=sys.stderr,
+            )
     else:
-        for f in summary_freqs:
-            t_wall, _ = tmm_coefficients(scenario.wall, Incidence(f, args.theta, args.pol))
+        for f, t_wall in zip(summary_freqs, t_summary):
             lines.append(f"  {f:.1f} GHz: wall loss {-amplitude_db(t_wall):6.2f} dB")
 
     spectrum.write_csv(args.output)
@@ -156,8 +169,8 @@ def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario, args.materials)
     base = scenario.sweep
     cfg = SweepConfig(
-        separations_mm=args.separations or base.separations_mm,
-        frequencies_ghz=args.frequencies or base.frequencies_ghz,
+        separations_mm=args.separations if args.separations is not None else base.separations_mm,
+        frequencies_ghz=args.frequencies if args.frequencies is not None else base.frequencies_ghz,
         u_limit=args.u_limit if args.u_limit is not None else base.u_limit,
         combination=base.combination,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna_link import UnitCell, aperture_transmission, combine_paths, COMBINATION_MODES
-from .layered_em import Incidence, tmm_coefficients, amplitude_db
+from .layered_em import _coefficients, amplitude_db
 from .thermal import MeshOptions, ThermalBoundary, solve_steady_state, voxelize_unit_cell
 
 
@@ -27,9 +27,6 @@ class SweepConfig:
     frequencies_ghz: tuple[float, ...] = (1.5, 3.5, 5.0, 8.0)
     u_limit: float = 0.17
     combination: str = "incoherent"
-    polarization: str = "RHCP"
-    theta_deg: float = 0.0
-    thermal_tol: float = 1e-6
     mesh: MeshOptions = MeshOptions()
 
     def __post_init__(self):
@@ -39,6 +36,8 @@ class SweepConfig:
             raise SweepError("separations must be > 0 mm")
         if not self.frequencies_ghz:
             raise SweepError("frequency list must not be empty")
+        if any(f <= 0.0 for f in self.frequencies_ghz):
+            raise SweepError("frequencies must be > 0 GHz")
         if self.u_limit <= 0.0:
             raise SweepError("U-value limit must be > 0")
         if self.combination not in COMBINATION_MODES:
@@ -96,20 +95,18 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
     if not cell_template.has_antenna_system:
         raise SweepError("sweep needs a unit cell with an antenna system")
     # with_separation resizes the cell only, so every separation shares the wall's transmission
-    bare_t = {
-        f: tmm_coefficients(cell_template.wall, Incidence(f, cfg.theta_deg, cfg.polarization))[0]
-        for f in cfg.frequencies_ghz
-    }
+    t_wall, _ = _coefficients(cell_template.wall, cfg.frequencies_ghz, 0.0, "RHCP")
+    bare_t = dict(zip(cfg.frequencies_ghz, t_wall.tolist()))
     bare_db = {f: float(amplitude_db(t)) for f, t in bare_t.items()}
     records = []
     for s in cfg.separations_mm:
         sized = cell_template.with_separation(s)
         grid = voxelize_unit_cell(sized, options=cfg.mesh)
-        thermal = solve_steady_state(grid, bc, tol=cfg.thermal_tol)
+        thermal = solve_steady_state(grid, bc)
         transmission = {}
         improvement = {}
         for f, t_wall in bare_t.items():
-            combined = combine_paths(t_wall, aperture_transmission(sized, f, cfg.theta_deg), cfg.combination)
+            combined = combine_paths(t_wall, aperture_transmission(sized, f), cfg.combination)
             level = float(amplitude_db(combined))
             transmission[f] = level
             improvement[f] = level - bare_db[f]
@@ -145,38 +142,15 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
 
 
 def min_feasible_separation(
-    cfg: SweepConfig,
-    cell_template: UnitCell,
-    bc: ThermalBoundary = ThermalBoundary(),
-    refine_to_mm: float | None = None,
+    cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = ThermalBoundary()
 ) -> float | None:
     """Smallest swept separation whose U-value meets the limit, or None.
 
-    With ``refine_to_mm`` the feasibility edge between the last infeasible
-    and first feasible sweep points is bisected down to that resolution.
+    Solves the separations in ascending order and stops at the first
+    feasible one.
     """
-    separations = sorted(cfg.separations_mm)
-
-    def u_of(s: float) -> float:
+    for s in sorted(cfg.separations_mm):
         grid = voxelize_unit_cell(cell_template.with_separation(s), options=cfg.mesh)
-        return solve_steady_state(grid, bc, tol=cfg.thermal_tol).u
-
-    found = None
-    previous = None
-    for s in separations:
-        if u_of(s) <= cfg.u_limit:
-            found = s
-            break
-        previous = s
-    if found is None:
-        return None
-    if refine_to_mm and previous is not None:
-        lo, hi = previous, found
-        while hi - lo > refine_to_mm:
-            mid = 0.5 * (lo + hi)
-            if u_of(mid) <= cfg.u_limit:
-                hi = mid
-            else:
-                lo = mid
-        found = hi
-    return float(found)
+        if solve_steady_state(grid, bc).u <= cfg.u_limit:
+            return float(s)
+    return None

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import C0, EPS0, ETA0, MU0
-from .layered_em import LayerStack, Spectrum, tmm_coefficients, Incidence, amplitude_db
+from .layered_em import LayerStack, Spectrum, _coefficients, amplitude_db
 
 
 class FdtdError(ValueError):
@@ -50,26 +50,31 @@ class FdtdInstabilityError(RuntimeError):
     """Field growth detected during time stepping."""
 
 
+# vacuum padding either side of the probes, and the probe distance from the
+# source plane and the stack faces
+_PAD_MM = 60.0
+_PROBE_OFFSET_MM = 20.0
+# time steps per block of the run_fdtd transform, which bounds its kernel
+# at frequencies x _DFT_BLOCK complex values
+_DFT_BLOCK = 2048
+
+
 @dataclass(frozen=True)
 class Fdtd1dConfig:
     """Grid, source, and probe settings for one run.
 
     ``source_bandwidth_ghz`` is the full width of the band in which the
     modulated-Gaussian source spectrum stays within 40 dB of its peak; the
-    spectrum outside it is not trusted.  ``n_steps`` None lets the solver
-    size the run from the pulse length and a ring-down allowance, then
-    verifies that the transmitted signal has decayed 80 dB below its peak
-    (extending the run if it has not).
+    spectrum outside it is not trusted.  The solver sizes each run from the
+    pulse length and a ring-down allowance, then verifies that the
+    transmitted signal has decayed 80 dB below its peak, extending the run
+    if it has not.
     """
 
     dz_mm: float = 0.5
     cfl: float = 1.0
     source_center_ghz: float = 4.5
     source_bandwidth_ghz: float = 7.0
-    n_steps: int | None = None
-    pad_mm: float = 60.0
-    probe_offset_mm: float = 20.0
-    frequencies_ghz: np.ndarray | None = None
     min_cells_per_wavelength: float = 20.0
 
     def __post_init__(self):
@@ -81,8 +86,6 @@ class Fdtd1dConfig:
             raise FdtdError("source centre and bandwidth must be > 0")
         if self.source_center_ghz - 0.5 * self.source_bandwidth_ghz <= 0.0:
             raise FdtdError("source band must stay above 0 GHz")
-        if self.n_steps is not None and self.n_steps < 100:
-            raise FdtdError("n_steps must be at least 100")
 
     @property
     def sigma_t(self) -> float:
@@ -124,8 +127,8 @@ class _Layout:
 
 def _build_layout(stack: LayerStack, cfg: Fdtd1dConfig) -> _Layout:
     dz = cfg.dz_mm * 1e-3
-    pad = max(int(round(cfg.pad_mm / cfg.dz_mm)), 20)
-    probe = max(int(round(cfg.probe_offset_mm / cfg.dz_mm)), 4)
+    pad = max(int(round(_PAD_MM / cfg.dz_mm)), 20)
+    probe = max(int(round(_PROBE_OFFSET_MM / cfg.dz_mm)), 4)
     stack_cells = [int(round(layer.thickness_mm / cfg.dz_mm)) for layer in stack.layers]
     if any(c < 1 for c in stack_cells):
         raise FdtdError("spatial step too coarse to resolve a layer")
@@ -292,18 +295,26 @@ def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int,
     return [trace.T for trace in traces]
 
 
-def _dft_kernel(n_steps: int, dt: float, f_ghz):
-    """exp(-2j pi f t) on (frequency, step), built in one complex array."""
+def _dft_kernel(n_steps: int, dt: float, f_ghz, first_step: int = 0):
+    """exp(-2j pi f t) on (frequency, step), steps counted from first_step, in one complex array."""
     f = np.atleast_1d(np.asarray(f_ghz, dtype=float)) * 1e9
     kernel = np.zeros((f.size, n_steps), dtype=complex)
-    np.multiply.outer(f, np.arange(n_steps) * dt, out=kernel.imag)
+    np.multiply.outer(f, np.arange(first_step, first_step + n_steps) * dt, out=kernel.imag)
     kernel.imag *= -2.0 * math.pi
     return np.exp(kernel, out=kernel)
 
 
 def _dft(signal, dt, f_ghz):
-    """DFT of probe traces at arbitrary frequencies; signal (n_runs, n_steps)."""
-    return np.einsum("rn,fn->rf", signal, _dft_kernel(signal.shape[-1], dt, f_ghz))
+    """DFT of probe traces at arbitrary frequencies; signal (n_runs, n_steps).
+
+    Summed over blocks of `_DFT_BLOCK` steps, so the kernel never spans the
+    whole trace.
+    """
+    spectrum = 0.0
+    for first in range(0, signal.shape[-1], _DFT_BLOCK):
+        block = signal[:, first: first + _DFT_BLOCK]
+        spectrum = spectrum + np.einsum("rn,fn->rf", block, _dft_kernel(block.shape[-1], dt, f_ghz, first))
+    return spectrum
 
 
 def _decayed(trace, threshold_db=-80.0):
@@ -316,14 +327,14 @@ def _run_until_decayed(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: in
     """Time loop extended 1.5x, at most twice, until the first probe's traces have decayed.
 
     An extension continues from the saved fields, so the traces equal one
-    run of the final length.  A fixed ``cfg.n_steps`` runs once.  Returns
-    one trace per probe, the step count run and whether the traces decayed.
+    run of the final length.  Returns one trace per probe, the step count
+    run and whether the traces decayed.
     """
     fields = _Fields.zeros(layout.n_nodes, len(eps))
     traces = _time_step_batch(eps, sig, layout, cfg, n_steps, probes, fields)
     for attempt in range(3):
         decayed = bool(_decayed(traces[0]))
-        if decayed or cfg.n_steps is not None or attempt == 2:
+        if decayed or attempt == 2:
             return traces, n_steps, decayed
         more = int(n_steps * 1.5) - n_steps
         tails = _time_step_batch(eps, sig, layout, cfg, more, probes, fields)
@@ -355,17 +366,12 @@ def run_fdtd(stack: LayerStack, cfg: Fdtd1dConfig = Fdtd1dConfig()) -> Spectrum:
         raise FdtdError(
             f"grid resolves only up to {f_resolved:.2f} GHz; below the requested band start {f_lo:.2f} GHz"
         )
-    if cfg.frequencies_ghz is not None:
-        freqs = np.asarray(cfg.frequencies_ghz, dtype=float)
-        if np.any((freqs < f_lo - 1e-9) | (freqs > f_hi + 1e-9)):
-            raise FdtdError(f"requested frequencies outside the valid band [{f_lo:.2f}, {f_hi:.2f}] GHz")
-    else:
-        freqs = np.arange(math.ceil(f_lo / 0.05) * 0.05, f_hi + 1e-9, 0.05)
+    freqs = np.arange(math.ceil(f_lo / 0.05) * 0.05, f_hi + 1e-9, 0.05)
 
     eps, sig = _with_reference_row(*_material_arrays(stack, cfg, layout, cfg.source_center_ghz))
 
     dt = cfg.cfl * layout.dz / C0
-    n_steps = cfg.n_steps or _auto_steps(stack, cfg, layout, dt)
+    n_steps = _auto_steps(stack, cfg, layout, dt)
     (trans, refl), n_steps, decayed = _run_until_decayed(
         eps, sig, layout, cfg, n_steps, (layout.i_transmit, layout.i_reflect)
     )
@@ -418,12 +424,16 @@ def validate_against_tmm(
     no dispersion-freezing bias; the residual difference is the
     discretization error of the oracle.
     """
+    if not step_ghz > 0.0:
+        raise FdtdError(f"comparison step must be > 0 GHz, got {step_ghz}")
+    if not 0.0 < f_start_ghz <= f_stop_ghz:
+        raise FdtdError(f"comparison band {f_start_ghz:g}:{f_stop_ghz:g} GHz needs 0 < start <= stop")
     freqs = np.round(np.arange(f_start_ghz, f_stop_ghz + 1e-9, step_ghz), 9)
     center = 0.5 * (f_start_ghz + f_stop_ghz)
     bandwidth = (f_stop_ghz - f_start_ghz) + 2.0
     if center - 0.5 * bandwidth <= 0.0:
         bandwidth = 2.0 * center - 0.1
-    run_cfg = replace(cfg, source_center_ghz=center, source_bandwidth_ghz=bandwidth, frequencies_ghz=None)
+    run_cfg = replace(cfg, source_center_ghz=center, source_bandwidth_ghz=bandwidth)
 
     f_resolved = _check_resolution(stack, run_cfg)
     if f_resolved < f_stop_ghz:
@@ -433,14 +443,14 @@ def validate_against_tmm(
     eps, sig = _with_reference_row(*_material_arrays(stack, run_cfg, layout, freqs))
 
     dt = run_cfg.cfl * layout.dz / C0
-    n_steps = run_cfg.n_steps or _auto_steps(stack, run_cfg, layout, dt)
+    n_steps = _auto_steps(stack, run_cfg, layout, dt)
     (trans,), n_steps, decayed = _run_until_decayed(eps, sig, layout, run_cfg, n_steps, (layout.i_transmit,))
 
     # run k is only read at its own freeze frequency freqs[k]; the reference at all of them
     kernel = _dft_kernel(n_steps, dt, freqs)
     fdtd_t = np.einsum("kn,kn->k", trans[:-1], kernel) / np.einsum("rn,fn->rf", trans[-1:], kernel)[0]
 
-    tmm_t = np.array([tmm_coefficients(stack, Incidence(f, 0.0, "TE"))[0] for f in freqs])
+    tmm_t, _ = _coefficients(stack, freqs, 0.0, "TE")
     fdtd_db = amplitude_db(fdtd_t)
     tmm_db = amplitude_db(tmm_t)
     delta = fdtd_db - tmm_db

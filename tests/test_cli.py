@@ -154,6 +154,28 @@ def test_empty_separations_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--separations", "70:200:0"),
+        ("--separations", "200:70:10"),
+        ("--frequencies", "1:8:-1"),
+        ("--frequencies", "8:1:1"),
+    ],
+)
+def test_bad_range_lists_exit_before_solving(monkeypatch, capsys, option, value):
+    from signalwall import design_sweep
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_steady_state must not run")
+
+    monkeypatch.setattr(design_sweep, "solve_steady_state", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", option, value])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 def test_materials_list(capsys):
     assert main(["materials", "list"]) == 0
     printed = capsys.readouterr().out
@@ -179,6 +201,21 @@ def test_fdtd_validate_small_band(capsys):
     assert max_delta <= 0.5
 
 
+@pytest.mark.parametrize("band, step, named", [("1:8", "0", "step"), ("1:8", "-0.5", "step"), ("2:1", "0.1", "band")])
+def test_fdtd_validate_rejects_empty_grid_before_time_stepping(monkeypatch, capsys, wall, band, step, named):
+    from signalwall import fdtd
+
+    def no_time_loop(*args, **kwargs):
+        raise AssertionError("the time loop must not run")
+
+    monkeypatch.setattr(fdtd, "_time_step_batch", no_time_loop)
+    assert main(["fdtd-validate", "--band", band, "--step", step]) == 2
+    assert f"error: comparison {named}" in capsys.readouterr().err
+    f1, f2 = (float(v) for v in band.split(":"))
+    with pytest.raises(fdtd.FdtdError, match=named):
+        fdtd.validate_against_tmm(wall, f1, f2, float(step))
+
+
 def test_fdtd_validate_warns_when_traces_have_not_decayed(tmp_path, monkeypatch, capsys):
     from signalwall import fdtd
 
@@ -190,3 +227,22 @@ def test_fdtd_validate_warns_when_traces_have_not_decayed(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert "max |delta|" in captured.out
     assert "warning: FDTD probe traces had not decayed" in captured.err
+
+
+def test_with_antennas_warns_where_the_shield_is_thinner_than_the_skin_depth(tmp_path, capsys):
+    from importlib import resources
+
+    out = tmp_path / "t.csv"
+    assert main(["transmission", "--with-antennas", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""  # skin depth 13 um at 1 GHz against a 0.2 mm shield
+
+    scenario = json.loads(resources.files("signalwall").joinpath("data/default_scenario.json").read_text())
+    scenario["unit_cell"]["coax"]["shield_thickness_mm"] = 0.005
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["transmission", "--with-antennas", "--scenario", str(path), "-o", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: the skin depth exceeds the 0.005 mm coax shield" in err
+    assert "(1.00-" in err and "of 141 band frequencies" in err
+    assert main(["transmission", "--scenario", str(path), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""

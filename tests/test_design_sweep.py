@@ -74,15 +74,6 @@ def test_min_feasible_infeasible_returns_none(antenna_cell, boundary, wall):
     assert min_feasible_separation(cfg, antenna_cell, boundary) is None
 
 
-def test_min_feasible_with_refinement(antenna_cell, boundary):
-    cfg = SweepConfig(separations_mm=(70.0, 110.0), mesh=FAST.mesh)
-    coarse = min_feasible_separation(cfg, antenna_cell, boundary)
-    refined = min_feasible_separation(cfg, antenna_cell, boundary, refine_to_mm=2.0)
-    assert coarse == 110.0
-    assert refined is not None and 70.0 < refined <= coarse
-    assert coarse - refined > 2.0  # the edge genuinely sits below the grid point
-
-
 def test_sweep_requires_antenna_system(wall, boundary):
     bare = UnitCell(150.0, 150.0, wall)
     with pytest.raises(SweepError):
@@ -102,5 +93,7 @@ def test_config_validation():
         SweepConfig(separations_mm=())
     with pytest.raises(SweepError):
         SweepConfig(u_limit=0.0)
+    with pytest.raises(SweepError):
+        SweepConfig(frequencies_ghz=(0.0, 3.5))
     with pytest.raises(SweepError):
         SweepConfig(combination="telepathic")

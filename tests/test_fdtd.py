@@ -53,6 +53,19 @@ def test_lossless_slab_absorbs_nothing(glass_slab):
     assert np.max(np.abs(budget["absorbed"])) < 0.005
 
 
+def test_run_fdtd_transform_memory_is_bounded(wall):
+    # a one-piece (frequencies x steps) DFT kernel peaked at 63 MB on this call
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run_fdtd(wall)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
 def test_determinism_bit_identical(glass_slab):
     cfg = Fdtd1dConfig(source_center_ghz=4.0, source_bandwidth_ghz=4.0)
     first = run_fdtd(glass_slab, cfg)
