@@ -23,7 +23,6 @@ from .layered_em import (
     Layer,
     LayerStack,
     Spectrum,
-    cp_transmission,
     tmm_coefficients,
     transmission_spectrum,
 )
@@ -44,7 +43,7 @@ from .thermal import (
     u_value_analytical,
     voxelize_unit_cell,
 )
-from .fdtd import Fdtd1dConfig, run_fdtd, validate_against_tmm
+from .fdtd import Fdtd1dConfig, validate_against_tmm
 from .inverse import MeasuredSpectrum, FitResult, fit_permittivity, normalize_spectrum
 from .design_sweep import SweepConfig, SweepResult, min_feasible_separation, run_sweep
 from .scenario import Scenario, ScenarioError, load_scenario

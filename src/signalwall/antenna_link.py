@@ -73,11 +73,6 @@ def coax_impedance(spec: CoaxSpec) -> float:
     )
 
 
-def coax_assembly_impedance(spec: CoaxSpec) -> float:
-    """Impedance of the balanced assembly: count x single line."""
-    return spec.count * coax_impedance(spec)
-
-
 @dataclass(frozen=True)
 class CoaxAttenuation:
     total_db: float
@@ -252,20 +247,6 @@ def combine_paths(t_wall: complex, t_antenna: float, mode: str = "incoherent") -
     if mode == "coherent_best":
         return w + a
     return abs(w - a)
-
-
-def combined_transmission(
-    cell: UnitCell,
-    frequency_ghz: float,
-    theta_deg: float = 0.0,
-    polarization: str = "RHCP",
-    mode: str = "incoherent",
-) -> float:
-    """Combined amplitude for a unit cell, bare-wall leakage included."""
-    t_wall, _ = tmm_coefficients(cell.wall, Incidence(frequency_ghz, theta_deg, polarization))
-    if not cell.has_antenna_system:
-        return abs(t_wall)
-    return combine_paths(t_wall, aperture_transmission(cell, frequency_ghz, theta_deg), mode)
 
 
 def improvement_onset_ghz(

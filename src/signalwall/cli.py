@@ -40,6 +40,14 @@ def _parse_band(text: str) -> tuple[float, float, int]:
     return f1, f2, n
 
 
+def _parse_comparison_band(text: str) -> tuple[float, float]:
+    try:
+        f1, f2 = (float(v) for v in text.split(":"))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"comparison band must be F1:F2 in GHz, got {text!r}") from exc
+    return f1, f2
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         if ":" in text:
@@ -196,7 +204,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_fdtd_validate(args) -> int:
     scenario = load_scenario(args.scenario, args.materials)
-    f1, f2, _ = args.band
+    f1, f2 = args.band
     cfg = Fdtd1dConfig(dz_mm=args.dz)
     table = validate_against_tmm(scenario.wall, f1, f2, args.step, cfg)
     print(f"{'f GHz':>7} {'TMM dB':>9} {'FDTD dB':>9} {'delta dB':>9}")
@@ -286,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fdtd-validate", help="cross-check the transfer-matrix result against 1-D FDTD")
     common(p)
-    p.add_argument("--band", type=_parse_band, default=(1.0, 8.0, 0), help="F1:F2 in GHz")
+    p.add_argument("--band", type=_parse_comparison_band, default=(1.0, 8.0), help="F1:F2 in GHz (default 1:8)")
     p.add_argument("--step", type=float, default=0.1, help="comparison grid step in GHz")
     p.add_argument("--dz", type=float, default=0.5, help="FDTD spatial step in mm")
     p.set_defaults(func=cmd_fdtd_validate)

@@ -34,10 +34,14 @@ class SweepConfig:
             raise SweepError("separation list must not be empty")
         if any(s <= 0.0 for s in self.separations_mm):
             raise SweepError("separations must be > 0 mm")
+        if len(set(self.separations_mm)) < len(self.separations_mm):
+            raise SweepError("separations must not repeat")
         if not self.frequencies_ghz:
             raise SweepError("frequency list must not be empty")
         if any(f <= 0.0 for f in self.frequencies_ghz):
             raise SweepError("frequencies must be > 0 GHz")
+        if len(set(self.frequencies_ghz)) < len(self.frequencies_ghz):
+            raise SweepError("frequencies must not repeat")
         if self.u_limit <= 0.0:
             raise SweepError("U-value limit must be > 0")
         if self.combination not in COMBINATION_MODES:

@@ -7,19 +7,18 @@ the incident wave evaluated analytically, and first-order Mur terminations.
 At the default Courant number of 1 both the vacuum propagation and the Mur
 boundaries are exact in 1-D, so the source injection is leak-free.
 
-Material dispersion is frozen: each run maps layers to (eps', sigma)
-evaluated at the source centre frequency and holds them constant.  The ITU
-sigma power law therefore biases a single broadband run away from the
-dispersive transfer-matrix result towards the band edges;
-:func:`validate_against_tmm` removes that bias by running one simulation per
-comparison frequency, each with materials frozen exactly there, batched into
-a single vectorized time loop.
+A time-domain run holds each layer's (eps', sigma) constant, so
+:func:`validate_against_tmm` runs one simulation per comparison frequency,
+each with the materials frozen exactly there, batched into a single
+vectorized time loop.  The comparison therefore carries no
+dispersion-freezing bias.  The source pulse is derived from the compared
+band: centred on it, and within 40 dB of its peak to 1 GHz beyond either
+end, or to just above 0 GHz for a band that starts lower.
 
-Transmission is the ratio of discrete Fourier transforms of the transmitted
-probe signal with the stack present versus a free-space reference run of
-identical grid and source.  The reference is one more (vacuum) row of the
-same batch, so a single time loop serves both.  The spectrum is only
-reported where the source amplitude spectrum is within 40 dB of its peak.
+Transmission at a comparison frequency is the ratio of discrete Fourier
+transforms of the transmit-probe signal with the stack present versus a
+free-space reference run of identical grid and source.  The reference is one
+more (vacuum) row of the same batch, so a single time loop serves both.
 
 The time loop holds the fields node-major, (n_nodes, n_runs), so every
 shifted slice is one contiguous block, and updates them in place through
@@ -34,12 +33,12 @@ rather than restarted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C0, EPS0, ETA0, MU0
-from .layered_em import LayerStack, Spectrum, _coefficients, amplitude_db
+from .layered_em import LayerStack, _coefficients, amplitude_db
 
 
 class FdtdError(ValueError):
@@ -50,31 +49,26 @@ class FdtdInstabilityError(RuntimeError):
     """Field growth detected during time stepping."""
 
 
-# vacuum padding either side of the probes, and the probe distance from the
-# source plane and the stack faces
+# vacuum padding outside the source plane and the transmit probe, and their
+# distance from the stack faces
 _PAD_MM = 60.0
 _PROBE_OFFSET_MM = 20.0
-# time steps per block of the run_fdtd transform, which bounds its kernel
-# at frequencies x _DFT_BLOCK complex values
+# time steps per block of the transform, which bounds its kernel at
+# frequencies x _DFT_BLOCK complex values
 _DFT_BLOCK = 2048
 
 
 @dataclass(frozen=True)
 class Fdtd1dConfig:
-    """Grid, source, and probe settings for one run.
+    """Grid settings of the oracle runs.
 
-    ``source_bandwidth_ghz`` is the full width of the band in which the
-    modulated-Gaussian source spectrum stays within 40 dB of its peak; the
-    spectrum outside it is not trusted.  The solver sizes each run from the
-    pulse length and a ring-down allowance, then verifies that the
-    transmitted signal has decayed 80 dB below its peak, extending the run
-    if it has not.
+    The solver sizes each run from the pulse length and a ring-down
+    allowance, then verifies that the transmitted signal has decayed 80 dB
+    below its peak, extending the run if it has not.
     """
 
     dz_mm: float = 0.5
     cfl: float = 1.0
-    source_center_ghz: float = 4.5
-    source_bandwidth_ghz: float = 7.0
     min_cells_per_wavelength: float = 20.0
 
     def __post_init__(self):
@@ -82,23 +76,35 @@ class Fdtd1dConfig:
             raise FdtdError("spatial step must be > 0")
         if not 0.0 < self.cfl <= 1.0:
             raise FdtdError(f"CFL safety factor must be in (0, 1], got {self.cfl}")
-        if self.source_center_ghz <= 0.0 or self.source_bandwidth_ghz <= 0.0:
-            raise FdtdError("source centre and bandwidth must be > 0")
-        if self.source_center_ghz - 0.5 * self.source_bandwidth_ghz <= 0.0:
-            raise FdtdError("source band must stay above 0 GHz")
+
+
+@dataclass(frozen=True)
+class _Pulse:
+    """Modulated-Gaussian source; its amplitude spectrum stays within 40 dB
+    of the peak over the full width ``bandwidth_ghz`` around ``center_ghz``."""
+
+    center_ghz: float
+    bandwidth_ghz: float
+
+    @classmethod
+    def covering(cls, f_start_ghz: float, f_stop_ghz: float) -> "_Pulse":
+        """The pulse for a comparison band: 1 GHz margin either side, kept above 0 GHz."""
+        center = 0.5 * (f_start_ghz + f_stop_ghz)
+        bandwidth = (f_stop_ghz - f_start_ghz) + 2.0
+        if center - 0.5 * bandwidth <= 0.0:
+            bandwidth = 2.0 * center - 0.1
+        if bandwidth <= 0.0:
+            raise FdtdError(
+                f"comparison band {f_start_ghz:g}:{f_stop_ghz:g} GHz is centred at or below 0.05 GHz; "
+                "the source pulse needs a band above 0 GHz"
+            )
+        return cls(center, bandwidth)
 
     @property
     def sigma_t(self) -> float:
         """Gaussian-envelope sigma for the -40 dB bandwidth, seconds."""
-        half_bw_hz = 0.5 * self.source_bandwidth_ghz * 1e9
+        half_bw_hz = 0.5 * self.bandwidth_ghz * 1e9
         return math.sqrt(math.log(100.0) / 2.0) / (math.pi * half_bw_hz)
-
-    @property
-    def valid_band_ghz(self) -> tuple[float, float]:
-        return (
-            self.source_center_ghz - 0.5 * self.source_bandwidth_ghz,
-            self.source_center_ghz + 0.5 * self.source_bandwidth_ghz,
-        )
 
 
 def _frozen_materials(stack: LayerStack, f_ghz: float):
@@ -119,7 +125,6 @@ def _frozen_materials(stack: LayerStack, f_ghz: float):
 class _Layout:
     n_nodes: int
     i_tfsf: int
-    i_reflect: int
     i_stack: int
     i_transmit: int
     dz: float
@@ -133,11 +138,10 @@ def _build_layout(stack: LayerStack, cfg: Fdtd1dConfig) -> _Layout:
     if any(c < 1 for c in stack_cells):
         raise FdtdError("spatial step too coarse to resolve a layer")
     i_tfsf = pad
-    i_reflect = pad - probe // 2 - 2
     i_stack = i_tfsf + probe
     i_transmit = i_stack + sum(stack_cells) + probe
     n_nodes = i_transmit + pad
-    return _Layout(n_nodes, i_tfsf, i_reflect, i_stack, i_transmit, dz)
+    return _Layout(n_nodes, i_tfsf, i_stack, i_transmit, dz)
 
 
 def _material_arrays(stack: LayerStack, cfg: Fdtd1dConfig, layout: _Layout, freeze_ghz):
@@ -171,23 +175,23 @@ def _with_reference_row(eps, sig):
     return np.vstack((eps, np.ones_like(eps[:1]))), np.vstack((sig, np.zeros_like(sig[:1])))
 
 
-def _source(cfg: Fdtd1dConfig, t):
+def _source(pulse: _Pulse, t):
     """Modulated Gaussian pulse; t may be an ndarray."""
-    t0 = 4.5 * cfg.sigma_t
+    t0 = 4.5 * pulse.sigma_t
     tt = t - t0
-    return np.exp(-0.5 * (tt / cfg.sigma_t) ** 2) * np.cos(2.0 * math.pi * cfg.source_center_ghz * 1e9 * tt)
+    return np.exp(-0.5 * (tt / pulse.sigma_t) ** 2) * np.cos(2.0 * math.pi * pulse.center_ghz * 1e9 * tt)
 
 
-def _auto_steps(stack: LayerStack, cfg: Fdtd1dConfig, layout: _Layout, dt: float) -> int:
+def _auto_steps(stack: LayerStack, pulse: _Pulse, layout: _Layout, dt: float) -> int:
     optical_m = layout.n_nodes * layout.dz
     for layer in stack.layers:
-        eps = layer.material.permittivity_at(cfg.source_center_ghz).eps_real
+        eps = layer.material.permittivity_at(pulse.center_ghz).eps_real
         optical_m += (math.sqrt(eps) - 1.0) * layer.thickness_mm * 1e-3
     stack_optical = sum(
-        math.sqrt(layer.material.permittivity_at(cfg.source_center_ghz).eps_real) * layer.thickness_mm * 1e-3
+        math.sqrt(layer.material.permittivity_at(pulse.center_ghz).eps_real) * layer.thickness_mm * 1e-3
         for layer in stack.layers
     )
-    t_end = 9.0 * cfg.sigma_t + optical_m / C0 + 10e-9 + 12.0 * stack_optical / C0
+    t_end = 9.0 * pulse.sigma_t + optical_m / C0 + 10e-9 + 12.0 * stack_optical / C0
     return int(math.ceil(t_end / dt))
 
 
@@ -209,19 +213,18 @@ class _Fields:
         return cls(np.zeros((n_nodes, n_runs)), np.zeros((n_nodes - 1, n_runs)))
 
 
-def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int, probes=None, fields=None):
-    """Advance ``n_steps`` leapfrog steps of every run; returns one trace per probe.
+def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int, pulse: _Pulse, fields=None):
+    """Advance ``n_steps`` leapfrog steps of every run; returns the transmit trace.
 
-    ``eps``/``sig`` are (n_runs, n_nodes).  ``probes`` lists the recorded
-    nodes (default: the transmit probe); each trace is (n_runs, n_steps).
-    ``fields`` carries the state of an earlier call on, and starts from
-    rest when None.  The state is held node-major, (n_nodes, n_runs), so
-    each shifted slice is one contiguous block, and updated in place.
+    ``eps``/``sig`` are (n_runs, n_nodes) and the trace is (n_runs,
+    n_steps).  ``fields`` carries the state of an earlier call on, and
+    starts from rest when None.  The state is held node-major, (n_nodes,
+    n_runs), so each shifted slice is one contiguous block, and updated in
+    place.
     """
     dz = layout.dz
     dt = cfg.cfl * dz / C0
     n_runs, n_nodes = eps.shape
-    probes = (layout.i_transmit,) if probes is None else probes
     fields = _Fields.zeros(n_nodes, n_runs) if fields is None else fields
 
     eps_abs = np.ascontiguousarray(eps.T) * EPS0
@@ -235,8 +238,8 @@ def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int,
     t = np.empty(n_steps)
     t[0], t[1:] = fields.t_n, dt
     np.add.accumulate(t, out=t)
-    h_inc = ch * _source(cfg, t)  # incident wave referenced to the TFSF plane
-    e_inc = _source(cfg, (t + 0.5 * dt) + 0.5 * dz / C0)
+    h_inc = ch * _source(pulse, t)  # incident wave referenced to the TFSF plane
+    e_inc = _source(pulse, (t + 0.5 * dt) + 0.5 * dz / C0)
 
     ex, hy = fields.ex, fields.hy
     ex_hi, ex_lo, hy_hi, hy_lo = ex[1:], ex[:-1], hy[1:], hy[:-1]
@@ -249,8 +252,8 @@ def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int,
     inc = np.empty(n_runs)
     edge = np.empty((2, n_runs))  # ex[1], ex[-2] before the E update
     mur_d = np.empty(n_runs)
-    traces = [np.empty((n_steps, n_runs)) for _ in probes]
-    recorders = [(trace, ex[i]) for trace, i in zip(traces, probes)]
+    trace = np.empty((n_steps, n_runs))
+    ex_transmit = ex[layout.i_transmit]
 
     peak_guard = 50.0
     for n in range(n_steps):
@@ -280,8 +283,7 @@ def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int,
         mur_d *= mur
         np.add(edge[1], mur_d, out=ex_last)
 
-        for trace, node in recorders:
-            trace[n] = node
+        trace[n] = ex_transmit
 
         if (fields.step + n) % 2000 == 1999:
             peak = float(np.max(np.abs(ex)))
@@ -292,7 +294,7 @@ def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int,
                 )
     fields.step += n_steps
     fields.t_n = float(t[-1]) + dt
-    return [trace.T for trace in traces]
+    return trace.T
 
 
 def _dft_kernel(n_steps: int, dt: float, f_ghz, first_step: int = 0):
@@ -304,110 +306,53 @@ def _dft_kernel(n_steps: int, dt: float, f_ghz, first_step: int = 0):
     return np.exp(kernel, out=kernel)
 
 
-def _dft(signal, dt, f_ghz):
-    """DFT of probe traces at arbitrary frequencies; signal (n_runs, n_steps).
+def _transmission(traces, dt, f_ghz):
+    """Run k's transform at its own f_ghz[k] over the reference's there.
 
-    Summed over blocks of `_DFT_BLOCK` steps, so the kernel never spans the
-    whole trace.
+    ``traces`` is (n_runs, n_steps) with the free-space reference last.  The
+    transform is summed over blocks of `_DFT_BLOCK` steps, so the kernel
+    never spans the whole trace.
     """
-    spectrum = 0.0
-    for first in range(0, signal.shape[-1], _DFT_BLOCK):
-        block = signal[:, first: first + _DFT_BLOCK]
-        spectrum = spectrum + np.einsum("rn,fn->rf", block, _dft_kernel(block.shape[-1], dt, f_ghz, first))
-    return spectrum
+    device = reference = 0.0
+    for first in range(0, traces.shape[-1], _DFT_BLOCK):
+        block = traces[:, first: first + _DFT_BLOCK]
+        kernel = _dft_kernel(block.shape[-1], dt, f_ghz, first)
+        device = device + np.einsum("kn,kn->k", block[:-1], kernel)
+        reference = reference + np.einsum("n,fn->f", block[-1], kernel)
+    return device / reference
 
 
 def _decayed(trace, threshold_db=-80.0):
-    peak = np.max(np.abs(trace), axis=-1)
+    peak = np.maximum(np.max(trace, axis=-1), -np.min(trace, axis=-1))  # max |trace| without a copy
     tail = np.max(np.abs(trace[..., -max(trace.shape[-1] // 20, 10):]), axis=-1)
     return np.all(tail <= peak * 10.0 ** (threshold_db / 20.0) + 1e-300)
 
 
-def _run_until_decayed(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int, probes):
-    """Time loop extended 1.5x, at most twice, until the first probe's traces have decayed.
+def _run_until_decayed(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int, pulse: _Pulse):
+    """Time loop extended 1.5x, at most twice, until the transmit traces have decayed.
 
     An extension continues from the saved fields, so the traces equal one
-    run of the final length.  Returns one trace per probe, the step count
-    run and whether the traces decayed.
+    run of the final length.  Returns the traces, the step count run and
+    whether the traces decayed.
     """
     fields = _Fields.zeros(layout.n_nodes, len(eps))
-    traces = _time_step_batch(eps, sig, layout, cfg, n_steps, probes, fields)
+    traces = _time_step_batch(eps, sig, layout, cfg, n_steps, pulse, fields)
     for attempt in range(3):
-        decayed = bool(_decayed(traces[0]))
+        decayed = bool(_decayed(traces))
         if decayed or attempt == 2:
             return traces, n_steps, decayed
         more = int(n_steps * 1.5) - n_steps
-        tails = _time_step_batch(eps, sig, layout, cfg, more, probes, fields)
-        traces = [np.concatenate((trace, tail), axis=1) for trace, tail in zip(traces, tails)]
+        tails = _time_step_batch(eps, sig, layout, cfg, more, pulse, fields)
+        traces = np.concatenate((traces, tails), axis=1)
         n_steps += more
 
 
-def _check_resolution(stack: LayerStack, cfg: Fdtd1dConfig):
+def _check_resolution(stack: LayerStack, cfg: Fdtd1dConfig, pulse: _Pulse):
     """Highest frequency the grid resolves with the configured cell count."""
     eps_max = max(
-        layer.material.permittivity_at(cfg.source_center_ghz).eps_real for layer in stack.layers
+        layer.material.permittivity_at(pulse.center_ghz).eps_real for layer in stack.layers
     )
     return C0 / (cfg.min_cells_per_wavelength * cfg.dz_mm * 1e-3 * math.sqrt(eps_max)) / 1e9
-
-
-def run_fdtd(stack: LayerStack, cfg: Fdtd1dConfig = Fdtd1dConfig()) -> Spectrum:
-    """Normal-incidence transmission spectrum over the source's valid band.
-
-    Material dispersion is frozen at ``cfg.source_center_ghz``; the result's
-    ``meta`` records the freeze frequency, the reported band, and whether the
-    grid truncated it.
-    """
-    layout = _build_layout(stack, cfg)
-    f_lo, f_hi = cfg.valid_band_ghz
-    f_resolved = _check_resolution(stack, cfg)
-    truncated = f_resolved < f_hi
-    f_hi = min(f_hi, f_resolved)
-    if f_hi <= f_lo:
-        raise FdtdError(
-            f"grid resolves only up to {f_resolved:.2f} GHz; below the requested band start {f_lo:.2f} GHz"
-        )
-    freqs = np.arange(math.ceil(f_lo / 0.05) * 0.05, f_hi + 1e-9, 0.05)
-
-    eps, sig = _with_reference_row(*_material_arrays(stack, cfg, layout, cfg.source_center_ghz))
-
-    dt = cfg.cfl * layout.dz / C0
-    n_steps = _auto_steps(stack, cfg, layout, dt)
-    (trans, refl), n_steps, decayed = _run_until_decayed(
-        eps, sig, layout, cfg, n_steps, (layout.i_transmit, layout.i_reflect)
-    )
-
-    spec_dut, spec_ref, spec_scat = _dft(np.vstack((trans, refl[:1])), dt, freqs)
-    t = spec_dut / spec_ref
-    r = spec_scat / spec_ref  # magnitude-faithful; phase referenced to the transmit probe
-
-    return Spectrum(
-        freqs,
-        t,
-        r,
-        polarization="TE",
-        theta_deg=0.0,
-        meta={
-            "freeze_ghz": cfg.source_center_ghz,
-            "valid_band_ghz": (f_lo, f_hi),
-            "band_truncated": truncated,
-            "n_steps": n_steps,
-            "dt_s": dt,
-            "decayed": decayed,
-        },
-    )
-
-
-def energy_budget(stack: LayerStack, cfg: Fdtd1dConfig = Fdtd1dConfig()) -> dict:
-    """Band-limited |T|^2, |R|^2 and inferred absorption for passivity checks."""
-    spectrum = run_fdtd(stack, cfg)
-    t2 = np.abs(spectrum.t) ** 2
-    r2 = np.abs(spectrum.r) ** 2
-    return {
-        "frequencies_ghz": spectrum.frequencies_ghz,
-        "transmitted": t2,
-        "reflected": r2,
-        "absorbed": 1.0 - t2 - r2,
-    }
 
 
 def validate_against_tmm(
@@ -429,26 +374,19 @@ def validate_against_tmm(
     if not 0.0 < f_start_ghz <= f_stop_ghz:
         raise FdtdError(f"comparison band {f_start_ghz:g}:{f_stop_ghz:g} GHz needs 0 < start <= stop")
     freqs = np.round(np.arange(f_start_ghz, f_stop_ghz + 1e-9, step_ghz), 9)
-    center = 0.5 * (f_start_ghz + f_stop_ghz)
-    bandwidth = (f_stop_ghz - f_start_ghz) + 2.0
-    if center - 0.5 * bandwidth <= 0.0:
-        bandwidth = 2.0 * center - 0.1
-    run_cfg = replace(cfg, source_center_ghz=center, source_bandwidth_ghz=bandwidth)
+    pulse = _Pulse.covering(f_start_ghz, f_stop_ghz)
 
-    f_resolved = _check_resolution(stack, run_cfg)
+    f_resolved = _check_resolution(stack, cfg, pulse)
     if f_resolved < f_stop_ghz:
         raise FdtdError(f"dz={cfg.dz_mm} mm resolves only {f_resolved:.2f} GHz; reduce the spatial step")
 
-    layout = _build_layout(stack, run_cfg)
-    eps, sig = _with_reference_row(*_material_arrays(stack, run_cfg, layout, freqs))
+    layout = _build_layout(stack, cfg)
+    eps, sig = _with_reference_row(*_material_arrays(stack, cfg, layout, freqs))
 
-    dt = run_cfg.cfl * layout.dz / C0
-    n_steps = _auto_steps(stack, run_cfg, layout, dt)
-    (trans,), n_steps, decayed = _run_until_decayed(eps, sig, layout, run_cfg, n_steps, (layout.i_transmit,))
-
-    # run k is only read at its own freeze frequency freqs[k]; the reference at all of them
-    kernel = _dft_kernel(n_steps, dt, freqs)
-    fdtd_t = np.einsum("kn,kn->k", trans[:-1], kernel) / np.einsum("rn,fn->rf", trans[-1:], kernel)[0]
+    dt = cfg.cfl * layout.dz / C0
+    n_steps = _auto_steps(stack, pulse, layout, dt)
+    trans, n_steps, decayed = _run_until_decayed(eps, sig, layout, cfg, n_steps, pulse)
+    fdtd_t = _transmission(trans, dt, freqs)
 
     tmm_t, _ = _coefficients(stack, freqs, 0.0, "TE")
     fdtd_db = amplitude_db(fdtd_t)

@@ -9,13 +9,12 @@ homogeneous slabs with vacuum ambient on both sides.  Conventions:
 * ``t`` and ``r`` relate the transverse E-field amplitudes of the
   transmitted/reflected waves to the incident wave in the ambient media, so
   with identical ambients |t|^2 and |r|^2 are power fractions;
-* circular polarization: components are combined in the fixed transverse
-  basis of the incident wave, co = (TE + TM)/2 and cross = (TE - TM)/2 for
-  both transmission and reflection.  At normal incidence TE and TM are
-  degenerate, so CP results coincide with the linear ones and cross terms
-  vanish.  Note the propagation-relative handedness of the reflected wave is
-  flipped by the specular bounce; radar conventions would label the
-  reflected "co" component here as cross-polar.
+* circular polarization: the co-polar component in the fixed transverse
+  basis of the incident wave, co = (TE + TM)/2, for both transmission and
+  reflection.  At normal incidence TE and TM are degenerate, so CP results
+  coincide with the linear ones.  Note the propagation-relative handedness
+  of the reflected wave is flipped by the specular bounce; radar
+  conventions would label the reflected "co" component here as cross-polar.
 
 Each layer's attenuation is factored out of its propagation terms before
 they are exponentiated, and running transfer matrices are rescaled layer by
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -94,7 +93,6 @@ class Spectrum:
     r: np.ndarray
     polarization: str
     theta_deg: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         f = np.asarray(self.frequencies_ghz, dtype=float)
@@ -221,15 +219,6 @@ def tmm_coefficients(stack: LayerStack, inc: Incidence) -> tuple[complex, comple
     """Complex (t, r) for a single incidence; CP inputs return co-polar terms."""
     t, r = _coefficients(stack, inc.frequency_ghz, inc.theta_deg, inc.polarization)
     return complex(t[0]), complex(r[0])
-
-
-def cp_transmission(stack: LayerStack, frequency_ghz: float, theta_deg: float = 0.0) -> tuple[complex, complex]:
-    """(co, cross) circular-polarization transmission amplitudes."""
-    Incidence(frequency_ghz, theta_deg, "RHCP")  # reuse validation
-    eps_media, d_m = _stack_eps(stack, frequency_ghz)
-    t_te, _ = _tmm_linear(eps_media, d_m, frequency_ghz, theta_deg, "TE")
-    t_tm, _ = _tmm_linear(eps_media, d_m, frequency_ghz, theta_deg, "TM")
-    return complex(0.5 * (t_te[0] + t_tm[0])), complex(0.5 * (t_te[0] - t_tm[0]))
 
 
 def transmission_spectrum(

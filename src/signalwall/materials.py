@@ -217,12 +217,6 @@ class MaterialDatabase:
             db.add(m)
         return db
 
-    def to_dict(self) -> dict:
-        return {"materials": [_material_to_dict(m) for m in self._materials]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     @classmethod
     def from_dict(cls, data: dict) -> "MaterialDatabase":
         entries = data.get("materials")
@@ -238,22 +232,6 @@ class MaterialDatabase:
     def load(cls, path) -> "MaterialDatabase":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _material_to_dict(m: Material) -> dict:
-    entry: dict = {"name": m.name, "thermal_conductivity": m.thermal_conductivity}
-    if isinstance(m.permittivity, PermittivityModel):
-        p = m.permittivity
-        entry["permittivity"] = {"a": p.a, "b": p.b, "c": p.c, "d": p.d}
-    elif isinstance(m.permittivity, FixedPermittivity):
-        entry["permittivity"] = {"eps_real": m.permittivity.eps_real, "eps_imag": m.permittivity.eps_imag}
-    if m.resistivity_ohm_m is not None:
-        entry["resistivity_ohm_m"] = m.resistivity_ohm_m
-    if m.aliases:
-        entry["aliases"] = list(m.aliases)
-    if m.note:
-        entry["note"] = m.note
-    return entry
 
 
 def _material_from_dict(entry: dict) -> Material:

@@ -176,6 +176,18 @@ def test_bad_range_lists_exit_before_solving(monkeypatch, capsys, option, value)
     assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [("--separations", "150,150"), ("--frequencies", "3.5,3.5")])
+def test_repeated_sweep_values_exit_before_solving(monkeypatch, capsys, option, value):
+    from signalwall import design_sweep
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_steady_state must not run")
+
+    monkeypatch.setattr(design_sweep, "solve_steady_state", no_solve)
+    assert main(["sweep", option, value]) == 2
+    assert "must not repeat" in capsys.readouterr().err
+
+
 def test_materials_list(capsys):
     assert main(["materials", "list"]) == 0
     printed = capsys.readouterr().out
@@ -201,7 +213,16 @@ def test_fdtd_validate_small_band(capsys):
     assert max_delta <= 0.5
 
 
-@pytest.mark.parametrize("band, step, named", [("1:8", "0", "step"), ("1:8", "-0.5", "step"), ("2:1", "0.1", "band")])
+@pytest.mark.parametrize(
+    "band, step, named",
+    [
+        ("1:8", "0", "step"),
+        ("1:8", "-0.5", "step"),
+        ("2:1", "0.1", "band"),
+        ("0.01:0.02", "0.01", "band"),
+        ("2:3:99", "0.5", "band"),
+    ],
+)
 def test_fdtd_validate_rejects_empty_grid_before_time_stepping(monkeypatch, capsys, wall, band, step, named):
     from signalwall import fdtd
 
@@ -209,7 +230,15 @@ def test_fdtd_validate_rejects_empty_grid_before_time_stepping(monkeypatch, caps
         raise AssertionError("the time loop must not run")
 
     monkeypatch.setattr(fdtd, "_time_step_batch", no_time_loop)
-    assert main(["fdtd-validate", "--band", band, "--step", step]) == 2
+    argv = ["fdtd-validate", "--band", band, "--step", step]
+    if band.count(":") != 1:
+        # a point count has no meaning on the comparison grid: the parser rejects it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument --band: comparison band must be F1:F2 in GHz, got '{band}'" in capsys.readouterr().err
+        return
+    assert main(argv) == 2
     assert f"error: comparison {named}" in capsys.readouterr().err
     f1, f2 = (float(v) for v in band.split(":"))
     with pytest.raises(fdtd.FdtdError, match=named):

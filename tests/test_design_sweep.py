@@ -97,3 +97,7 @@ def test_config_validation():
         SweepConfig(frequencies_ghz=(0.0, 3.5))
     with pytest.raises(SweepError):
         SweepConfig(combination="telepathic")
+    with pytest.raises(SweepError, match="separations must not repeat"):
+        SweepConfig(separations_mm=(150.0, 150.0))
+    with pytest.raises(SweepError, match="frequencies must not repeat"):
+        SweepConfig(frequencies_ghz=(3.5, 8.0, 3.5))

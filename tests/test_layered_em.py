@@ -10,7 +10,6 @@ from signalwall.layered_em import (
     Layer,
     LayerStack,
     amplitude_db,
-    cp_transmission,
     tmm_coefficients,
     transmission_spectrum,
 )
@@ -87,20 +86,20 @@ def test_oblique_te_transmission_weaker_than_normal(wall):
 
 
 def test_cp_normal_incidence_degeneracy(wall):
-    co, cross = cp_transmission(wall, 3.5, 0.0)
+    co, _ = tmm_coefficients(wall, Incidence(3.5, 0.0, "RHCP"))
     t_te, _ = tmm_coefficients(wall, Incidence(3.5, 0.0, "TE"))
-    assert abs(cross) < 1e-12
+    t_tm, _ = tmm_coefficients(wall, Incidence(3.5, 0.0, "TM"))
+    assert t_tm == pytest.approx(t_te, rel=1e-9)
     assert co == pytest.approx(t_te, rel=1e-9)
     assert -amplitude_db(co) == pytest.approx(23.2, abs=1.0)
 
 
 def test_cp_recombination_identity_at_60_degrees(wall):
-    co, cross = cp_transmission(wall, 8.0, 60.0)
+    co, _ = tmm_coefficients(wall, Incidence(8.0, 60.0, "RHCP"))
     t_te, _ = tmm_coefficients(wall, Incidence(8.0, 60.0, "TE"))
     t_tm, _ = tmm_coefficients(wall, Incidence(8.0, 60.0, "TM"))
     assert co == pytest.approx((t_te + t_tm) / 2.0, rel=1e-12)
-    assert cross == pytest.approx((t_te - t_tm) / 2.0, rel=1e-12)
-    assert abs(cross) > 1e-6  # genuinely non-degenerate at 60 degrees
+    assert abs(t_te - t_tm) > 1e-6  # genuinely non-degenerate at 60 degrees
 
 
 def test_rhcp_equals_lhcp_for_isotropic_stack(wall):

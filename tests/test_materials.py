@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from signalwall.materials import (
     FixedPermittivity,
     Material,
-    MaterialDatabase,
     MaterialError,
     PermittivityModel,
     UnknownMaterialError,
@@ -118,17 +118,22 @@ def test_lookup_normalization(db):
     assert db.get("stainless-steel") is db.get("stainless_steel")
 
 
-def test_database_roundtrip_is_bit_identical(db):
-    clone = MaterialDatabase.from_json(db.to_json())
-    for original, copied in zip(db, clone):
-        assert original.name == copied.name
-        assert original.thermal_conductivity == copied.thermal_conductivity
-        if isinstance(original.permittivity, PermittivityModel):
-            for coeff in "abcd":
-                assert getattr(original.permittivity, coeff) == getattr(copied.permittivity, coeff)
-        elif isinstance(original.permittivity, FixedPermittivity):
-            assert original.permittivity.eps_real == copied.permittivity.eps_real
-            assert original.permittivity.eps_imag == copied.permittivity.eps_imag
+def test_database_loads_json_numbers_bit_for_bit(db):
+    from importlib import resources
+
+    entries = json.loads(resources.files("signalwall").joinpath("data/materials.json").read_text())["materials"]
+    assert db.names() == [entry["name"] for entry in entries]
+    for material, entry in zip(db, entries):
+        assert material.thermal_conductivity == entry["thermal_conductivity"]
+        perm = entry.get("permittivity")
+        if perm is None:
+            assert material.permittivity is None
+        elif "a" in perm:
+            assert material.permittivity == PermittivityModel(perm["a"], perm["b"], perm["c"], perm["d"])
+        elif "tan_delta" in perm:
+            assert material.permittivity == FixedPermittivity(perm["eps_real"], perm["eps_real"] * perm["tan_delta"])
+        else:
+            assert material.permittivity == FixedPermittivity(perm["eps_real"], perm.get("eps_imag", 0.0))
 
 
 def test_merge_overrides_by_name(db):

@@ -135,6 +135,12 @@ def test_frequency_entries_must_be_numbers(entry):
         scenario_from_dict(_scenario_with("sweep", "frequencies_ghz", [1.5, 3.5, entry]))
 
 
+@pytest.mark.parametrize("key, values", [("separations_mm", [70, 80, 70]), ("frequencies_ghz", [3.5, 3.5])])
+def test_sweep_values_must_not_repeat(key, values):
+    with pytest.raises(ScenarioError, match=r"^sweep: \w+ must not repeat"):
+        scenario_from_dict(_scenario_with("sweep", key, values))
+
+
 def test_gain_table_entries_must_be_number_pairs():
     table = [[1.0, -10.0], [2.0, "0.5"]]
     with pytest.raises(ScenarioError, match=r"^unit_cell\.antenna\.gain_table\[1\]\[1\]: expected a number"):
