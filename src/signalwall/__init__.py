@@ -8,7 +8,6 @@ design-sweep machinery that picks the densest feasible antenna spacing.
 """
 
 from .materials import (
-    ComplexPermittivity,
     FixedPermittivity,
     Material,
     MaterialDatabase,
@@ -16,7 +15,6 @@ from .materials import (
     PermittivityModel,
     UnknownMaterialError,
     builtin_database,
-    permittivity_at,
 )
 from .layered_em import (
     Incidence,

@@ -45,7 +45,6 @@ class CoaxSpec:
     resistivity_ohm_m: float = 6.9e-7
     length_m: float = 0.44
     count: int = 2
-    mu_r: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.inner_radius_mm < self.outer_radius_mm:
@@ -99,10 +98,10 @@ def coax_attenuation(spec: CoaxSpec, frequency_ghz: float) -> CoaxAttenuation:
     z0 = coax_impedance(spec)
 
     if spec.resistivity_ohm_m > 0.0:
-        r_surf = math.sqrt(math.pi * f_hz * MU0 * spec.mu_r * spec.resistivity_ohm_m)
+        r_surf = math.sqrt(math.pi * f_hz * MU0 * spec.resistivity_ohm_m)
         r_per_m = r_surf / (2.0 * math.pi) * (1.0 / a + 1.0 / b)
         alpha_c = r_per_m / (2.0 * z0)
-        skin_depth = math.sqrt(spec.resistivity_ohm_m / (math.pi * f_hz * MU0 * spec.mu_r))
+        skin_depth = math.sqrt(spec.resistivity_ohm_m / (math.pi * f_hz * MU0))
     else:
         alpha_c = 0.0
         skin_depth = 0.0

@@ -15,13 +15,13 @@ import numpy as np
 
 from . import __version__
 from .antenna_link import aperture_transmission, coax_attenuation, combine_paths, improvement_onset_ghz
-from .design_sweep import SweepConfig, SweepError, run_sweep
-from .fdtd import Fdtd1dConfig, FdtdError, validate_against_tmm
-from .inverse import SpectrumFormatError, fit_permittivity, normalize_spectrum, read_spectrum
+from .design_sweep import SweepConfig, run_sweep
+from .fdtd import Fdtd1dConfig, validate_against_tmm
+from .inverse import fit_permittivity, normalize_spectrum, read_spectrum
 from .layered_em import Spectrum, _coefficients, amplitude_db, transmission_spectrum
-from .materials import MaterialError, PermittivityModel, UnknownMaterialError, FixedPermittivity
-from .scenario import ScenarioError, load_scenario, material_database
-from .thermal import ThermalError, solve_steady_state, u_value_analytical, voxelize_unit_cell, write_vtk
+from .materials import FixedPermittivity, UnknownMaterialError
+from .scenario import load_scenario, material_database
+from .thermal import solve_steady_state, u_value_analytical, voxelize_unit_cell, write_vtk
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -162,12 +162,9 @@ def cmd_fit(args) -> int:
     print(f"  c = {fit.c:.4f} S/m (at 1 GHz)")
     print(f"  d = {fit.d:.4f}")
     print(f"  residual: {fit.residual_db_rms:.4f} dB RMS over {len(dut.frequencies_ghz)} points")
-    eps = PermittivityModel(fit.a, fit.b, fit.c, fit.d)
-    from .materials import permittivity_at
-
     mid = float(dut.frequencies_ghz[len(dut.frequencies_ghz) // 2])
-    value = permittivity_at(eps, mid)
-    print(f"  eps_r({mid:.2f} GHz) = {value.eps_real:.3f} - j{value.eps_imag:.3f}")
+    eps = fit.model.complex_permittivity(mid)
+    print(f"  eps_r({mid:.2f} GHz) = {eps.real:.3f} - j{abs(eps.imag):.3f}")
     converged = sum(1 for start in fit.starts if start["success"])
     print(f"  starts: {converged}/{len(fit.starts)} converged, {fit.evaluations} model evaluations")
     return EXIT_OK
@@ -312,10 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, SpectrumFormatError, MaterialError, UnknownMaterialError, ThermalError, SweepError, FdtdError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ValueError, UnknownMaterialError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

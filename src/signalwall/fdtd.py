@@ -56,6 +56,10 @@ _PROBE_OFFSET_MM = 20.0
 # time steps per block of the transform, which bounds its kernel at
 # frequencies x _DFT_BLOCK complex values
 _DFT_BLOCK = 2048
+# comparison points per call: each holds its transmit trace for the whole
+# run (8 B x ~27k steps on the default wall), so this cap, the 0.01 GHz grid
+# of the default 1-8 GHz band, bounds the traces at ~150 MB
+_MAX_POINTS = 701
 
 
 @dataclass(frozen=True)
@@ -107,20 +111,6 @@ class _Pulse:
         return math.sqrt(math.log(100.0) / 2.0) / (math.pi * half_bw_hz)
 
 
-def _frozen_materials(stack: LayerStack, f_ghz: float):
-    """(eps', sigma) per layer at the freeze frequency.
-
-    Fixed-permittivity materials get the equivalent conductivity
-    sigma = eps'' * eps0 * omega at the same frequency.
-    """
-    omega = 2.0 * math.pi * f_ghz * 1e9
-    pairs = []
-    for layer in stack.layers:
-        eps = layer.material.permittivity_at(f_ghz)
-        pairs.append((eps.eps_real, eps.eps_imag * EPS0 * omega))
-    return pairs
-
-
 @dataclass
 class _Layout:
     n_nodes: int
@@ -128,6 +118,7 @@ class _Layout:
     i_stack: int
     i_transmit: int
     dz: float
+    stack_cells: list[int]  # cells per layer
 
 
 def _build_layout(stack: LayerStack, cfg: Fdtd1dConfig) -> _Layout:
@@ -141,33 +132,33 @@ def _build_layout(stack: LayerStack, cfg: Fdtd1dConfig) -> _Layout:
     i_stack = i_tfsf + probe
     i_transmit = i_stack + sum(stack_cells) + probe
     n_nodes = i_transmit + pad
-    return _Layout(n_nodes, i_tfsf, i_stack, i_transmit, dz)
+    return _Layout(n_nodes, i_tfsf, i_stack, i_transmit, dz, stack_cells)
 
 
-def _material_arrays(stack: LayerStack, cfg: Fdtd1dConfig, layout: _Layout, freeze_ghz):
-    """eps'/sigma on E-nodes for each freeze frequency.
+def _material_arrays(stack: LayerStack, layout: _Layout, freeze_ghz):
+    """eps'/sigma on E-nodes, one row per freeze frequency.
 
-    Node i owns the half-cells [i-1/2, i+1/2]; layer interfaces land exactly
-    on nodes, whose properties become the two-sided average (the standard
+    Each layer is held at (eps', sigma) with sigma = eps'' * eps0 * omega,
+    the conductivity that gives its eps'' at that frequency.  Node i owns
+    the half-cells [i-1/2, i+1/2]; layer interfaces land exactly on nodes,
+    whose properties become the two-sided average (the standard
     second-order interface treatment).
     """
     freeze = np.atleast_1d(np.asarray(freeze_ghz, dtype=float))
-    eps = np.ones((len(freeze), layout.n_nodes))
-    sig = np.zeros((len(freeze), layout.n_nodes))
-    for row, f in enumerate(freeze):
-        eps_half = np.ones((2, layout.n_nodes))
-        sig_half = np.zeros((2, layout.n_nodes))
-        pos = layout.i_stack
-        for layer, (eps_r, sigma) in zip(stack.layers, _frozen_materials(stack, f)):
-            cells = int(round(layer.thickness_mm / cfg.dz_mm))
-            eps_half[1, pos: pos + cells] = eps_r          # right half-cells
-            eps_half[0, pos + 1: pos + cells + 1] = eps_r  # left half-cells
-            sig_half[1, pos: pos + cells] = sigma
-            sig_half[0, pos + 1: pos + cells + 1] = sigma
-            pos += cells
-        eps[row] = 0.5 * (eps_half[0] + eps_half[1])
-        sig[row] = 0.5 * (sig_half[0] + sig_half[1])
-    return eps, sig
+    omega = 2.0 * math.pi * freeze * 1e9
+    eps_half = np.ones((2, len(freeze), layout.n_nodes))
+    sig_half = np.zeros((2, len(freeze), layout.n_nodes))
+    pos = layout.i_stack
+    for layer, cells in zip(stack.layers, layout.stack_cells):
+        eps = layer.material.complex_permittivity(freeze)
+        eps_r = eps.real[:, None]
+        sigma = (-eps.imag * EPS0 * omega)[:, None]
+        eps_half[1, :, pos: pos + cells] = eps_r          # right half-cells
+        eps_half[0, :, pos + 1: pos + cells + 1] = eps_r  # left half-cells
+        sig_half[1, :, pos: pos + cells] = sigma
+        sig_half[0, :, pos + 1: pos + cells + 1] = sigma
+        pos += cells
+    return 0.5 * (eps_half[0] + eps_half[1]), 0.5 * (sig_half[0] + sig_half[1])
 
 
 def _with_reference_row(eps, sig):
@@ -182,14 +173,16 @@ def _source(pulse: _Pulse, t):
     return np.exp(-0.5 * (tt / pulse.sigma_t) ** 2) * np.cos(2.0 * math.pi * pulse.center_ghz * 1e9 * tt)
 
 
-def _auto_steps(stack: LayerStack, pulse: _Pulse, layout: _Layout, dt: float) -> int:
+def _auto_steps(stack: LayerStack, eps_center, pulse: _Pulse, layout: _Layout, dt: float) -> int:
+    """Steps for the pulse, its passage through the grid and a ring-down allowance.
+
+    ``eps_center`` holds each layer's eps' at the pulse centre.
+    """
     optical_m = layout.n_nodes * layout.dz
-    for layer in stack.layers:
-        eps = layer.material.permittivity_at(pulse.center_ghz).eps_real
+    for layer, eps in zip(stack.layers, eps_center):
         optical_m += (math.sqrt(eps) - 1.0) * layer.thickness_mm * 1e-3
     stack_optical = sum(
-        math.sqrt(layer.material.permittivity_at(pulse.center_ghz).eps_real) * layer.thickness_mm * 1e-3
-        for layer in stack.layers
+        math.sqrt(eps) * layer.thickness_mm * 1e-3 for layer, eps in zip(stack.layers, eps_center)
     )
     t_end = 9.0 * pulse.sigma_t + optical_m / C0 + 10e-9 + 12.0 * stack_optical / C0
     return int(math.ceil(t_end / dt))
@@ -347,14 +340,6 @@ def _run_until_decayed(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: in
         n_steps += more
 
 
-def _check_resolution(stack: LayerStack, cfg: Fdtd1dConfig, pulse: _Pulse):
-    """Highest frequency the grid resolves with the configured cell count."""
-    eps_max = max(
-        layer.material.permittivity_at(pulse.center_ghz).eps_real for layer in stack.layers
-    )
-    return C0 / (cfg.min_cells_per_wavelength * cfg.dz_mm * 1e-3 * math.sqrt(eps_max)) / 1e9
-
-
 def validate_against_tmm(
     stack: LayerStack,
     f_start_ghz: float = 1.0,
@@ -367,24 +352,32 @@ def validate_against_tmm(
     Runs one simulation per grid point with the material response frozen at
     that point (batched into a single time loop), so the comparison carries
     no dispersion-freezing bias; the residual difference is the
-    discretization error of the oracle.
+    discretization error of the oracle.  A grid of more than `_MAX_POINTS`
+    points is rejected before any time stepping.
     """
     if not step_ghz > 0.0:
         raise FdtdError(f"comparison step must be > 0 GHz, got {step_ghz}")
     if not 0.0 < f_start_ghz <= f_stop_ghz:
         raise FdtdError(f"comparison band {f_start_ghz:g}:{f_stop_ghz:g} GHz needs 0 < start <= stop")
     freqs = np.round(np.arange(f_start_ghz, f_stop_ghz + 1e-9, step_ghz), 9)
+    if freqs.size > _MAX_POINTS:
+        raise FdtdError(
+            f"comparison grid {f_start_ghz:g}:{f_stop_ghz:g} GHz every {step_ghz:g} GHz has {freqs.size} points, "
+            f"more than {_MAX_POINTS}; each holds a whole transmit trace, so widen the step"
+        )
     pulse = _Pulse.covering(f_start_ghz, f_stop_ghz)
 
-    f_resolved = _check_resolution(stack, cfg, pulse)
+    # eps' of each layer at the pulse centre sizes the grid check and the run
+    eps_center = [float(layer.material.complex_permittivity(pulse.center_ghz).real) for layer in stack.layers]
+    f_resolved = C0 / (cfg.min_cells_per_wavelength * cfg.dz_mm * 1e-3 * math.sqrt(max(eps_center))) / 1e9
     if f_resolved < f_stop_ghz:
         raise FdtdError(f"dz={cfg.dz_mm} mm resolves only {f_resolved:.2f} GHz; reduce the spatial step")
 
     layout = _build_layout(stack, cfg)
-    eps, sig = _with_reference_row(*_material_arrays(stack, cfg, layout, freqs))
+    eps, sig = _with_reference_row(*_material_arrays(stack, layout, freqs))
 
     dt = cfg.cfl * layout.dz / C0
-    n_steps = _auto_steps(stack, pulse, layout, dt)
+    n_steps = _auto_steps(stack, eps_center, pulse, layout, dt)
     trans, n_steps, decayed = _run_until_decayed(eps, sig, layout, cfg, n_steps, pulse)
     fdtd_t = _transmission(trans, dt, freqs)
 

@@ -70,8 +70,9 @@ def normalize_spectrum(dut: MeasuredSpectrum, reference: MeasuredSpectrum, inter
     """Per-point complex division of the DUT by the reference spectrum.
 
     Magnitude-only inputs subtract in dB.  Grids must match unless
-    ``interpolate``; reference points below -100 dB are flagged in
-    ``meta['low_reference_mask']`` rather than silently divided.
+    ``interpolate``.  A reference point below `REFERENCE_FLOOR_DB` is a dead
+    fixture reading, and dividing by it would turn noise into a
+    transmission, so any such point raises `SpectrumFormatError`.
     """
     if dut.frequencies_ghz.shape == reference.frequencies_ghz.shape and np.allclose(
         dut.frequencies_ghz, reference.frequencies_ghz, rtol=0.0, atol=1e-9
@@ -85,6 +86,13 @@ def normalize_spectrum(dut: MeasuredSpectrum, reference: MeasuredSpectrum, inter
         raise SpectrumFormatError("frequency grids differ; pass interpolate=True to resample the reference")
 
     low = 20.0 * np.log10(np.abs(ref_s21) + 1e-300) < REFERENCE_FLOOR_DB
+    if np.any(low):
+        f_low = dut.frequencies_ghz[low]
+        at = f"{f_low[0]:g}" if f_low.size == 1 else f"{f_low[0]:g}-{f_low[-1]:g}"
+        raise SpectrumFormatError(
+            f"reference {reference.fixture_id or 'spectrum'}: {f_low.size} point(s) below {REFERENCE_FLOOR_DB:g} dB "
+            f"at {at} GHz; a dead reference point cannot normalize the DUT"
+        )
     magnitude_only = dut.magnitude_only or reference.magnitude_only
     if magnitude_only:
         s21 = np.abs(dut.s21) / np.abs(ref_s21)
@@ -96,7 +104,7 @@ def normalize_spectrum(dut: MeasuredSpectrum, reference: MeasuredSpectrum, inter
         magnitude_only=magnitude_only,
         thickness_mm=dut.thickness_mm,
         fixture_id=dut.fixture_id,
-        meta={**dut.meta, "reference_id": reference.fixture_id, "low_reference_mask": low},
+        meta={**dut.meta, "reference_id": reference.fixture_id},
     )
 
 

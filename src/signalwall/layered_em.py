@@ -198,7 +198,7 @@ def _stack_eps(stack: LayerStack, f):
     ambient = np.ones_like(f, dtype=complex)
     eps_media = [ambient]
     for layer in stack.layers:
-        eps_media.append(np.broadcast_to(layer.material.complex_permittivity(f), f.shape).astype(complex))
+        eps_media.append(layer.material.complex_permittivity(f))
     eps_media.append(ambient)
     d_m = [layer.thickness_mm * 1e-3 for layer in stack.layers]
     return eps_media, d_m

@@ -7,9 +7,11 @@ Dielectrics follow the ITU-R P.2040 power-law parameterization
 with sigma(f) = c * f**d in S/m, f in GHz inside the power laws and
 omega = 2*pi*f*1e9 rad/s.  The parameterization is stated for 1-100 GHz.
 
-Every public interface takes frequencies in GHz; the single GHz -> SI
-conversion lives in :func:`loss_permittivity` so the 1e9 factor exists in
-exactly one place.
+Every public interface takes frequencies in GHz.  Here the GHz -> SI
+conversion of the loss term lives in :func:`loss_permittivity` alone; the
+solvers that need omega or the free-space wavenumber (``layered_em``,
+``fdtd``, ``inverse``, ``antenna_link``) each convert their own GHz
+frequencies with the same 1e9 factor.
 """
 
 from __future__ import annotations
@@ -87,38 +89,15 @@ class FixedPermittivity:
     def from_tan_delta(cls, eps_real, tan_delta):
         return cls(eps_real, eps_real * tan_delta)
 
-
-@dataclass(frozen=True)
-class ComplexPermittivity:
-    """Evaluated relative permittivity at a single frequency.
-
-    ``eps_imag`` is stored non-negative; the sign convention is
-    eps = eps' - j eps'' under the e^{+j omega t} time convention.
-    """
-
-    eps_real: float
-    eps_imag: float
-    frequency_ghz: float
-
-    @property
-    def value(self) -> complex:
-        return complex(self.eps_real, -self.eps_imag)
+    def complex_permittivity(self, frequency_ghz):
+        """eps' - j eps'' in the shape of ``frequency_ghz``."""
+        return np.full(np.shape(frequency_ghz), complex(self.eps_real, -self.eps_imag))
 
 
 def loss_permittivity(sigma_s_per_m, frequency_ghz):
     """eps'' = sigma / (eps0 * omega) with omega = 2*pi*f*1e9."""
     omega = 2.0 * math.pi * np.asarray(frequency_ghz, dtype=float) * 1e9
     return sigma_s_per_m / (EPS0 * omega)
-
-
-def permittivity_at(model: PermittivityModel, frequency_ghz: float) -> ComplexPermittivity:
-    """Evaluate the power-law model at a single frequency in GHz."""
-    f = float(frequency_ghz)
-    if f <= 0.0:
-        raise MaterialError(f"frequency must be > 0 GHz, got {f}")
-    eps_real = model.a * f ** model.b
-    eps_imag = float(loss_permittivity(model.conductivity(f), f))
-    return ComplexPermittivity(eps_real, eps_imag, f)
 
 
 @dataclass(frozen=True)
@@ -147,24 +126,17 @@ class Material:
         if self.resistivity_ohm_m is not None and self.resistivity_ohm_m <= 0.0:
             raise MaterialError(f"resistivity_ohm_m must be > 0, got {self.resistivity_ohm_m}")
 
-    def permittivity_at(self, frequency_ghz: float) -> ComplexPermittivity:
-        if self.permittivity is None:
-            raise MaterialError(f"material {self.name!r} has no electromagnetic model")
-        if isinstance(self.permittivity, FixedPermittivity):
-            return ComplexPermittivity(self.permittivity.eps_real, self.permittivity.eps_imag, float(frequency_ghz))
-        return permittivity_at(self.permittivity, frequency_ghz)
-
     def complex_permittivity(self, frequency_ghz):
-        """Vectorized eps' - j eps'' for scalar or ndarray frequencies in GHz."""
+        """eps' - j eps'' at GHz frequencies > 0, in the shape of ``frequency_ghz``.
+
+        eps'' >= 0 under the e^{+j omega t} convention.  Every solver
+        evaluates a material's permittivity through this method.
+        """
         f = np.asarray(frequency_ghz, dtype=float)
         if np.any(f <= 0.0):
             raise MaterialError("frequency must be > 0 GHz")
         if self.permittivity is None:
             raise MaterialError(f"material {self.name!r} has no electromagnetic model")
-        if isinstance(self.permittivity, FixedPermittivity):
-            return np.broadcast_to(
-                complex(self.permittivity.eps_real, -self.permittivity.eps_imag), f.shape
-            ).copy() if f.shape else complex(self.permittivity.eps_real, -self.permittivity.eps_imag)
         return self.permittivity.complex_permittivity(f)
 
 

@@ -1,8 +1,11 @@
 """Scenario files: one JSON document describing wall, unit cell, and study.
 
-Validation reports the JSON path of the offending field.  Units are fixed:
-lengths in mm (cable length in m), frequencies in GHz, temperatures in K;
-suffixes or unit strings are rejected by the number checks.
+Validation reports the JSON path of the offending field.  A key that no
+part of the parser reads is rejected, so a misspelt field cannot fall back
+to its default unnoticed; material entries are checked by the material
+database instead.  Units are fixed: lengths in mm (cable length in m),
+frequencies in GHz, temperatures in K; suffixes or unit strings are
+rejected by the number checks.
 """
 
 from __future__ import annotations
@@ -48,6 +51,14 @@ def _expect(data, key, kind, path, default=_MISSING):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ScenarioError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _only(data, path, *fields):
+    """``data``, after rejecting any key that is not one of ``fields``."""
+    for key in data:
+        if key not in fields:
+            raise ScenarioError(f"{path}.{key}: unknown field")
+    return data
 
 
 def _expect_numbers(data, key, path, default):
@@ -112,6 +123,7 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
         db = builtin_database()
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be a JSON object")
+    _only(data, "$", "name", "description", "materials", "wall", "unit_cell", "thermal", "sweep")
 
     overrides = data.get("materials", [])
     if overrides:
@@ -119,7 +131,7 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
             raise ScenarioError("materials: expected a list of material entries")
         db = db.merged_with(_material_from_dict(e) for e in overrides)
 
-    wall_data = _expect(data, "wall", dict, "$")
+    wall_data = _only(_expect(data, "wall", dict, "$"), "wall", "layers")
     layers_data = _expect(wall_data, "layers", list, "wall")
     if not layers_data:
         raise ScenarioError("wall.layers: must contain at least one layer")
@@ -128,6 +140,7 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
         path = f"wall.layers[{i}]"
         if not isinstance(entry, dict):
             raise ScenarioError(f"{path}: expected an object")
+        _only(entry, path, "material", "thickness_mm")
         name = _expect(entry, "material", str, path)
         if name not in db:
             raise ScenarioError(f"{path}.material: unknown material {name!r}")
@@ -140,7 +153,9 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
     cell_data = _expect(data, "unit_cell", dict, "$", default=None)
     cell = _parse_cell(cell_data, wall, db) if cell_data is not None else UnitCell(150.0, 150.0, wall)
 
-    thermal_data = _expect(data, "thermal", dict, "$", default={})
+    thermal_data = _only(
+        _expect(data, "thermal", dict, "$", default={}), "thermal", "r_si", "r_se", "t_inside_k", "t_outside_k"
+    )
     with _reported_at("thermal"):
         boundary = ThermalBoundary(
             r_si=_expect(thermal_data, "r_si", float, "thermal", default=0.13),
@@ -149,7 +164,9 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
             t_outside_k=_expect(thermal_data, "t_outside_k", float, "thermal", default=271.0),
         )
 
-    sweep_data = _expect(data, "sweep", dict, "$", default={})
+    sweep_data = _only(
+        _expect(data, "sweep", dict, "$", default={}), "sweep", "separations_mm", "frequencies_ghz", "u_limit", "combination"
+    )
     defaults = SweepConfig()
     with _reported_at("sweep"):
         sweep = SweepConfig(
@@ -170,12 +187,16 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
 
 
 def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> UnitCell:
+    _only(cell_data, "unit_cell", "sx_mm", "sy_mm", "antenna", "coax", "conductor_material", "dielectric_material", "foam", "laminate")
     sx = _expect(cell_data, "sx_mm", float, "unit_cell")
     sy = _expect(cell_data, "sy_mm", float, "unit_cell")
 
     antenna = None
     if "antenna" in cell_data:
-        a = _expect(cell_data, "antenna", dict, "unit_cell")
+        a = _only(
+            _expect(cell_data, "antenna", dict, "unit_cell"), "unit_cell.antenna",
+            "gain_dbi", "cutoff_ghz", "rolloff_db_per_octave", "pattern_exponent", "gain_table",
+        )
         table = []
         for i, entry in enumerate(_expect(a, "gain_table", list, "unit_cell.antenna", default=[])):
             entry_path = f"unit_cell.antenna.gain_table[{i}]"
@@ -193,7 +214,10 @@ def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> Unit
 
     coax = None
     if "coax" in cell_data:
-        c = _expect(cell_data, "coax", dict, "unit_cell")
+        c = _only(
+            _expect(cell_data, "coax", dict, "unit_cell"), "unit_cell.coax", "count", "inner_radius_mm",
+            "outer_radius_mm", "shield_thickness_mm", "eps_r", "tan_delta", "resistivity_ohm_m", "length_m",
+        )
         count = _expect(c, "count", int, "unit_cell.coax", default=2)
         if count < 1:
             raise ScenarioError(f"unit_cell.coax.count: must be >= 1, got {count}")
@@ -212,7 +236,7 @@ def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> Unit
     def feature_material(key):
         if key not in cell_data:
             return None, None, None
-        f = _expect(cell_data, key, dict, "unit_cell")
+        f = _only(_expect(cell_data, key, dict, "unit_cell"), f"unit_cell.{key}", "material", "size_mm", "thickness_mm")
         name = _expect(f, "material", str, f"unit_cell.{key}")
         if name not in db:
             raise ScenarioError(f"unit_cell.{key}.material: unknown material {name!r}")

@@ -246,14 +246,13 @@ def equivalent_square_side_mm(radius_mm: float) -> float:
     return math.sqrt(math.pi) * radius_mm
 
 
-def voxelize_unit_cell(cell: UnitCell, include_features: bool = True, options: MeshOptions = MeshOptions()) -> VoxelGrid:
+def voxelize_unit_cell(cell: UnitCell, options: MeshOptions = MeshOptions()) -> VoxelGrid:
     """Rectilinear voxel model of a unit cell, feature boundaries on grid lines.
 
-    With ``include_features`` False (or a bare cell) the result is the plain
-    slab stack, whose finite-volume solution must match the analytical
-    U-value.
+    A bare cell (no antenna system) gives the plain slab stack, whose
+    finite-volume solution must match the analytical U-value.
     """
-    features = include_features and cell.has_antenna_system
+    features = cell.has_antenna_system
 
     materials: list = []
     conductivities: list[float] = []

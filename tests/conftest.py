@@ -43,8 +43,8 @@ def antenna_cell(db, wall):
 
 
 @pytest.fixture(scope="session")
-def bare_fv_result(antenna_cell, boundary):
-    grid = voxelize_unit_cell(antenna_cell, include_features=False)
+def bare_fv_result(wall, boundary):
+    grid = voxelize_unit_cell(UnitCell(150.0, 150.0, wall))
     return solve_steady_state(grid, boundary)
 
 

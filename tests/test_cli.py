@@ -98,6 +98,25 @@ def test_fit_prints_start_and_evaluation_counts_last(tmp_path, capsys):
     assert not any(key in lines[-1] for key in ("a = ", "c = ", "d = ", "residual:"))
 
 
+def test_fit_rejects_a_dead_reference_point_before_fitting(tmp_path, monkeypatch, capsys):
+    from signalwall import cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit must not run")
+
+    monkeypatch.setattr(cli, "fit_permittivity", no_fit)
+    f = np.linspace(2.0, 8.0, 61)
+    ref_db = np.full(f.size, -3.0)
+    ref_db[30] = -130.0
+    dut, ref = tmp_path / "dut.csv", tmp_path / "ref.csv"
+    for path, db in ((dut, slab_transmission_db(5.24, 0.0, 0.0462, 0.78, 40.0, f) + ref_db), (ref, ref_db)):
+        path.write_text("freq_GHz,s21_dB\n" + "".join(f"{fi:.6f},{di:.9f}\n" for fi, di in zip(f, db)))
+    assert main(["fit-permittivity", str(dut), "--reference", str(ref), "--thickness", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: reference ref.csv: 1 point(s) below -100 dB at 5 GHz" in captured.err
+
+
 def test_fit_rejects_nonpositive_a_bound(tmp_path, capsys):
     path = tmp_path / "meas.csv"
     path.write_text("freq_GHz,s21_dB\n2.0,-3.0\n4.0,-4.0\n8.0,-5.0\n")
@@ -221,6 +240,7 @@ def test_fdtd_validate_small_band(capsys):
         ("2:1", "0.1", "band"),
         ("0.01:0.02", "0.01", "band"),
         ("2:3:99", "0.5", "band"),
+        ("1:8", "0.001", "grid 1:8 GHz every 0.001 GHz has 7001 points, more than 701"),  # ~1.5 GB of traces
     ],
 )
 def test_fdtd_validate_rejects_empty_grid_before_time_stepping(monkeypatch, capsys, wall, band, step, named):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from signalwall import fdtd
 from signalwall.constants import C0, EPS0, ETA0, MU0
 from signalwall.fdtd import Fdtd1dConfig, FdtdError, validate_against_tmm
 from signalwall.layered_em import Layer, LayerStack
-from signalwall.materials import FixedPermittivity, Material
+from signalwall.materials import FixedPermittivity, Material, PermittivityModel
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +70,17 @@ def test_unresolvable_band_raises(glass_slab, monkeypatch):
         validate_against_tmm(glass_slab, 4.0, 8.0, 1.0, Fdtd1dConfig(dz_mm=8.0))
 
 
+def test_point_limit_is_checked_before_time_stepping(wall, monkeypatch):
+    def time_loop(*args, **kwargs):
+        raise RuntimeError("time loop reached")
+
+    monkeypatch.setattr(fdtd, "_time_step_batch", time_loop)
+    with pytest.raises(FdtdError, match="has 702 points, more than 701"):
+        validate_against_tmm(wall, 1.0, 8.01, 0.01)
+    with pytest.raises(RuntimeError, match="time loop reached"):
+        validate_against_tmm(wall, 1.0, 8.0, 0.01)  # 701 points, the limit
+
+
 def test_config_validation(glass_slab):
     with pytest.raises(FdtdError):
         Fdtd1dConfig(cfl=1.2)
@@ -98,6 +111,69 @@ def test_validation_reports_decay_and_the_steps_it_ran(glass_slab, monkeypatch):
     assert not extended["decayed"]
     assert extended["n_steps"] == int(int(table["n_steps"] * 1.5) * 1.5)
     assert np.max(np.abs(extended["delta_db"])) <= 0.5
+
+
+def _reference_freeze(stack, cfg, layout, freqs):
+    """eps'/sigma on E-nodes, one frequency at a time in plain floats.
+
+    Each layer is frozen at the ITU-R P.2040 value eps' = a f^b,
+    eps'' = c f^d / (eps0 omega), or at its fixed eps' - j eps''; sigma =
+    eps'' eps0 omega.  Each node averages its two half-cells.  Powers go
+    through np.power, as the material model's do: libm's pow differs from
+    numpy's in the last bit at a few per cent of frequencies.
+    """
+    eps = np.ones((len(freqs), layout.n_nodes))
+    sig = np.zeros((len(freqs), layout.n_nodes))
+    for row, f in enumerate(freqs):
+        omega = 2.0 * math.pi * f * 1e9
+        left = [(1.0, 0.0)] * layout.n_nodes
+        right = [(1.0, 0.0)] * layout.n_nodes
+        pos = layout.i_stack
+        for layer in stack.layers:
+            p = layer.material.permittivity
+            if isinstance(p, FixedPermittivity):
+                eps_r, eps_i = p.eps_real, p.eps_imag
+            else:
+                eps_r = p.a * float(np.power(f, p.b))
+                eps_i = p.c * float(np.power(f, p.d)) / (EPS0 * omega)
+            sigma = eps_i * EPS0 * omega
+            cells = int(round(layer.thickness_mm / cfg.dz_mm))
+            for i in range(pos, pos + cells):
+                right[i] = left[i + 1] = (eps_r, sigma)
+            pos += cells
+        for i in range(layout.n_nodes):
+            eps[row, i] = 0.5 * (left[i][0] + right[i][0])
+            sig[row, i] = 0.5 * (left[i][1] + right[i][1])
+    return eps, sig
+
+
+def _glass_stack():
+    return LayerStack(
+        [
+            Layer(Material("lossy_glass", 1.0, FixedPermittivity.from_tan_delta(6.0, 0.02)), 6.0),
+            Layer(Material("glass", 1.0, FixedPermittivity(4.0)), 12.0),
+        ]
+    )
+
+
+def _dispersive_stack():
+    # b != 0, so eps' itself depends on the freeze frequency
+    return LayerStack([Layer(Material("dispersive", 1.0, PermittivityModel(4.0, 0.1, 0.01, 1.2)), 30.0)])
+
+
+@pytest.mark.parametrize(
+    "stack_name, dz_mm", [("wall", 0.5), ("wall", 2.0), ("glass", 0.5), ("dispersive", 1.0)]
+)
+def test_material_arrays_equal_a_per_frequency_freeze(wall, stack_name, dz_mm):
+    stack = {"wall": wall, "glass": _glass_stack(), "dispersive": _dispersive_stack()}[stack_name]
+    cfg = Fdtd1dConfig(dz_mm=dz_mm)
+    layout = fdtd._build_layout(stack, cfg)
+    freqs = np.round(np.arange(1.0, 8.0 + 1e-9, 0.7), 9)
+    eps, sig = fdtd._material_arrays(stack, layout, freqs)
+    ref_eps, ref_sig = _reference_freeze(stack, cfg, layout, freqs.tolist())
+    assert np.array_equal(eps, ref_eps)
+    assert np.array_equal(sig, ref_sig)
+    assert np.any(sig > 0.0)
 
 
 def _reference_time_loop(eps, sig, layout, cfg, pulse, n_steps):
@@ -135,7 +211,7 @@ def _reference_time_loop(eps, sig, layout, cfg, pulse, n_steps):
 def _wall_batch(wall, cfl):
     cfg = Fdtd1dConfig(dz_mm=2.0, cfl=cfl)
     layout = fdtd._build_layout(wall, cfg)
-    eps, sig = fdtd._material_arrays(wall, cfg, layout, [1.5, 2.0, 2.5])
+    eps, sig = fdtd._material_arrays(wall, layout, [1.5, 2.0, 2.5])
     return eps, sig, layout, cfg, fdtd._Pulse(center_ghz=2.0, bandwidth_ghz=2.0)
 
 

@@ -68,14 +68,14 @@ def test_grid_mismatch_requires_interpolation(clean_spectrum):
     assert result.frequencies_ghz.shape == clean_spectrum.frequencies_ghz.shape
 
 
-def test_low_reference_points_flagged(clean_spectrum):
+def test_reference_below_the_floor_is_an_error(clean_spectrum):
     f = clean_spectrum.frequencies_ghz
     weak = np.ones(f.size, dtype=complex)
-    weak[5] = 1e-7
-    reference = MeasuredSpectrum(f, weak)
-    result = normalize_spectrum(clean_spectrum, reference)
-    assert result.meta["low_reference_mask"][5]
-    assert result.meta["low_reference_mask"].sum() == 1
+    weak[5:8] = 1e-7  # -140 dB at 2.25, 2.30 and 2.35 GHz
+    with pytest.raises(SpectrumFormatError, match=r"3 point\(s\) below -100 dB at 2\.25-2\.35 GHz"):
+        normalize_spectrum(clean_spectrum, MeasuredSpectrum(f, weak))
+    weak[5:8] = 1.1e-5  # -99.2 dB is still a usable reading
+    assert np.all(np.isfinite(normalize_spectrum(clean_spectrum, MeasuredSpectrum(f, weak)).s21))
 
 
 def test_noiseless_roundtrip_recovery(clean_spectrum):

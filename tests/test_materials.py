@@ -13,7 +13,6 @@ from signalwall.materials import (
     PermittivityModel,
     UnknownMaterialError,
     builtin_database,
-    permittivity_at,
 )
 
 # hand oracle: ITU closed form written out both ways
@@ -31,18 +30,16 @@ def eps_imag_shortcut(c, d, f_ghz):
 
 
 def test_concrete_at_3p5_ghz_matches_hand_evaluation():
-    model = PermittivityModel(5.24, 0.0, 0.0462, 0.7822)
-    eps = permittivity_at(model, 3.5)
-    assert eps.eps_real == pytest.approx(5.24)
-    assert eps.eps_imag == pytest.approx(0.6321, abs=5e-4)
-    assert eps.eps_imag == pytest.approx(eps_imag_direct(0.0462, 0.7822, 3.5), rel=1e-9)
+    eps = Material("concrete", 1.3, PermittivityModel(5.24, 0.0, 0.0462, 0.7822)).complex_permittivity(3.5)
+    assert eps.real == pytest.approx(5.24)
+    assert -eps.imag == pytest.approx(0.6321, abs=5e-4)
+    assert -eps.imag == pytest.approx(eps_imag_direct(0.0462, 0.7822, 3.5), rel=1e-9)
 
 
 def test_rock_wool_at_8_ghz_matches_hand_evaluation():
-    model = PermittivityModel(1.48, 0.0, 1.1e-3, 1.075)
-    eps = permittivity_at(model, 8.0)
-    assert eps.eps_real == pytest.approx(1.48)
-    assert eps.eps_imag == pytest.approx(0.0231, abs=2e-4)
+    eps = Material("rock_wool", 0.035, PermittivityModel(1.48, 0.0, 1.1e-3, 1.075)).complex_permittivity(8.0)
+    assert eps.real == pytest.approx(1.48)
+    assert -eps.imag == pytest.approx(0.0231, abs=2e-4)
 
 
 def test_two_loss_forms_agree_to_three_significant_figures():
@@ -56,12 +53,12 @@ def test_two_loss_forms_agree_to_three_significant_figures():
             direct = eps_imag_direct(m.c, m.d, f)
             shortcut = eps_imag_shortcut(m.c, m.d, f)
             assert shortcut == pytest.approx(direct, rel=5e-4)
-            assert material.permittivity_at(f).eps_imag == pytest.approx(direct, rel=1e-9)
+            assert -material.complex_permittivity(f).imag == pytest.approx(direct, rel=1e-9)
 
 
 def test_b_zero_makes_eps_real_frequency_independent():
-    model = PermittivityModel(5.24, 0.0, 0.0462, 0.7822)
-    assert permittivity_at(model, 1.3).eps_real == permittivity_at(model, 77.0).eps_real
+    eps = Material("concrete", 1.3, PermittivityModel(5.24, 0.0, 0.0462, 0.7822)).complex_permittivity([1.3, 77.0])
+    assert eps[0].real == eps[1].real
 
 
 def test_eps_imag_monotonic_by_exponent():
@@ -72,7 +69,7 @@ def test_eps_imag_monotonic_by_exponent():
         m = material.permittivity
         if m.c == 0.0:
             continue
-        values = np.array([material.permittivity_at(f).eps_imag for f in freqs])
+        values = -material.complex_permittivity(freqs).imag
         diffs = np.diff(values)
         if m.d >= 1.0:
             assert np.all(diffs >= -1e-15), material.name
@@ -87,10 +84,9 @@ def test_eps_imag_monotonic_by_exponent():
 )
 @settings(max_examples=50, deadline=None)
 def test_loss_is_nonnegative_and_finite(c, d, f):
-    eps = permittivity_at(PermittivityModel(3.0, 0.0, c, d), f)
-    assert eps.eps_imag >= 0.0
-    assert math.isfinite(eps.eps_imag)
-    assert eps.value.imag <= 0.0
+    eps = Material("x", 1.0, PermittivityModel(3.0, 0.0, c, d)).complex_permittivity(f)
+    assert eps.imag <= 0.0
+    assert math.isfinite(eps.imag)
 
 
 def test_database_contents(db):
@@ -154,17 +150,25 @@ def test_invalid_models_rejected():
     with pytest.raises(MaterialError):
         Material("x", 0.0)
     with pytest.raises(MaterialError):
-        permittivity_at(PermittivityModel(5.0), -1.0)
+        Material("x", 1.0, PermittivityModel(5.0)).complex_permittivity(-1.0)
+    with pytest.raises(MaterialError):
+        Material("x", 1.0, FixedPermittivity(4.0)).complex_permittivity([1.0, 0.0])
 
 
 def test_material_without_em_model_rejects_evaluation(db):
     with pytest.raises(MaterialError):
-        db.get("stainless_steel").permittivity_at(3.5)
+        db.get("stainless_steel").complex_permittivity(3.5)
 
 
-def test_vectorized_matches_scalar(db):
-    material = db.get("concrete")
-    freqs = np.array([1.0, 3.5, 8.0])
+@pytest.mark.parametrize("name", ["concrete", "teflon"])
+def test_array_and_float_calls_agree_exactly(db, name):
+    # a power-law material and a fixed-permittivity one
+    material = db.get(name)
+    freqs = np.array([1.0, 1.3, 3.5, 8.0, 77.0])
     vec = material.complex_permittivity(freqs)
+    assert vec.shape == freqs.shape and vec.dtype == complex
     for f, value in zip(freqs, vec):
-        assert value == material.permittivity_at(f).value
+        single = material.complex_permittivity(float(f))
+        assert np.shape(single) == ()
+        assert single == value
+        assert single.imag <= 0.0

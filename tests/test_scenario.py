@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -105,7 +106,7 @@ def _scenario_with(section, key, value):
     data = json.loads(default_scenario_text())
     target = data
     for part in section.split("."):
-        target = target[part]
+        target = target[int(part) if isinstance(target, list) else part]
     target[key] = value
     return data
 
@@ -149,3 +150,50 @@ def test_gain_table_entries_must_be_number_pairs():
         scenario_from_dict(_scenario_with("unit_cell.antenna", "gain_table", [[1.0, -10.0, 3.0]]))
     parsed = scenario_from_dict(_scenario_with("unit_cell.antenna", "gain_table", [[1.0, -10.0], [4, 4.5]]))
     assert parsed.cell.antenna.gain_table == ((1.0, -10.0), (4.0, 4.5))
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("thermal", "r_sl", 0.5), ("unit_cell.coax", "inner_radius", 0.3), ("sweep", "u_limt", 0.2)],
+)
+def test_misspelt_keys_are_rejected(section, key, value):
+    # each of these loaded and ran on the default (r_si 0.13, 0.1435 mm, limit 0.17)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(section)}\\.{key}: unknown field$"):
+        scenario_from_dict(_scenario_with(section, key, value))
+
+
+@pytest.mark.parametrize(
+    "section, path",
+    [
+        ("wall", "wall"),
+        ("wall.layers.1", "wall.layers[1]"),
+        ("unit_cell", "unit_cell"),
+        ("unit_cell.antenna", "unit_cell.antenna"),
+        ("unit_cell.foam", "unit_cell.foam"),
+        ("unit_cell.laminate", "unit_cell.laminate"),
+    ],
+)
+def test_every_section_rejects_unknown_keys(section, path):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(path)}\\.colour: unknown field$"):
+        scenario_from_dict(_scenario_with(section, "colour", "grey"))
+
+
+def test_root_keeps_name_and_description_only():
+    data = json.loads(default_scenario_text())
+    assert {"name", "description"} <= set(data)
+    with pytest.raises(ScenarioError, match=r"^\$\.colour: unknown field$"):
+        scenario_from_dict({**data, "colour": "grey"})
+
+
+def test_default_scenario_with_changed_values_loads(tmp_path):
+    # name, description and every section of the builtin file are read; a copy
+    # with other values, as a benchmark or user writes it, loads unchanged
+    data = json.loads(default_scenario_text())
+    data["unit_cell"]["sx_mm"] = data["unit_cell"]["sy_mm"] = 120.0
+    data["sweep"]["separations_mm"] = [70, 80, 120]
+    data["sweep"]["frequencies_ghz"] = [3.5, 8.0]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data, indent=2) + "\n")
+    scenario = load_scenario(path)
+    assert scenario.name == data["name"]
+    assert scenario.cell.sx_mm == 120.0 and scenario.sweep.separations_mm == (70.0, 80.0, 120.0)

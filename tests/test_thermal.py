@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from signalwall.antenna_link import UnitCell
 from signalwall.layered_em import Layer, LayerStack
 from signalwall.materials import Material
 from signalwall.thermal import (
@@ -239,8 +240,8 @@ def test_cable_resolution_guaranteed_even_with_coarse_options(antenna_cell):
     assert np.max(np.diff(grid.x_nodes_mm)[pack]) <= spec.outer_radius_mm
 
 
-def test_vtk_export(tmp_path, antenna_cell, boundary, bare_fv_result):
-    grid = voxelize_unit_cell(antenna_cell, include_features=False)
+def test_vtk_export(tmp_path, wall, bare_fv_result):
+    grid = voxelize_unit_cell(UnitCell(150.0, 150.0, wall))
     path = tmp_path / "field.vtk"
     write_vtk(grid, bare_fv_result.temperature, path)
     text = path.read_text().splitlines()
