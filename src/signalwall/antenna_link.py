@@ -20,10 +20,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C0, ETA0, MU0
-from .layered_em import Incidence, LayerStack, _coefficients, tmm_coefficients
+from .layered_em import Incidence, LayerStack, _coefficients
 from .materials import Material
 
 COMBINATION_MODES = ("incoherent", "coherent_best", "coherent_worst")
+ONSET_TOL_GHZ = 0.01  # bisection width of the improvement onset
+
+
+# the material property each cable role reads
+_CABLE_MATERIAL_NEEDS = {"conductor": "resistivity_ohm_m", "dielectric": "permittivity"}
+
+
+def _require_cable_data(role: str, material: Material) -> Material:
+    """``material``, after checking it has the property the cable's ``role`` reads."""
+    needs = _CABLE_MATERIAL_NEEDS[role]
+    if getattr(material, needs) is None:
+        raise ValueError(f"{role} material {material.name!r} has no {needs}")
+    return material
 
 
 @dataclass(frozen=True)
@@ -32,17 +45,18 @@ class CoaxSpec:
 
     ``outer_radius_mm`` is the shield's outer radius and also the radius used
     in the impedance logarithm; that reading reproduces the assembly's design
-    impedance with the stated pin size (see README).  The steel shield
-    occupies the outermost ``shield_thickness_mm`` of it, the dielectric
-    fills the rest of the bore.
+    impedance with the stated pin size (see README).  The ``conductor``
+    (pin and shield) supplies the resistivity, the ``dielectric`` filling
+    the rest of the bore its permittivity; the thermal solver paints the
+    same two materials.  The shield occupies the outermost
+    ``shield_thickness_mm``.
     """
 
+    conductor: Material
+    dielectric: Material
     inner_radius_mm: float = 0.1435
     outer_radius_mm: float = 0.88
     shield_thickness_mm: float = 0.2
-    eps_r: float = 1.75
-    tan_delta: float = 0.004
-    resistivity_ohm_m: float = 6.9e-7
     length_m: float = 0.44
     count: int = 2
 
@@ -51,10 +65,8 @@ class CoaxSpec:
             raise ValueError("need 0 < inner radius < outer radius")
         if not 0.0 < self.shield_thickness_mm < self.outer_radius_mm - self.inner_radius_mm:
             raise ValueError("shield thickness must fit between inner and outer radius")
-        if self.eps_r < 1.0 or self.tan_delta < 0.0:
-            raise ValueError("dielectric needs eps_r >= 1 and tan_delta >= 0")
-        if self.resistivity_ohm_m < 0.0:
-            raise ValueError("resistivity must be >= 0")
+        for role in _CABLE_MATERIAL_NEEDS:
+            _require_cable_data(role, getattr(self, role))
         if self.length_m <= 0.0:
             raise ValueError("cable length must be > 0")
         if self.count < 1:
@@ -65,9 +77,10 @@ class CoaxSpec:
         return self.outer_radius_mm - self.shield_thickness_mm
 
 
-def coax_impedance(spec: CoaxSpec) -> float:
-    """Characteristic impedance of a single line, ohms."""
-    return ETA0 / (2.0 * math.pi * math.sqrt(spec.eps_r)) * math.log(
+def coax_impedance(spec: CoaxSpec, frequency_ghz: float) -> float:
+    """Characteristic impedance of a single line at one frequency, ohms."""
+    eps_real = float(spec.dielectric.complex_permittivity(frequency_ghz).real)
+    return ETA0 / (2.0 * math.pi * math.sqrt(eps_real)) * math.log(
         spec.outer_radius_mm / spec.inner_radius_mm
     )
 
@@ -86,31 +99,29 @@ def coax_attenuation(spec: CoaxSpec, frequency_ghz: float) -> CoaxAttenuation:
 
     Conductor loss from the skin-effect surface resistance
     R_s = sqrt(pi f mu rho) distributed over pin and shield,
-    R' = (R_s / 2 pi)(1/a + 1/b); dielectric loss from the loss tangent.
-    The skin-effect model assumes conductors much thicker than the skin
-    depth; ``skin_depth_ok`` is False when the shield is not.
+    R' = (R_s / 2 pi)(1/a + 1/b); dielectric loss from the loss tangent
+    eps''/eps' of the dielectric at ``frequency_ghz``.  The skin-effect
+    model assumes conductors much thicker than the skin depth;
+    ``skin_depth_ok`` is False when the shield is not.
     """
     if frequency_ghz <= 0.0:
         raise ValueError(f"frequency must be > 0 GHz, got {frequency_ghz}")
     f_hz = frequency_ghz * 1e9
     a = spec.inner_radius_mm * 1e-3
     b = spec.outer_radius_mm * 1e-3
-    z0 = coax_impedance(spec)
+    eps = complex(spec.dielectric.complex_permittivity(frequency_ghz))
+    rho = spec.conductor.resistivity_ohm_m
 
-    if spec.resistivity_ohm_m > 0.0:
-        r_surf = math.sqrt(math.pi * f_hz * MU0 * spec.resistivity_ohm_m)
-        r_per_m = r_surf / (2.0 * math.pi) * (1.0 / a + 1.0 / b)
-        alpha_c = r_per_m / (2.0 * z0)
-        skin_depth = math.sqrt(spec.resistivity_ohm_m / (math.pi * f_hz * MU0))
-    else:
-        alpha_c = 0.0
-        skin_depth = 0.0
-    alpha_d = math.pi * f_hz * math.sqrt(spec.eps_r) / C0 * spec.tan_delta
+    r_surf = math.sqrt(math.pi * f_hz * MU0 * rho)
+    r_per_m = r_surf / (2.0 * math.pi) * (1.0 / a + 1.0 / b)
+    alpha_c = r_per_m / (2.0 * coax_impedance(spec, frequency_ghz))
+    skin_depth = math.sqrt(rho / (math.pi * f_hz * MU0))
+    alpha_d = math.pi * f_hz * math.sqrt(eps.real) / C0 * (-eps.imag / eps.real)
 
     np_to_db = 20.0 / math.log(10.0)
     conductor_db = np_to_db * alpha_c * spec.length_m
     dielectric_db = np_to_db * alpha_d * spec.length_m
-    skin_ok = spec.resistivity_ohm_m == 0.0 or skin_depth < spec.shield_thickness_mm * 1e-3
+    skin_ok = skin_depth < spec.shield_thickness_mm * 1e-3
     return CoaxAttenuation(conductor_db + dielectric_db, conductor_db, dielectric_db, skin_depth, skin_ok)
 
 
@@ -168,9 +179,9 @@ class UnitCell:
     """One periodic cell of the antenna-embedded wall.
 
     Lateral cell size doubles as the antenna-system separation on the wall.
-    ``coax``/``antenna`` may be None for a bare cell.  The embedded feature
-    materials are needed by the thermal solver; the laminate sheet sits on
-    each wall face with the foam spacer recessed into the concrete behind it.
+    ``antenna`` and ``coax`` are both None for a bare cell, which then has no
+    foam or laminate either.  The laminate sheet sits on each wall face with
+    the foam spacer recessed into the concrete behind it.
     """
 
     sx_mm: float
@@ -178,8 +189,6 @@ class UnitCell:
     wall: LayerStack
     antenna: AntennaSpec | None = None
     coax: CoaxSpec | None = None
-    conductor: Material | None = None
-    dielectric: Material | None = None
     foam: Material | None = None
     foam_size_mm: float = 50.0
     foam_thickness_mm: float = 10.0
@@ -190,6 +199,10 @@ class UnitCell:
     def __post_init__(self):
         if self.sx_mm <= 0.0 or self.sy_mm <= 0.0:
             raise ValueError("cell dimensions must be > 0")
+        if (self.antenna is None) != (self.coax is None):
+            raise ValueError("antenna and coax need each other; one alone would be ignored")
+        if not self.has_antenna_system and (self.foam is not None or self.laminate is not None):
+            raise ValueError("foam and laminate need an antenna system (antenna and coax); alone they would be ignored")
         if self.has_antenna_system:
             footprint = self.laminate_size_mm if self.laminate is not None else 0.0
             if min(self.sx_mm, self.sy_mm) <= footprint:
@@ -254,26 +267,26 @@ def improvement_onset_ghz(
     f_stop_ghz: float = 8.0,
     theta_deg: float = 0.0,
     polarization: str = "RHCP",
-    tol_ghz: float = 0.01,
 ) -> float | None:
     """Lowest frequency where the antenna path overtakes the bare wall.
 
     The crossover t_antenna = |t_wall| is where the combined incoherent level
     sits 3 dB above the bare wall; below it the antenna system no longer
-    gives a meaningful improvement.  Returns None when no crossing exists in
-    the band.
+    gives a meaningful improvement.  A 0.1 GHz scan brackets the first
+    crossing, which is then bisected to ``ONSET_TOL_GHZ``.  Returns None
+    when no crossing exists in the band.
     """
     if not cell.has_antenna_system:
         return None
     Incidence(f_start_ghz, theta_deg, polarization)  # reuse validation
 
     def excess(f):
-        t_wall, _ = tmm_coefficients(cell.wall, Incidence(f, theta_deg, polarization))
-        return aperture_transmission(cell, f, theta_deg) - abs(t_wall)
+        """t_antenna - |t_wall| at each frequency of ``f`` (scalar or array)."""
+        t_wall, _ = _coefficients(cell.wall, f, theta_deg, polarization)
+        return [aperture_transmission(cell, fi, theta_deg) - abs(t) for fi, t in zip(np.atleast_1d(f), t_wall.tolist())]
 
     grid = np.arange(f_start_ghz, f_stop_ghz + 1e-9, 0.1)
-    t_grid, _ = _coefficients(cell.wall, grid, theta_deg, polarization)
-    values = [aperture_transmission(cell, f, theta_deg) - abs(t) for f, t in zip(grid, t_grid.tolist())]
+    values = excess(grid)
     if values[0] >= 0.0:
         return float(grid[0])
     crossing = None
@@ -284,9 +297,9 @@ def improvement_onset_ghz(
     if crossing is None:
         return None
     lo, hi = crossing
-    while hi - lo > tol_ghz:
+    while hi - lo > ONSET_TOL_GHZ:
         mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0.0:
+        if excess(mid)[0] >= 0.0:
             hi = mid
         else:
             lo = mid

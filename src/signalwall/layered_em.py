@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import C0, EPS0, MU0
-from .materials import Material
+from .materials import VALID_RANGE_GHZ, Material
 
 POLARIZATIONS = ("TE", "TM", "RHCP", "LHCP")
 _CSV_HEADER = "freq_GHz,t_dB,t_phase_deg,r_dB,r_phase_deg,pol,theta_deg"
@@ -230,8 +230,11 @@ def transmission_spectrum(
     polarization: str = "TE",
 ) -> Spectrum:
     """Spectrum over a linear frequency grid inside the material model's validity."""
-    if not (f_start_ghz >= 1.0 and f_stop_ghz <= 100.0 and f_start_ghz < f_stop_ghz):
-        raise ValueError(f"frequency band must satisfy 1 <= start < stop <= 100 GHz, got [{f_start_ghz}, {f_stop_ghz}]")
+    lo, hi = VALID_RANGE_GHZ
+    if not (f_start_ghz >= lo and f_stop_ghz <= hi and f_start_ghz < f_stop_ghz):
+        raise ValueError(
+            f"frequency band must satisfy {lo:g} <= start < stop <= {hi:g} GHz, got [{f_start_ghz}, {f_stop_ghz}]"
+        )
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     Incidence(f_start_ghz, theta_deg, polarization)

@@ -3,8 +3,9 @@
 Validation reports the JSON path of the offending field.  A key that no
 part of the parser reads is rejected, so a misspelt field cannot fall back
 to its default unnoticed; material entries are checked by the material
-database instead.  Units are fixed: lengths in mm (cable length in m),
-frequencies in GHz, temperatures in K; suffixes or unit strings are
+database instead.  The cable takes its conductor and dielectric from that
+database and its length from the wall depth.  Units are fixed: lengths in
+mm, frequencies in GHz, temperatures in K; suffixes or unit strings are
 rejected by the number checks.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .antenna_link import AntennaSpec, CoaxSpec, UnitCell
+from .antenna_link import AntennaSpec, CoaxSpec, UnitCell, _require_cable_data
 from .design_sweep import SweepConfig
 from .layered_em import Layer, LayerStack
 from .materials import MaterialDatabase, _material_from_dict, builtin_database
@@ -61,12 +62,14 @@ def _only(data, path, *fields):
     return data
 
 
-def _expect_numbers(data, key, path, default):
-    """A JSON list of numbers as a tuple of floats; an entry's error names its index."""
-    values = _expect(data, key, list, path, default)
-    if values is default:
-        return default
-    return tuple(_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(values))
+def _section(data, path, **kinds):
+    """Type-checked values of the keys of ``data`` that are present.
+
+    A key not in ``kinds`` is an error.  Absent keys are left out, so each
+    default lives in its dataclass alone.
+    """
+    _only(data, path, *kinds)
+    return {key: _expect(data, key, kind, path) for key, kind in kinds.items() if key in data}
 
 
 @contextmanager
@@ -153,28 +156,23 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
     cell_data = _expect(data, "unit_cell", dict, "$", default=None)
     cell = _parse_cell(cell_data, wall, db) if cell_data is not None else UnitCell(150.0, 150.0, wall)
 
-    thermal_data = _only(
-        _expect(data, "thermal", dict, "$", default={}), "thermal", "r_si", "r_se", "t_inside_k", "t_outside_k"
-    )
     with _reported_at("thermal"):
         boundary = ThermalBoundary(
-            r_si=_expect(thermal_data, "r_si", float, "thermal", default=0.13),
-            r_se=_expect(thermal_data, "r_se", float, "thermal", default=0.04),
-            t_inside_k=_expect(thermal_data, "t_inside_k", float, "thermal", default=293.0),
-            t_outside_k=_expect(thermal_data, "t_outside_k", float, "thermal", default=271.0),
+            **_section(
+                _expect(data, "thermal", dict, "$", default={}), "thermal",
+                r_si=float, r_se=float, t_inside_k=float, t_outside_k=float,
+            )
         )
 
-    sweep_data = _only(
-        _expect(data, "sweep", dict, "$", default={}), "sweep", "separations_mm", "frequencies_ghz", "u_limit", "combination"
+    sweep_fields = _section(
+        _expect(data, "sweep", dict, "$", default={}), "sweep",
+        separations_mm=list, frequencies_ghz=list, u_limit=float, combination=str,
     )
-    defaults = SweepConfig()
+    for key in ("separations_mm", "frequencies_ghz"):
+        if key in sweep_fields:
+            sweep_fields[key] = tuple(_number(v, f"sweep.{key}[{i}]") for i, v in enumerate(sweep_fields[key]))
     with _reported_at("sweep"):
-        sweep = SweepConfig(
-            separations_mm=_expect_numbers(sweep_data, "separations_mm", "sweep", defaults.separations_mm),
-            frequencies_ghz=_expect_numbers(sweep_data, "frequencies_ghz", "sweep", defaults.frequencies_ghz),
-            u_limit=_expect(sweep_data, "u_limit", float, "sweep", default=defaults.u_limit),
-            combination=_expect(sweep_data, "combination", str, "sweep", default=defaults.combination),
-        )
+        sweep = SweepConfig(**sweep_fields)
 
     return Scenario(
         name=data.get("name", "unnamed"),
@@ -187,87 +185,57 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
 
 
 def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> UnitCell:
-    _only(cell_data, "unit_cell", "sx_mm", "sy_mm", "antenna", "coax", "conductor_material", "dielectric_material", "foam", "laminate")
+    _only(cell_data, "unit_cell", "sx_mm", "sy_mm", "antenna", "coax", "foam", "laminate")
     sx = _expect(cell_data, "sx_mm", float, "unit_cell")
     sy = _expect(cell_data, "sy_mm", float, "unit_cell")
 
     antenna = None
     if "antenna" in cell_data:
-        a = _only(
+        a = _section(
             _expect(cell_data, "antenna", dict, "unit_cell"), "unit_cell.antenna",
-            "gain_dbi", "cutoff_ghz", "rolloff_db_per_octave", "pattern_exponent", "gain_table",
+            gain_dbi=float, cutoff_ghz=float, rolloff_db_per_octave=float, pattern_exponent=float, gain_table=list,
         )
-        table = []
-        for i, entry in enumerate(_expect(a, "gain_table", list, "unit_cell.antenna", default=[])):
-            entry_path = f"unit_cell.antenna.gain_table[{i}]"
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ScenarioError(f"{entry_path}: expected a [GHz, dBi] pair, got {entry!r}")
-            table.append(tuple(_number(v, f"{entry_path}[{j}]") for j, v in enumerate(entry)))
+        if "gain_table" in a:
+            table = []
+            for i, entry in enumerate(a["gain_table"]):
+                entry_path = f"unit_cell.antenna.gain_table[{i}]"
+                if not isinstance(entry, list) or len(entry) != 2:
+                    raise ScenarioError(f"{entry_path}: expected a [GHz, dBi] pair, got {entry!r}")
+                table.append(tuple(_number(v, f"{entry_path}[{j}]") for j, v in enumerate(entry)))
+            a["gain_table"] = tuple(table) or None
         with _reported_at("unit_cell.antenna"):
-            antenna = AntennaSpec(
-                gain_dbi=_expect(a, "gain_dbi", float, "unit_cell.antenna", default=4.6),
-                cutoff_ghz=_expect(a, "cutoff_ghz", float, "unit_cell.antenna", default=2.7),
-                rolloff_db_per_octave=_expect(a, "rolloff_db_per_octave", float, "unit_cell.antenna", default=24.0),
-                pattern_exponent=_expect(a, "pattern_exponent", float, "unit_cell.antenna", default=1.0),
-                gain_table=tuple(table) if table else None,
-            )
+            antenna = AntennaSpec(**a)
 
     coax = None
     if "coax" in cell_data:
-        c = _only(
-            _expect(cell_data, "coax", dict, "unit_cell"), "unit_cell.coax", "count", "inner_radius_mm",
-            "outer_radius_mm", "shield_thickness_mm", "eps_r", "tan_delta", "resistivity_ohm_m", "length_m",
+        c = _section(
+            _expect(cell_data, "coax", dict, "unit_cell"), "unit_cell.coax", count=int, inner_radius_mm=float,
+            outer_radius_mm=float, shield_thickness_mm=float, conductor_material=str, dielectric_material=str,
         )
-        count = _expect(c, "count", int, "unit_cell.coax", default=2)
-        if count < 1:
-            raise ScenarioError(f"unit_cell.coax.count: must be >= 1, got {count}")
-        with _reported_at("unit_cell.coax"):
-            coax = CoaxSpec(
-                inner_radius_mm=_expect(c, "inner_radius_mm", float, "unit_cell.coax", default=0.1435),
-                outer_radius_mm=_expect(c, "outer_radius_mm", float, "unit_cell.coax", default=0.88),
-                shield_thickness_mm=_expect(c, "shield_thickness_mm", float, "unit_cell.coax", default=0.2),
-                eps_r=_expect(c, "eps_r", float, "unit_cell.coax", default=1.75),
-                tan_delta=_expect(c, "tan_delta", float, "unit_cell.coax", default=0.004),
-                resistivity_ohm_m=_expect(c, "resistivity_ohm_m", float, "unit_cell.coax", default=6.9e-7),
-                length_m=_expect(c, "length_m", float, "unit_cell.coax", default=wall.depth_mm * 1e-3),
-                count=count,
-            )
-
-    def feature_material(key):
-        if key not in cell_data:
-            return None, None, None
-        f = _only(_expect(cell_data, key, dict, "unit_cell"), f"unit_cell.{key}", "material", "size_mm", "thickness_mm")
-        name = _expect(f, "material", str, f"unit_cell.{key}")
-        if name not in db:
-            raise ScenarioError(f"unit_cell.{key}.material: unknown material {name!r}")
-        return db.get(name), _expect(f, "size_mm", float, f"unit_cell.{key}"), _expect(f, "thickness_mm", float, f"unit_cell.{key}")
-
-    foam, foam_size, foam_thickness = feature_material("foam")
-    laminate, laminate_size, laminate_thickness = feature_material("laminate")
-
-    conductor = dielectric = None
-    if coax is not None:
-        conductor_name = _expect(cell_data, "conductor_material", str, "unit_cell", default="stainless_steel")
-        dielectric_name = _expect(cell_data, "dielectric_material", str, "unit_cell", default="ptfe_low_density")
-        for label, name in (("conductor_material", conductor_name), ("dielectric_material", dielectric_name)):
+        if "count" in c and c["count"] < 1:
+            raise ScenarioError(f"unit_cell.coax.count: must be >= 1, got {c['count']}")
+        for role, default in (("conductor", "stainless_steel"), ("dielectric", "ptfe_low_density")):
+            key = f"{role}_material"
+            name = c.pop(key, default)
             if name not in db:
-                raise ScenarioError(f"unit_cell.{label}: unknown material {name!r}")
-        conductor = db.get(conductor_name)
-        dielectric = db.get(dielectric_name)
+                raise ScenarioError(f"unit_cell.coax.{key}: unknown material {name!r}")
+            with _reported_at(f"unit_cell.coax.{key}"):
+                c[role] = _require_cable_data(role, db.get(name))
+        with _reported_at("unit_cell.coax"):
+            coax = CoaxSpec(length_m=wall.depth_mm * 1e-3, **c)
+
+    features = {}
+    for key in ("foam", "laminate"):
+        if key not in cell_data:
+            continue
+        path = f"unit_cell.{key}"
+        f = _only(_expect(cell_data, key, dict, "unit_cell"), path, "material", "size_mm", "thickness_mm")
+        name = _expect(f, "material", str, path)
+        if name not in db:
+            raise ScenarioError(f"{path}.material: unknown material {name!r}")
+        features[key] = db.get(name)
+        features[f"{key}_size_mm"] = _expect(f, "size_mm", float, path)
+        features[f"{key}_thickness_mm"] = _expect(f, "thickness_mm", float, path)
 
     with _reported_at("unit_cell"):
-        return UnitCell(
-            sx_mm=sx,
-            sy_mm=sy,
-            wall=wall,
-            antenna=antenna,
-            coax=coax,
-            conductor=conductor,
-            dielectric=dielectric,
-            foam=foam,
-            foam_size_mm=foam_size if foam_size is not None else 50.0,
-            foam_thickness_mm=foam_thickness if foam_thickness is not None else 10.0,
-            laminate=laminate,
-            laminate_size_mm=laminate_size if laminate_size is not None else 40.0,
-            laminate_thickness_mm=laminate_thickness if laminate_thickness is not None else 0.5,
-        )
+        return UnitCell(sx_mm=sx, sy_mm=sy, wall=wall, antenna=antenna, coax=coax, **features)

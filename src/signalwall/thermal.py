@@ -316,8 +316,8 @@ def voxelize_unit_cell(cell: UnitCell, options: MeshOptions = MeshOptions()) -> 
         w_shield = equivalent_square_side_mm(spec.outer_radius_mm)
         if spec.count * w_shield > cell.sx_mm or w_shield > cell.sy_mm:
             raise ThermalError("coax assembly exceeds the cell bounds")
-        conductor_id = material_id(cell.conductor)
-        dielectric_id = material_id(cell.dielectric)
+        conductor_id = material_id(spec.conductor)
+        dielectric_id = material_id(spec.dielectric)
         # lines side by side along x, shields touching
         offsets = (np.arange(spec.count) - (spec.count - 1) / 2.0) * w_shield
         for off in offsets:

@@ -34,9 +34,7 @@ def antenna_cell(db, wall):
         150.0,
         wall,
         antenna=AntennaSpec(),
-        coax=CoaxSpec(),
-        conductor=db.get("stainless_steel"),
-        dielectric=db.get("ptfe_low_density"),
+        coax=CoaxSpec(db.get("stainless_steel"), db.get("ptfe_low_density")),
         foam=db.get("foam_backing"),
         laminate=db.get("laminate"),
     )

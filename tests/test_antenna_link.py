@@ -17,60 +17,107 @@ from signalwall.antenna_link import (
     improvement_onset_ghz,
 )
 from signalwall.layered_em import Incidence, amplitude_db, tmm_coefficients
+from signalwall.materials import FixedPermittivity, Material, PermittivityModel
 
 ETA0 = 376.730313668
 
 
-def test_dual_coax_impedance_design_point():
-    spec = CoaxSpec()
-    assert coax_impedance(spec) == pytest.approx(82.0, abs=0.5)
-    assert 2 * coax_impedance(spec) == pytest.approx(164.0, abs=1.0)  # the balanced pair
+@pytest.fixture(scope="module")
+def steel_ptfe(db):
+    """Cable materials of the default scenario, for CoaxSpec(*steel_ptfe, ...)."""
+    return db.get("stainless_steel"), db.get("ptfe_low_density")
 
 
-def test_impedance_log_unity_point():
-    spec = CoaxSpec(inner_radius_mm=1.0, outer_radius_mm=math.e, shield_thickness_mm=0.2, eps_r=1.0)
-    assert coax_impedance(spec) == pytest.approx(ETA0 / (2.0 * math.pi), rel=1e-9)
-    assert coax_impedance(spec) == pytest.approx(59.95, abs=0.01)
+def test_dual_coax_impedance_design_point(steel_ptfe):
+    spec = CoaxSpec(*steel_ptfe)
+    assert coax_impedance(spec, 3.5) == pytest.approx(82.0, abs=0.5)
+    assert 2 * coax_impedance(spec, 3.5) == pytest.approx(164.0, abs=1.0)  # the balanced pair
 
 
-def test_impedance_with_literal_dielectric_radius():
+def test_impedance_log_unity_point(db):
+    spec = CoaxSpec(db.get("stainless_steel"), db.get("air"), inner_radius_mm=1.0, outer_radius_mm=math.e)
+    assert coax_impedance(spec, 3.5) == pytest.approx(ETA0 / (2.0 * math.pi), rel=1e-9)
+    assert coax_impedance(spec, 3.5) == pytest.approx(59.95, abs=0.01)
+
+
+def test_impedance_with_literal_dielectric_radius(steel_ptfe):
     # reading the 1.76 mm outer diameter as dielectric + shield instead gives
     # a visibly different line; hand evaluation of the same log formula
-    spec = CoaxSpec(outer_radius_mm=0.68, shield_thickness_mm=0.15)
-    assert coax_impedance(spec) == pytest.approx(70.5, abs=0.1)
+    spec = CoaxSpec(*steel_ptfe, outer_radius_mm=0.68, shield_thickness_mm=0.15)
+    assert coax_impedance(spec, 3.5) == pytest.approx(70.5, abs=0.1)
 
 
-def test_invalid_geometry_rejected():
+def test_impedance_follows_a_dispersive_dielectric(db):
+    # eps' = 2 f**0.5 with f in GHz: 2 at 1 GHz, 4 at 4 GHz, so Z0 halves
+    dispersive = Material("dispersive", 0.2, PermittivityModel(2.0, 0.5))
+    spec = CoaxSpec(db.get("stainless_steel"), dispersive)
+    assert coax_impedance(spec, 4.0) == pytest.approx(coax_impedance(spec, 1.0) / math.sqrt(2.0), rel=1e-12)
+
+
+def test_invalid_geometry_rejected(steel_ptfe):
     with pytest.raises(ValueError):
-        CoaxSpec(inner_radius_mm=1.0, outer_radius_mm=0.5)
+        CoaxSpec(*steel_ptfe, inner_radius_mm=1.0, outer_radius_mm=0.5)
     with pytest.raises(ValueError):
-        CoaxSpec(shield_thickness_mm=2.0)
+        CoaxSpec(*steel_ptfe, shield_thickness_mm=2.0)
     with pytest.raises(ValueError):
-        CoaxSpec(length_m=0.0)
+        CoaxSpec(*steel_ptfe, length_m=0.0)
 
 
-def test_cable_losses_at_design_frequencies():
-    spec = CoaxSpec()
+def test_cable_materials_need_their_electrical_data(db):
+    steel, ptfe = db.get("stainless_steel"), db.get("ptfe_low_density")
+    with pytest.raises(TypeError):
+        CoaxSpec()  # no default materials: the scenario names them
+    with pytest.raises(ValueError, match="conductor material 'ptfe_low_density' has no resistivity_ohm_m"):
+        CoaxSpec(ptfe, ptfe)
+    with pytest.raises(ValueError, match="dielectric material 'stainless_steel' has no permittivity"):
+        CoaxSpec(steel, steel)
+
+
+def test_cable_losses_at_design_frequencies(steel_ptfe):
+    spec = CoaxSpec(*steel_ptfe)
     assert coax_attenuation(spec, 3.5).total_db == pytest.approx(3.7, abs=0.5)
     assert coax_attenuation(spec, 8.0).total_db == pytest.approx(6.3, abs=0.5)
     assert coax_attenuation(spec, 3.5).skin_depth_ok
 
 
-def test_lossless_line():
-    spec = CoaxSpec(tan_delta=0.0, resistivity_ohm_m=0.0)
+def test_lossless_dielectric_leaves_conductor_loss(db):
+    # every conductor in the database has a resistivity > 0, so only the
+    # dielectric term can vanish
+    spec = CoaxSpec(db.get("stainless_steel"), db.get("air"))
     result = coax_attenuation(spec, 5.0)
-    assert result.total_db == 0.0
+    assert result.dielectric_db == 0.0
+    assert result.total_db == result.conductor_db > 0.0
 
 
-def test_conductor_loss_scales_as_sqrt_f():
-    spec = CoaxSpec(tan_delta=0.0)
+def test_dielectric_loss_reads_the_loss_tangent(db):
+    # same eps', ten times the eps'': ten times the dielectric loss, same
+    # conductor loss (Z0 depends on eps' alone)
+    steel = db.get("stainless_steel")
+    low = coax_attenuation(CoaxSpec(steel, Material("low", 0.2, FixedPermittivity(1.75, 0.001))), 5.0)
+    high = coax_attenuation(CoaxSpec(steel, Material("high", 0.2, FixedPermittivity(1.75, 0.01))), 5.0)
+    assert high.dielectric_db == pytest.approx(10.0 * low.dielectric_db, rel=1e-12)
+    assert high.conductor_db == low.conductor_db
+
+
+def test_copper_conductor_lowers_the_cable_loss(db):
+    ptfe = db.get("ptfe_low_density")
+    steel = coax_attenuation(CoaxSpec(db.get("stainless_steel"), ptfe), 3.5)
+    copper = coax_attenuation(CoaxSpec(db.get("copper"), ptfe), 3.5)
+    # R_s scales as sqrt(rho): copper's 1.724e-8 vs steel's 6.9e-7 ohm m
+    assert copper.conductor_db == pytest.approx(steel.conductor_db * math.sqrt(1.724e-8 / 6.9e-7), rel=1e-12)
+    assert copper.dielectric_db == steel.dielectric_db
+    assert copper.total_db < steel.total_db
+
+
+def test_conductor_loss_scales_as_sqrt_f(steel_ptfe):
+    spec = CoaxSpec(*steel_ptfe)
     ratio = coax_attenuation(spec, 8.0).conductor_db / coax_attenuation(spec, 3.5).conductor_db
     assert ratio == pytest.approx(math.sqrt(8.0 / 3.5), rel=0.01)
 
 
-def test_skin_depth_warning_for_thin_shield():
+def test_skin_depth_warning_for_thin_shield(steel_ptfe):
     # at 1 MHz-scale frequencies the skin depth in steel exceeds 0.2 mm
-    result = coax_attenuation(CoaxSpec(), 0.002)
+    result = coax_attenuation(CoaxSpec(*steel_ptfe), 0.002)
     assert not result.skin_depth_ok
 
 
@@ -167,6 +214,16 @@ def test_improvement_onset_in_band(antenna_cell):
     assert abs(t_ant) == pytest.approx(abs(t_wall), rel=0.05)
 
 
+@pytest.mark.parametrize(
+    "theta, pol, onset",
+    [(0.0, "RHCP", 2.2718750000000014), (45.0, "TM", 2.2531250000000007)],
+)
+def test_onset_bisection_values(antenna_cell, theta, pol, onset):
+    # the 0.1 GHz scan and the bisection share one TMM call; these are the
+    # onsets the bisection gave when it built an Incidence per midpoint
+    assert improvement_onset_ghz(antenna_cell, 1.0, 8.0, theta, pol) == onset
+
+
 def test_onset_none_without_antennas(antenna_cell, wall):
     bare = UnitCell(150.0, 150.0, wall)
     assert improvement_onset_ghz(bare) is None
@@ -191,8 +248,19 @@ def test_common_loss_offset_preserves_argmax(antenna_cell):
     assert int(np.argmax(base)) == int(np.argmax(shifted))
 
 
-def test_cell_validation(wall, db):
+def test_cell_validation(wall, db, antenna_cell):
+    coax = antenna_cell.coax
     with pytest.raises(ValueError):
-        UnitCell(30.0, 30.0, wall, antenna=AntennaSpec(), coax=CoaxSpec(), laminate=db.get("laminate"))
+        UnitCell(30.0, 30.0, wall, antenna=AntennaSpec(), coax=coax, laminate=db.get("laminate"))
     with pytest.raises(ValueError):
-        UnitCell(150.0, 150.0, wall, antenna=AntennaSpec(), coax=CoaxSpec(length_m=0.3))
+        UnitCell(150.0, 150.0, wall, antenna=AntennaSpec(), coax=dataclasses.replace(coax, length_m=0.3))
+
+
+def test_cell_rejects_features_it_would_ignore(wall, db, antenna_cell):
+    with pytest.raises(ValueError, match="antenna and coax need each other"):
+        UnitCell(150.0, 150.0, wall, antenna=AntennaSpec())
+    with pytest.raises(ValueError, match="antenna and coax need each other"):
+        UnitCell(150.0, 150.0, wall, coax=antenna_cell.coax)
+    for feature in ("foam", "laminate"):
+        with pytest.raises(ValueError, match="foam and laminate need an antenna system"):
+            UnitCell(150.0, 150.0, wall, **{feature: db.get("foam_backing")})

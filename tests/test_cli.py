@@ -295,3 +295,45 @@ def test_with_antennas_warns_where_the_shield_is_thinner_than_the_skin_depth(tmp
     assert "(1.00-" in err and "of 141 band frequencies" in err
     assert main(["transmission", "--scenario", str(path), "-o", str(out)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _default_scenario_file(tmp_path, edit):
+    from importlib import resources
+
+    scenario = json.loads(resources.files("signalwall").joinpath("data/default_scenario.json").read_text())
+    edit(scenario["unit_cell"])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return path
+
+
+def test_copper_conductor_lowers_the_cable_loss_of_the_antenna_path(tmp_path):
+    path = _default_scenario_file(tmp_path, lambda cell: cell["coax"].update(conductor_material="copper"))
+    steel, copper = tmp_path / "steel.csv", tmp_path / "copper.csv"
+    assert main(["transmission", "--with-antennas", "-o", str(steel)]) == 0
+    assert main(["transmission", "--with-antennas", "--scenario", str(path), "-o", str(copper)]) == 0
+    _, steel_rows = read_csv_columns(steel)
+    _, copper_rows = read_csv_columns(copper)
+    steel_db = np.array([float(row[1]) for row in steel_rows])
+    copper_db = np.array([float(row[1]) for row in copper_rows])
+    assert np.all(copper_db >= steel_db) and np.any(copper_db > steel_db)
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda cell: cell["coax"].update(eps_r=1.75), "unit_cell.coax.eps_r: unknown field"),
+        (lambda cell: cell.update(conductor_material="copper"), "unit_cell.conductor_material: unknown field"),
+        (lambda cell: cell.pop("coax"), "unit_cell: antenna and coax need each other"),
+    ],
+)
+def test_old_or_ignored_cable_keys_exit_2_with_their_path(tmp_path, monkeypatch, capsys, edit, path):
+    from signalwall import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_steady_state must not run")
+
+    monkeypatch.setattr(cli, "solve_steady_state", no_solve)
+    scenario = _default_scenario_file(tmp_path, edit)
+    assert main(["uvalue", "--fv", "--scenario", str(scenario)]) == 2
+    assert path in capsys.readouterr().err

@@ -3,6 +3,9 @@ import re
 
 import pytest
 
+from signalwall import builtin_database
+from signalwall.antenna_link import AntennaSpec, CoaxSpec
+from signalwall.design_sweep import SweepConfig
 from signalwall.scenario import (
     MATERIALS_ENV_VAR,
     ScenarioError,
@@ -11,6 +14,7 @@ from signalwall.scenario import (
     material_database,
     scenario_from_dict,
 )
+from signalwall.thermal import ThermalBoundary
 
 
 def test_default_scenario_loads():
@@ -63,6 +67,12 @@ def test_material_overrides_inline():
     assert scenario.wall.layers[0].material.thermal_conductivity == 2.0
 
 
+def test_default_scenario_cable_materials_come_from_the_database():
+    scenario = load_scenario()
+    assert scenario.cell.coax.conductor is scenario.db.get("stainless_steel")
+    assert scenario.cell.coax.dielectric is scenario.db.get("ptfe_low_density")
+
+
 def test_coax_length_defaults_to_wall_depth(tmp_path):
     data = {
         "wall": {"layers": [{"material": "concrete", "thickness_mm": 100.0}]},
@@ -77,6 +87,23 @@ def test_coax_length_defaults_to_wall_depth(tmp_path):
     path.write_text(json.dumps(data))
     scenario = load_scenario(path)
     assert scenario.cell.coax.length_m == pytest.approx(0.1)
+
+
+def test_absent_keys_take_the_dataclass_defaults():
+    db = builtin_database()
+    scenario = scenario_from_dict(
+        {
+            "wall": {"layers": [{"material": "concrete", "thickness_mm": 100.0}]},
+            "unit_cell": {"sx_mm": 150.0, "sy_mm": 150.0, "antenna": {}, "coax": {}},
+            "thermal": {},
+            "sweep": {},
+        }
+    )
+    assert scenario.cell.antenna == AntennaSpec()
+    assert scenario.cell.coax == CoaxSpec(db.get("stainless_steel"), db.get("ptfe_low_density"), length_m=0.1)
+    assert scenario.cell.foam is None and scenario.cell.laminate is None
+    assert scenario.boundary == ThermalBoundary()
+    assert scenario.sweep == SweepConfig()
 
 
 def test_invalid_json_reported(tmp_path):
@@ -197,3 +224,57 @@ def test_default_scenario_with_changed_values_loads(tmp_path):
     scenario = load_scenario(path)
     assert scenario.name == data["name"]
     assert scenario.cell.sx_mm == 120.0 and scenario.sweep.separations_mm == (70.0, 80.0, 120.0)
+
+
+@pytest.mark.parametrize(
+    "key, name, message",
+    [
+        ("conductor_material", "ptfe_low_density", "conductor material 'ptfe_low_density' has no resistivity_ohm_m"),
+        ("dielectric_material", "stainless_steel", "dielectric material 'stainless_steel' has no permittivity"),
+        ("conductor_material", "unobtainium", "unknown material 'unobtainium'"),
+    ],
+)
+def test_cable_materials_are_checked_at_their_path(key, name, message):
+    with pytest.raises(ScenarioError, match=f"^unit_cell\\.coax\\.{key}: {re.escape(message)}$"):
+        scenario_from_dict(_scenario_with("unit_cell.coax", key, name))
+
+
+def test_cable_material_overrides_reach_the_cable():
+    data = json.loads(default_scenario_text())
+    data["materials"] = [
+        {"name": "ptfe_low_density", "thermal_conductivity": 0.24, "permittivity": {"eps_real": 2.1, "tan_delta": 0.0002}}
+    ]
+    assert scenario_from_dict(data).cell.coax.dielectric.permittivity.eps_real == 2.1
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("unit_cell.coax", "eps_r", 1.75),
+        ("unit_cell.coax", "tan_delta", 0.004),
+        ("unit_cell.coax", "resistivity_ohm_m", 6.9e-7),
+        ("unit_cell.coax", "length_m", 0.44),
+        ("unit_cell", "conductor_material", "stainless_steel"),
+        ("unit_cell", "dielectric_material", "ptfe_low_density"),
+    ],
+)
+def test_old_cable_keys_are_unknown(section, key, value):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(section)}\\.{key}: unknown field$"):
+        scenario_from_dict(_scenario_with(section, key, value))
+
+
+@pytest.mark.parametrize(
+    "drop, message",
+    [
+        (("coax",), "antenna and coax need each other"),
+        (("antenna",), "antenna and coax need each other"),
+        (("antenna", "coax", "laminate"), "foam and laminate need an antenna system"),
+        (("antenna", "coax", "foam"), "foam and laminate need an antenna system"),
+    ],
+)
+def test_unit_cell_sections_that_would_be_ignored_are_rejected(drop, message):
+    data = json.loads(default_scenario_text())
+    for key in drop:
+        del data["unit_cell"][key]
+    with pytest.raises(ScenarioError, match=f"^unit_cell: {message}"):
+        scenario_from_dict(data)

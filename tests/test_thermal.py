@@ -191,7 +191,7 @@ def test_mirror_fold_matches_dense_full_cell_solve(x_widths, y_widths, mirror_x,
 
 
 def test_copper_bridge_is_worse(db, antenna_cell, boundary, antenna_fv_result):
-    copper_cell = dataclasses.replace(antenna_cell, conductor=db.get("copper"))
+    copper_cell = dataclasses.replace(antenna_cell, coax=dataclasses.replace(antenna_cell.coax, conductor=db.get("copper")))
     result = solve_steady_state(voxelize_unit_cell(copper_cell), boundary)
     assert result.u > antenna_fv_result.u
 
