@@ -77,46 +77,44 @@ class CoaxSpec:
         return self.outer_radius_mm - self.shield_thickness_mm
 
 
-def coax_impedance(spec: CoaxSpec, frequency_ghz: float) -> float:
-    """Characteristic impedance of a single line at one frequency, ohms."""
-    eps_real = float(spec.dielectric.complex_permittivity(frequency_ghz).real)
-    return ETA0 / (2.0 * math.pi * math.sqrt(eps_real)) * math.log(
-        spec.outer_radius_mm / spec.inner_radius_mm
-    )
+def coax_impedance(spec: CoaxSpec, frequency_ghz):
+    """Characteristic impedance of a single line, ohms, in the shape of ``frequency_ghz``."""
+    eps_real = spec.dielectric.complex_permittivity(frequency_ghz).real
+    return ETA0 / (2.0 * math.pi * np.sqrt(eps_real)) * math.log(spec.outer_radius_mm / spec.inner_radius_mm)
 
 
 @dataclass(frozen=True)
 class CoaxAttenuation:
-    total_db: float
-    conductor_db: float
-    dielectric_db: float
-    skin_depth_m: float
-    skin_depth_ok: bool
+    """Cable losses in dB and the skin depth, each in the shape of the frequencies asked for."""
+
+    total_db: float | np.ndarray
+    conductor_db: float | np.ndarray
+    dielectric_db: float | np.ndarray
+    skin_depth_m: float | np.ndarray
+    skin_depth_ok: bool | np.ndarray
 
 
-def coax_attenuation(spec: CoaxSpec, frequency_ghz: float) -> CoaxAttenuation:
-    """Total cable attenuation over the line length at one frequency.
+def coax_attenuation(spec: CoaxSpec, frequency_ghz) -> CoaxAttenuation:
+    """Total cable attenuation over the line length at GHz frequencies > 0, scalar or array.
 
     Conductor loss from the skin-effect surface resistance
     R_s = sqrt(pi f mu rho) distributed over pin and shield,
     R' = (R_s / 2 pi)(1/a + 1/b); dielectric loss from the loss tangent
     eps''/eps' of the dielectric at ``frequency_ghz``.  The skin-effect
     model assumes conductors much thicker than the skin depth;
-    ``skin_depth_ok`` is False when the shield is not.
+    ``skin_depth_ok`` is False where the shield is not.
     """
-    if frequency_ghz <= 0.0:
-        raise ValueError(f"frequency must be > 0 GHz, got {frequency_ghz}")
-    f_hz = frequency_ghz * 1e9
+    eps = spec.dielectric.complex_permittivity(frequency_ghz)  # rejects frequencies <= 0
+    f_hz = np.asarray(frequency_ghz, dtype=float) * 1e9
     a = spec.inner_radius_mm * 1e-3
     b = spec.outer_radius_mm * 1e-3
-    eps = complex(spec.dielectric.complex_permittivity(frequency_ghz))
     rho = spec.conductor.resistivity_ohm_m
 
-    r_surf = math.sqrt(math.pi * f_hz * MU0 * rho)
+    r_surf = np.sqrt(math.pi * f_hz * MU0 * rho)
     r_per_m = r_surf / (2.0 * math.pi) * (1.0 / a + 1.0 / b)
     alpha_c = r_per_m / (2.0 * coax_impedance(spec, frequency_ghz))
-    skin_depth = math.sqrt(rho / (math.pi * f_hz * MU0))
-    alpha_d = math.pi * f_hz * math.sqrt(eps.real) / C0 * (-eps.imag / eps.real)
+    skin_depth = np.sqrt(rho / (math.pi * f_hz * MU0))
+    alpha_d = math.pi * f_hz * np.sqrt(eps.real) / C0 * (-eps.imag / eps.real)
 
     np_to_db = 20.0 / math.log(10.0)
     conductor_db = np_to_db * alpha_c * spec.length_m
@@ -159,16 +157,16 @@ class AntennaSpec:
                 raise ValueError("gain table frequencies must be strictly increasing")
             object.__setattr__(self, "gain_table", table)
 
-    def gain_dbi_at(self, frequency_ghz: float) -> float:
+    def gain_dbi_at(self, frequency_ghz):
+        """Realized broadside gain in dBi, in the shape of ``frequency_ghz``."""
         if self.gain_table is not None:
-            freqs = [f for f, _ in self.gain_table]
-            gains = [g for _, g in self.gain_table]
-            return float(np.interp(frequency_ghz, freqs, gains))
-        if frequency_ghz >= self.cutoff_ghz or self.rolloff_db_per_octave == 0.0:
-            return self.gain_dbi
-        return self.gain_dbi - self.rolloff_db_per_octave * math.log2(self.cutoff_ghz / frequency_ghz)
+            freqs, gains = zip(*self.gain_table)
+            return np.interp(frequency_ghz, freqs, gains)
+        f = np.asarray(frequency_ghz, dtype=float)
+        rolloff = self.rolloff_db_per_octave * np.log2(self.cutoff_ghz / f)
+        return np.where(f >= self.cutoff_ghz, self.gain_dbi, self.gain_dbi - rolloff)
 
-    def gain_at(self, frequency_ghz: float, theta_deg: float = 0.0) -> float:
+    def gain_at(self, frequency_ghz, theta_deg: float = 0.0):
         """Linear realized gain including the cos^n pattern roll-off."""
         g0 = 10.0 ** (self.gain_dbi_at(frequency_ghz) / 10.0)
         return g0 * math.cos(math.radians(theta_deg)) ** self.pattern_exponent
@@ -227,38 +225,40 @@ class UnitCell:
         return dataclasses.replace(self, sx_mm=separation_mm, sy_mm=separation_mm)
 
 
-def aperture_transmission(cell: UnitCell, frequency_ghz: float, theta_deg: float = 0.0) -> float:
+def aperture_transmission(cell: UnitCell, frequency_ghz, theta_deg: float = 0.0):
     """Amplitude transmission of the antenna path through one unit cell.
 
     |T|^2 = min(A_eff(theta) / (A_cell cos(theta)), 1) * L_cable with
     A_eff = G(theta) lambda^2 / (4 pi); saturates at full capture when the
-    effective aperture exceeds the projected cell.
+    effective aperture exceeds the projected cell.  ``frequency_ghz`` may be
+    a scalar or an array; the result has its shape.
     """
     if not cell.has_antenna_system:
         raise ValueError("unit cell has no antenna system")
     if not 0.0 <= theta_deg < 90.0:
         raise ValueError(f"theta must be in [0, 90), got {theta_deg}")
-    lam = C0 / (frequency_ghz * 1e9)
+    # the cable first: its dielectric rejects frequencies <= 0 before lambda divides by them
+    cable = 10.0 ** (-coax_attenuation(cell.coax, frequency_ghz).total_db / 10.0)
+    lam = C0 / (np.asarray(frequency_ghz, dtype=float) * 1e9)
     a_eff = cell.antenna.gain_at(frequency_ghz, theta_deg) * lam * lam / (4.0 * math.pi)
     projected = cell.cell_area_m2 * math.cos(math.radians(theta_deg))
-    capture = min(a_eff / projected, 1.0)
-    cable = 10.0 ** (-coax_attenuation(cell.coax, frequency_ghz).total_db / 10.0)
-    return math.sqrt(capture * cable)
+    capture = np.minimum(a_eff / projected, 1.0)
+    return np.sqrt(capture * cable)
 
 
-def combine_paths(t_wall: complex, t_antenna: float, mode: str = "incoherent") -> float:
-    """Combined through-wall amplitude from leakage and antenna paths."""
+def combine_paths(t_wall, t_antenna, mode: str = "incoherent"):
+    """Combined through-wall amplitude from leakage and antenna paths, elementwise."""
     if mode not in COMBINATION_MODES:
         raise ValueError(f"mode must be one of {COMBINATION_MODES}, got {mode!r}")
-    w = abs(t_wall)
-    a = abs(t_antenna)
-    if not (w <= 1.0 and a <= 1.0):
+    w = np.abs(t_wall)
+    a = np.abs(t_antenna)
+    if not np.all((w <= 1.0) & (a <= 1.0)):
         raise ValueError("path magnitudes must lie in [0, 1]")
     if mode == "incoherent":
-        return math.hypot(w, a)
+        return np.hypot(w, a)
     if mode == "coherent_best":
         return w + a
-    return abs(w - a)
+    return np.abs(w - a)
 
 
 def improvement_onset_ghz(
@@ -281,9 +281,9 @@ def improvement_onset_ghz(
     Incidence(f_start_ghz, theta_deg, polarization)  # reuse validation
 
     def excess(f):
-        """t_antenna - |t_wall| at each frequency of ``f`` (scalar or array)."""
+        """t_antenna - |t_wall| at each frequency of ``f`` (scalar or array), as an array."""
         t_wall, _ = _coefficients(cell.wall, f, theta_deg, polarization)
-        return [aperture_transmission(cell, fi, theta_deg) - abs(t) for fi, t in zip(np.atleast_1d(f), t_wall.tolist())]
+        return aperture_transmission(cell, f, theta_deg) - np.abs(t_wall)
 
     grid = np.arange(f_start_ghz, f_stop_ghz + 1e-9, 0.1)
     values = excess(grid)

@@ -17,7 +17,7 @@ from . import __version__
 from .antenna_link import aperture_transmission, coax_attenuation, combine_paths, improvement_onset_ghz
 from .design_sweep import SweepConfig, run_sweep
 from .fdtd import Fdtd1dConfig, validate_against_tmm
-from .inverse import fit_permittivity, normalize_spectrum, read_spectrum
+from .inverse import DEFAULT_BOUNDS, fit_permittivity, normalize_spectrum, read_spectrum
 from .layered_em import Spectrum, _coefficients, amplitude_db, transmission_spectrum
 from .materials import FixedPermittivity, UnknownMaterialError
 from .scenario import load_scenario, material_database
@@ -70,33 +70,26 @@ def cmd_transmission(args) -> int:
     spectrum = transmission_spectrum(scenario.wall, f1, f2, n, args.theta, args.pol)
 
     cell = scenario.cell
-    summary_freqs = [f for f in (3.5, 8.0) if f1 <= f <= f2]
-    t_summary = _coefficients(scenario.wall, summary_freqs, args.theta, args.pol)[0].tolist()
+    summary_freqs = np.array([f for f in (3.5, 8.0) if f1 <= f <= f2])
+    t_summary = _coefficients(scenario.wall, summary_freqs, args.theta, args.pol)[0]
     lines = []
     if args.with_antennas:
-        if not cell.has_antenna_system:
-            print("error: scenario has no antenna system in the unit cell", file=sys.stderr)
-            return EXIT_USAGE
-        combined = np.array(
-            [
-                combine_paths(t, aperture_transmission(cell, f, args.theta), args.combine)
-                for f, t in zip(spectrum.frequencies_ghz, spectrum.t)
-            ]
-        )
-        spectrum = Spectrum(spectrum.frequencies_ghz, combined, spectrum.r, spectrum.polarization, spectrum.theta_deg)
-        for f, t_wall in zip(summary_freqs, t_summary):
-            level = combine_paths(t_wall, aperture_transmission(cell, f, args.theta), args.combine)
+        freqs = spectrum.frequencies_ghz
+        combined = combine_paths(spectrum.t, aperture_transmission(cell, freqs, args.theta), args.combine)
+        spectrum = Spectrum(freqs, combined, spectrum.r, spectrum.polarization, spectrum.theta_deg)
+        levels = combine_paths(t_summary, aperture_transmission(cell, summary_freqs, args.theta), args.combine)
+        for f, t_wall, level in zip(summary_freqs, t_summary, levels):
             lines.append(
                 f"  {f:.1f} GHz: combined {amplitude_db(level):8.2f} dB   "
                 f"improvement {amplitude_db(level) - amplitude_db(t_wall):6.2f} dB"
             )
         onset = improvement_onset_ghz(cell, max(f1, 1.0), f2, args.theta, args.pol)
         lines.append(f"  improvement onset: {onset:.2f} GHz" if onset else "  improvement onset: none in band")
-        thin = [f for f in spectrum.frequencies_ghz if not coax_attenuation(cell.coax, f).skin_depth_ok]
-        if thin:
+        thin = freqs[~coax_attenuation(cell.coax, freqs).skin_depth_ok]
+        if thin.size:
             print(
                 f"warning: the skin depth exceeds the {cell.coax.shield_thickness_mm:g} mm coax shield at "
-                f"{len(thin)} of {n} band frequencies ({thin[0]:.2f}-{thin[-1]:.2f} GHz); "
+                f"{thin.size} of {n} band frequencies ({thin[0]:.2f}-{thin[-1]:.2f} GHz); "
                 "the conductor loss there assumes a thick shield",
                 file=sys.stderr,
             )
@@ -179,9 +172,6 @@ def cmd_sweep(args) -> int:
         u_limit=args.u_limit if args.u_limit is not None else base.u_limit,
         combination=base.combination,
     )
-    if not scenario.cell.has_antenna_system:
-        print("error: scenario has no antenna system to sweep", file=sys.stderr)
-        return EXIT_USAGE
     result = run_sweep(cfg, scenario.cell, scenario.boundary)
     print(f"{'sep mm':>7} {'U':>8} {'feasible':>8}  " + "  ".join(f"{f:g} GHz" for f in cfg.frequencies_ghz))
     for rec in result.records:
@@ -277,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         nargs=6,
         metavar=("A_LO", "A_HI", "C_LO", "C_HI", "D_LO", "D_HI"),
-        default=[1.0, 15.0, 1e-4, 2.0, 0.0, 2.0],
+        default=[v for pair in DEFAULT_BOUNDS for v in pair],
     )
     p.set_defaults(func=cmd_fit)
 

@@ -65,7 +65,6 @@ class SeparationRecord:
 @dataclass
 class SweepResult:
     records: list[SeparationRecord]
-    bare_db: dict[float, float]
     selected_mm: float | None
     rationale: str
     u_limit: float
@@ -99,21 +98,17 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
     if not cell_template.has_antenna_system:
         raise SweepError("sweep needs a unit cell with an antenna system")
     # with_separation resizes the cell only, so every separation shares the wall's transmission
-    t_wall, _ = _coefficients(cell_template.wall, cfg.frequencies_ghz, 0.0, "RHCP")
-    bare_t = dict(zip(cfg.frequencies_ghz, t_wall.tolist()))
-    bare_db = {f: float(amplitude_db(t)) for f, t in bare_t.items()}
+    freqs = np.array(cfg.frequencies_ghz)
+    t_wall, _ = _coefficients(cell_template.wall, freqs, 0.0, "RHCP")
+    bare_db = amplitude_db(t_wall)
     records = []
     for s in cfg.separations_mm:
         sized = cell_template.with_separation(s)
         grid = voxelize_unit_cell(sized, options=cfg.mesh)
         thermal = solve_steady_state(grid, bc)
-        transmission = {}
-        improvement = {}
-        for f, t_wall in bare_t.items():
-            combined = combine_paths(t_wall, aperture_transmission(sized, f), cfg.combination)
-            level = float(amplitude_db(combined))
-            transmission[f] = level
-            improvement[f] = level - bare_db[f]
+        levels = amplitude_db(combine_paths(t_wall, aperture_transmission(sized, freqs), cfg.combination))
+        transmission = dict(zip(cfg.frequencies_ghz, levels.tolist()))
+        improvement = dict(zip(cfg.frequencies_ghz, (levels - bare_db).tolist()))
         records.append(
             SeparationRecord(
                 separation_mm=float(s),
@@ -142,7 +137,7 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
             f"U <= {cfg.u_limit} W/(m^2 K); the closest is "
             f"{min(records, key=lambda r: r.u).u:.4f} at {max(cfg.separations_mm):.0f} mm"
         )
-    return SweepResult(records, bare_db, selected, rationale, cfg.u_limit)
+    return SweepResult(records, selected, rationale, cfg.u_limit)
 
 
 def min_feasible_separation(

@@ -47,7 +47,6 @@ class MeasuredSpectrum:
     magnitude_only: bool = False
     thickness_mm: float | None = None
     fixture_id: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         f = np.asarray(self.frequencies_ghz, dtype=float)
@@ -104,7 +103,6 @@ def normalize_spectrum(dut: MeasuredSpectrum, reference: MeasuredSpectrum, inter
         magnitude_only=magnitude_only,
         thickness_mm=dut.thickness_mm,
         fixture_id=dut.fixture_id,
-        meta={**dut.meta, "reference_id": reference.fixture_id},
     )
 
 

@@ -16,7 +16,7 @@ from signalwall.antenna_link import (
     combine_paths,
     improvement_onset_ghz,
 )
-from signalwall.layered_em import Incidence, amplitude_db, tmm_coefficients
+from signalwall.layered_em import Incidence, _coefficients, amplitude_db, tmm_coefficients
 from signalwall.materials import FixedPermittivity, Material, PermittivityModel
 
 ETA0 = 376.730313668
@@ -154,6 +154,12 @@ def test_aperture_saturation_clamp(antenna_cell):
     assert 20.0 * math.log10(t) == pytest.approx(-cable_db, abs=1e-9)
 
 
+@pytest.mark.parametrize("frequency", [0.0, -1.0, np.array([1.0, 0.0])])
+def test_aperture_rejects_frequencies_at_or_below_zero(antenna_cell, frequency):
+    with pytest.raises(ValueError, match="frequency must be > 0 GHz"):
+        aperture_transmission(antenna_cell, frequency)
+
+
 def test_aperture_decreases_with_cell_area(antenna_cell):
     t_values = [aperture_transmission(antenna_cell.with_separation(s), 8.0) for s in (90.0, 120.0, 150.0, 200.0)]
     assert all(a > b for a, b in zip(t_values, t_values[1:]))
@@ -162,6 +168,37 @@ def test_aperture_decreases_with_cell_area(antenna_cell):
 def test_embedded_level_at_8_ghz(antenna_cell):
     level = 20.0 * math.log10(aperture_transmission(antenna_cell, 8.0))
     assert level == pytest.approx(-25.5, abs=3.0)
+
+
+@pytest.mark.parametrize(
+    "antenna",
+    [
+        AntennaSpec(),
+        AntennaSpec(gain_table=((1.0, -20.0), (2.7, 4.6), (6.0, 5.2), (8.0, 4.9))),
+        AntennaSpec(rolloff_db_per_octave=0.0),
+    ],
+    ids=["default", "gain_table", "rolloff_0"],
+)
+@pytest.mark.parametrize("theta", [0.0, 45.0])
+def test_array_calls_match_a_loop_of_float_calls(antenna_cell, antenna, theta):
+    cell = dataclasses.replace(antenna_cell, antenna=antenna)
+    f = np.linspace(1.0, 8.0, 141)
+    floats = f.tolist()
+
+    cable = coax_attenuation(cell.coax, f)
+    for field in ("total_db", "conductor_db", "dielectric_db", "skin_depth_m", "skin_depth_ok"):
+        looped = [getattr(coax_attenuation(cell.coax, fi), field) for fi in floats]
+        assert np.array_equal(getattr(cable, field), looped), field
+
+    t_ant = aperture_transmission(cell, f, theta)
+    looped_ant = np.array([aperture_transmission(cell, fi, theta) for fi in floats])
+    assert t_ant.shape == f.shape
+    np.testing.assert_array_max_ulp(t_ant, looped_ant, maxulp=2)
+
+    t_wall, _ = _coefficients(cell.wall, f, theta, "RHCP")
+    for mode in ("incoherent", "coherent_best", "coherent_worst"):
+        looped = [combine_paths(t, a, mode) for t, a in zip(t_wall.tolist(), looped_ant.tolist())]
+        assert np.array_equal(combine_paths(t_wall, looped_ant, mode), looped), mode
 
 
 def test_combine_paths_modes():

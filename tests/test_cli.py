@@ -337,3 +337,30 @@ def test_old_or_ignored_cable_keys_exit_2_with_their_path(tmp_path, monkeypatch,
     scenario = _default_scenario_file(tmp_path, edit)
     assert main(["uvalue", "--fv", "--scenario", str(scenario)]) == 2
     assert path in capsys.readouterr().err
+
+
+def _drop_antenna_system(cell):
+    for key in ("antenna", "coax", "foam", "laminate"):
+        cell.pop(key)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transmission", "--with-antennas"], "unit cell has no antenna system"),
+        (["sweep", "--separations", "150"], "sweep needs a unit cell with an antenna system"),
+    ],
+)
+def test_bare_cell_exits_2_before_writing_or_solving(tmp_path, monkeypatch, capsys, argv, message):
+    from signalwall import cli, design_sweep
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_steady_state must not run")
+
+    monkeypatch.setattr(cli, "solve_steady_state", no_solve)
+    monkeypatch.setattr(design_sweep, "solve_steady_state", no_solve)
+    scenario = _default_scenario_file(tmp_path, _drop_antenna_system)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--scenario", str(scenario), "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -48,7 +48,6 @@ def test_normalization_recovers_wall_through_fixture(clean_spectrum):
     dut = MeasuredSpectrum(f, fixture.s21 * clean_spectrum.s21)
     recovered = normalize_spectrum(dut, fixture)
     assert np.max(np.abs(recovered.s21 - clean_spectrum.s21)) < 1e-12
-    assert recovered.meta["reference_id"] == "empty"
 
 
 def test_normalization_is_its_own_inverse(clean_spectrum):
