@@ -57,7 +57,6 @@ class CoaxSpec:
     inner_radius_mm: float = 0.1435
     outer_radius_mm: float = 0.88
     shield_thickness_mm: float = 0.2
-    length_m: float = 0.44
     count: int = 2
 
     def __post_init__(self):
@@ -67,8 +66,6 @@ class CoaxSpec:
             raise ValueError("shield thickness must fit between inner and outer radius")
         for role in _CABLE_MATERIAL_NEEDS:
             _require_cable_data(role, getattr(self, role))
-        if self.length_m <= 0.0:
-            raise ValueError("cable length must be > 0")
         if self.count < 1:
             raise ValueError("assembly needs at least one line")
 
@@ -94,8 +91,11 @@ class CoaxAttenuation:
     skin_depth_ok: bool | np.ndarray
 
 
-def coax_attenuation(spec: CoaxSpec, frequency_ghz) -> CoaxAttenuation:
-    """Total cable attenuation over the line length at GHz frequencies > 0, scalar or array.
+def coax_attenuation(spec: CoaxSpec, frequency_ghz, length_m: float = 0.44) -> CoaxAttenuation:
+    """Total cable attenuation over ``length_m`` at GHz frequencies > 0, scalar or array.
+
+    The cable runs through the wall, so a cell's cable is ``wall.depth_mm * 1e-3``
+    long; the default is the depth of the paper's 440 mm wall.
 
     Conductor loss from the skin-effect surface resistance
     R_s = sqrt(pi f mu rho) distributed over pin and shield,
@@ -117,8 +117,8 @@ def coax_attenuation(spec: CoaxSpec, frequency_ghz) -> CoaxAttenuation:
     alpha_d = math.pi * f_hz * np.sqrt(eps.real) / C0 * (-eps.imag / eps.real)
 
     np_to_db = 20.0 / math.log(10.0)
-    conductor_db = np_to_db * alpha_c * spec.length_m
-    dielectric_db = np_to_db * alpha_d * spec.length_m
+    conductor_db = np_to_db * alpha_c * length_m
+    dielectric_db = np_to_db * alpha_d * length_m
     skin_ok = skin_depth < spec.shield_thickness_mm * 1e-3
     return CoaxAttenuation(conductor_db + dielectric_db, conductor_db, dielectric_db, skin_depth, skin_ok)
 
@@ -207,11 +207,6 @@ class UnitCell:
                 raise ValueError(
                     f"cell ({self.sx_mm} x {self.sy_mm} mm) must exceed the antenna footprint ({footprint} mm)"
                 )
-            depth_m = self.wall.depth_mm * 1e-3
-            if abs(self.coax.length_m - depth_m) > 1e-9:
-                raise ValueError(
-                    f"coax length ({self.coax.length_m} m) must equal the wall depth ({depth_m} m)"
-                )
 
     @property
     def has_antenna_system(self) -> bool:
@@ -238,7 +233,7 @@ def aperture_transmission(cell: UnitCell, frequency_ghz, theta_deg: float = 0.0)
     if not 0.0 <= theta_deg < 90.0:
         raise ValueError(f"theta must be in [0, 90), got {theta_deg}")
     # the cable first: its dielectric rejects frequencies <= 0 before lambda divides by them
-    cable = 10.0 ** (-coax_attenuation(cell.coax, frequency_ghz).total_db / 10.0)
+    cable = 10.0 ** (-coax_attenuation(cell.coax, frequency_ghz, cell.wall.depth_mm * 1e-3).total_db / 10.0)
     lam = C0 / (np.asarray(frequency_ghz, dtype=float) * 1e9)
     a_eff = cell.antenna.gain_at(frequency_ghz, theta_deg) * lam * lam / (4.0 * math.pi)
     projected = cell.cell_area_m2 * math.cos(math.radians(theta_deg))

@@ -222,7 +222,7 @@ def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> Unit
             with _reported_at(f"unit_cell.coax.{key}"):
                 c[role] = _require_cable_data(role, db.get(name))
         with _reported_at("unit_cell.coax"):
-            coax = CoaxSpec(length_m=wall.depth_mm * 1e-3, **c)
+            coax = CoaxSpec(**c)
 
     features = {}
     for key in ("foam", "laminate"):

@@ -13,8 +13,16 @@ cavity, laminate sheets) on a feature-snapped rectilinear grid:
   (concentric circles of radius r map to squares of side sqrt(pi)*r).
 
 The linear system is symmetric positive definite and solved with conjugate
-gradients under diagonal preconditioning, started from the 1-D layered
-temperature profile.
+gradients under diagonal (Jacobi) preconditioning, started from the 1-D
+layered temperature profile.  The operator is stored as seven bands of a
+``scipy.sparse.dia_array`` at ascending offsets (the x, y and z neighbours
+below, the diagonal, the neighbours above), so a product sums each row in
+column order as CSR does, from 7 numbers per unknown.  The CG loop is the
+package's own and runs in place on preallocated vectors, with the recurrence
+and stopping test of ``scipy.sparse.linalg.cg``.  Its inner products are
+summed in one thread by ``np.einsum``: a threaded BLAS dot splits its sum by
+thread, which moved the last bits of U with ``OPENBLAS_NUM_THREADS``, and its
+hand-off between threads stalled the loop.
 
 The solve runs on the mirror-symmetric subspace of the cell.  A lateral axis
 folds when its cell widths mirror (to 1e-9 relative) and the material array
@@ -37,7 +45,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .antenna_link import UnitCell
 from .layered_em import LayerStack
@@ -422,13 +429,61 @@ def solve_steady_state(
     """Finite-volume steady-state solve; U from total heat flow per face.
 
     The system is solved on the mirror-symmetric subspace of the cell (see
-    the module docstring) and the returned temperature covers the full grid.
+    the module docstring) by ``_jacobi_pcg``: an in-place Jacobi-PCG loop on
+    the banded (DIA) operator whose reductions do not depend on the BLAS
+    thread count.  The returned temperature covers the full grid.
     ``tol`` bounds the relative mismatch of the two face heat flows (global
-    energy balance); the linear system itself is driven to ``cg_rtol``.
-    A non-converged solve returns the partial result with converged False.
+    energy balance); the linear system itself is driven to ``cg_rtol``
+    within ``max_iter`` iterations.  A non-converged solve returns the
+    partial result with converged False.
     """
     if tol <= 0.0:
         raise ThermalError("tolerance must be > 0")
+    system = _assemble(grid, bc)
+    y = system.x0  # solved in place
+    info, iterations = _jacobi_pcg(system.matrix, system.b, y, system.diag, cg_rtol, max_iter)
+    r = system.b - system.matrix @ y
+    residual = math.sqrt(_dot(r, r)) / math.sqrt(_dot(system.b, system.b))  # ||S^T r|| = ||r||
+
+    t = y.reshape(*system.images.shape, grid.nz) / system.root_k  # one image of each class
+    q_in = float(np.sum(system.images * system.g_si * (bc.t_inside_k - t[:, :, -1])))
+    q_out = float(np.sum(system.images * system.g_se * (t[:, :, 0] - bc.t_outside_k)))
+    q_ref = max(abs(q_in), abs(q_out))
+    balance = abs(q_in - q_out) / q_ref if q_ref > 0.0 else math.inf
+    flow = 0.5 * (q_in + q_out)
+    u = flow / (grid.area_m2 * bc.delta_t)
+    converged = info == 0 and balance < tol
+    return UValueResult(
+        u=u,
+        heat_flow_w=flow,
+        converged=converged,
+        iterations=iterations,
+        residual=residual,
+        balance=balance,
+        area_m2=grid.area_m2,
+        temperature=t[system.qx][:, system.qy],
+        unknowns=len(y),
+    )
+
+
+@dataclass(frozen=True)
+class _FoldedSystem:
+    """The folded linear system of one cell and what the face heat flows need."""
+
+    matrix: sp.dia_array  # S^T A S, seven bands at ascending offsets
+    b: np.ndarray  # S^T b
+    x0: np.ndarray  # S^T x0, the 1-D layered profile
+    diag: np.ndarray  # S^T D S: the Jacobi preconditioner of the full-cell system
+    root_k: np.ndarray  # (mx, my, 1): sqrt of the images per class
+    images: np.ndarray  # (mx, my): lateral images per class
+    g_se: np.ndarray  # (mx, my): outdoor Robin conductance per image
+    g_si: np.ndarray  # (mx, my): indoor Robin conductance per image
+    qx: np.ndarray  # mirror class of every cell along x
+    qy: np.ndarray  # mirror class of every cell along y
+
+
+def _assemble(grid: VoxelGrid, bc: ThermalBoundary) -> _FoldedSystem:
+    """Folded FV operator, load, start and diagonal; the face arrays die on return."""
     qx = _mirror_classes(grid.dx_m, grid.material, 0)
     qy = _mirror_classes(grid.dy_m, grid.material, 1)
     kx, ky = np.bincount(qx).astype(float), np.bincount(qy).astype(float)  # images per class
@@ -472,59 +527,73 @@ def solve_steady_state(
     # 1/sqrt(k) on each of a class's k images): a face between classes r and c
     # carries the conductance of all its images times w_r w_c, which leaves
     # -g sqrt(k_r / k_c) along an axis; a face between a cell and its own
-    # mirror image carries no flux and drops out of the diagonal
-    a_diag = diag.copy()
+    # mirror image carries no flux and drops out of the diagonal.  Band j of
+    # the DIA data holds A[i, i + offset_j] at column i + offset_j, so the
+    # lower band of a neighbour pair sits at the lower cell and the upper
+    # band at the upper one; ascending offsets make each row sum in column
+    # order, as a CSR product would.
+    bands = np.zeros((7, mx, my, nz))
+    bands[3] = diag
     if 2 * mx == grid.nx:
-        a_diag[-1] -= gx[-1, :my]
+        bands[3, -1] -= gx[-1, :my]
     if 2 * my == grid.ny:
-        a_diag[:, -1] -= gy[:mx, -1]
-    ex = -gx[: mx - 1, :my] * np.sqrt(kx[:-1] / kx[1:])[:, None, None]
-    ey = np.zeros((mx, my, nz))
-    ey[:, :-1] = -gy[:mx, : my - 1] * np.sqrt(ky[:-1] / ky[1:])[None, :, None]
-    ez = np.zeros((mx, my, nz))
-    ez[:, :, :-1] = -gz[:mx, :my]
-    ex, ey, ez = ex.ravel(), ey.ravel()[: n - nz], ez.ravel()[:-1]
-    matrix = sp.diags(
-        [a_diag.ravel(), ex, ex, ey, ey, ez, ez],
-        [0, my * nz, -my * nz, nz, -nz, 1, -1],
-        shape=(n, n),
-        format="csr",
-    )
+        bands[3, :, -1] -= gy[:mx, -1]
+    bands[0, :-1] = bands[6, 1:] = -gx[: mx - 1, :my] * np.sqrt(kx[:-1] / kx[1:])[:, None, None]
+    bands[1, :, :-1] = bands[5, :, 1:] = -gy[:mx, : my - 1] * np.sqrt(ky[:-1] / ky[1:])[None, :, None]
+    bands[2, :, :, :-1] = bands[4, :, :, 1:] = -gz[:mx, :my]
+    offsets = [-my * nz, -nz, -1, 0, 1, nz, my * nz]
+    matrix = sp.dia_array((bands.reshape(7, n), offsets), shape=(n, n))
 
     root_k = np.sqrt(kx[:, None, None] * ky[None, :, None])
-    b = (root_k * b).ravel()
-    x0 = (root_k * _layered_profile(grid, bc)).ravel()
-    diag = diag.ravel()  # S^T D S: the Jacobi preconditioner of the full-cell system
-    preconditioner = spla.LinearOperator((n, n), matvec=lambda v: v / diag)
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    y, info = spla.cg(matrix, b, x0=x0, rtol=cg_rtol, maxiter=max_iter, M=preconditioner, callback=count)
-    residual = float(np.linalg.norm(b - matrix @ y) / np.linalg.norm(b))  # ||S^T r|| = ||r||
-
-    t = y.reshape(mx, my, nz) / root_k  # one image of each class
-    images = kx[:, None] * ky[None, :]
-    q_in = float(np.sum(images * g_si * (bc.t_inside_k - t[:, :, -1])))
-    q_out = float(np.sum(images * g_se * (t[:, :, 0] - bc.t_outside_k)))
-    q_ref = max(abs(q_in), abs(q_out))
-    balance = abs(q_in - q_out) / q_ref if q_ref > 0.0 else math.inf
-    flow = 0.5 * (q_in + q_out)
-    u = flow / (grid.area_m2 * bc.delta_t)
-    converged = info == 0 and balance < tol
-    return UValueResult(
-        u=u,
-        heat_flow_w=flow,
-        converged=converged,
-        iterations=iterations,
-        residual=residual,
-        balance=balance,
-        area_m2=grid.area_m2,
-        temperature=t[qx][:, qy],
-        unknowns=n,
+    return _FoldedSystem(
+        matrix=matrix,
+        b=(root_k * b).ravel(),
+        x0=(root_k * _layered_profile(grid, bc)).ravel(),
+        diag=diag.ravel(),
+        root_k=root_k,
+        images=kx[:, None] * ky[None, :],
+        g_se=g_se,
+        g_si=g_si,
+        qx=qx,
+        qy=qy,
     )
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """Inner product summed in this thread; a threaded BLAS dot moves its last bits with the thread count."""
+    return np.einsum("i,i->", u, v)
+
+
+def _jacobi_pcg(matrix, b, x, diag, rtol, max_iter):
+    """Jacobi-preconditioned conjugate gradients on ``x``, in place.
+
+    The recurrence and stopping test of ``scipy.sparse.linalg.cg``: stop
+    before a step once ||r|| < rtol ||b||, with z = r / diag.  Every inner
+    product goes through ``_dot``.  Returns ``(info, iterations)``: info is
+    0 on convergence and ``max_iter`` when the tolerance was not reached.
+    """
+    atol = rtol * math.sqrt(_dot(b, b))
+    r = b - matrix @ x
+    z, p, tmp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    rho_prev = 0.0
+    for iteration in range(max_iter):
+        if math.sqrt(_dot(r, r)) < atol:
+            return 0, iteration
+        np.divide(r, diag, out=z)
+        rho = _dot(r, z)
+        if iteration:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p[:] = z
+        q = matrix @ p
+        alpha = rho / _dot(p, q)
+        np.multiply(p, alpha, out=tmp)
+        x += tmp
+        np.multiply(q, alpha, out=tmp)
+        r -= tmp
+        rho_prev = rho
+    return max_iter, max_iter
 
 
 def _layered_profile(grid: VoxelGrid, bc: ThermalBoundary) -> np.ndarray:

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from signalwall import builtin_database
-from signalwall.antenna_link import AntennaSpec, CoaxSpec
+from signalwall.antenna_link import AntennaSpec, CoaxSpec, aperture_transmission, coax_attenuation
 from signalwall.design_sweep import SweepConfig
 from signalwall.scenario import (
     MATERIALS_ENV_VAR,
@@ -22,7 +24,6 @@ def test_default_scenario_loads():
     assert scenario.wall.depth_mm == pytest.approx(440.0)
     assert scenario.cell.has_antenna_system
     assert scenario.cell.sx_mm == 150.0
-    assert scenario.cell.coax.length_m == pytest.approx(0.44)
     assert scenario.boundary.r_si == 0.13
     assert scenario.sweep.u_limit == 0.17
     assert len(scenario.sweep.separations_mm) == 14
@@ -85,8 +86,13 @@ def test_coax_length_defaults_to_wall_depth(tmp_path):
     }
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
-    scenario = load_scenario(path)
-    assert scenario.cell.coax.length_m == pytest.approx(0.1)
+    cell = load_scenario(path).cell
+    deep = dataclasses.replace(cell, wall=load_scenario().wall)  # the default 440 mm wall
+    f = np.array([3.5, 8.0])
+    # same antenna and cell, so only the cable loss over 0.1 m against 0.44 m differs
+    excess_db = coax_attenuation(cell.coax, f, 0.44).total_db - coax_attenuation(cell.coax, f, 0.1).total_db
+    ratio = aperture_transmission(cell, f) / aperture_transmission(deep, f)
+    assert ratio == pytest.approx(10.0 ** (excess_db / 20.0), rel=1e-12)
 
 
 def test_absent_keys_take_the_dataclass_defaults():
@@ -100,7 +106,7 @@ def test_absent_keys_take_the_dataclass_defaults():
         }
     )
     assert scenario.cell.antenna == AntennaSpec()
-    assert scenario.cell.coax == CoaxSpec(db.get("stainless_steel"), db.get("ptfe_low_density"), length_m=0.1)
+    assert scenario.cell.coax == CoaxSpec(db.get("stainless_steel"), db.get("ptfe_low_density"))
     assert scenario.cell.foam is None and scenario.cell.laminate is None
     assert scenario.boundary == ThermalBoundary()
     assert scenario.sweep == SweepConfig()

@@ -1,9 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from signalwall import thermal
 from signalwall.antenna_link import UnitCell
 from signalwall.layered_em import Layer, LayerStack
 from signalwall.materials import Material
@@ -248,3 +255,96 @@ def test_vtk_export(tmp_path, wall, bare_fv_result):
     assert text[0].startswith("# vtk DataFile")
     assert any(line.startswith("DIMENSIONS") for line in text)
     assert any(line.startswith("CELL_DATA") for line in text)
+
+
+def _small_folded_system():
+    """Assembled system of a small random cell that folds on both lateral axes."""
+    rng = np.random.default_rng(11)
+    x_widths = [1.0, 3.0, 2.0, 0.5, 2.0, 3.0, 1.0]
+    y_widths = [2.0, 1.0, 4.0, 4.0, 1.0, 2.0]
+    z_widths = rng.uniform(0.5, 6.0, size=40)
+    material = rng.integers(0, 3, size=(len(x_widths), len(y_widths), len(z_widths)))
+    material = _mirrored(_mirrored(material, len(x_widths), 0), len(y_widths), 1)
+    grid = VoxelGrid(
+        np.concatenate([[0.0], np.cumsum(x_widths)]),
+        np.concatenate([[0.0], np.cumsum(y_widths)]),
+        np.concatenate([[0.0], np.cumsum(z_widths)]),
+        material,
+        [0.04, 1.3, 16.0],
+        ["insulation", "concrete", "steel"],
+    )
+    system = thermal._assemble(grid, ThermalBoundary())
+    assert len(system.b) == 4 * 3 * 40  # both axes folded
+    return system
+
+
+def _scipy_cg(system, rtol, max_iter):
+    """The reference: scipy's cg with the same start, tolerance and Jacobi preconditioner."""
+    n = len(system.b)
+    steps = []
+    preconditioner = spla.LinearOperator((n, n), matvec=lambda v: v / system.diag)
+    y, info = spla.cg(
+        system.matrix, system.b, x0=system.x0.copy(), rtol=rtol, maxiter=max_iter, M=preconditioner,
+        callback=steps.append,
+    )
+    return y, info, len(steps)
+
+
+@pytest.mark.parametrize("rtol", [1e-8, 1e-12])
+def test_pcg_loop_matches_scipy_cg(monkeypatch, rtol):
+    system = _small_folded_system()
+    y_ref, info_ref, steps_ref = _scipy_cg(system, rtol, 1000)
+    assert info_ref == 0 and steps_ref > 20
+
+    y = system.x0.copy()
+    info, steps = thermal._jacobi_pcg(system.matrix, system.b, y, system.diag, rtol, 1000)
+    assert info == 0 and abs(steps - steps_ref) <= 1
+    assert np.linalg.norm(y - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
+
+    # with scipy's BLAS reduction the loop is scipy's cg, bit for bit
+    monkeypatch.setattr(thermal, "_dot", np.dot)
+    y = system.x0.copy()
+    info, steps = thermal._jacobi_pcg(system.matrix, system.b, y, system.diag, rtol, 1000)
+    assert (info, steps) == (0, steps_ref)
+    assert np.array_equal(y, y_ref)
+
+
+def test_pcg_loop_reports_exhausted_iterations():
+    system = _small_folded_system()
+    y_ref, info_ref, _ = _scipy_cg(system, 1e-12, 7)
+    y = system.x0.copy()
+    info, steps = thermal._jacobi_pcg(system.matrix, system.b, y, system.diag, 1e-12, 7)
+    assert info == steps == info_ref == 7
+    assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
+
+
+_SOLVE_80_MM = """
+from signalwall.scenario import load_scenario
+from signalwall.thermal import solve_steady_state, voxelize_unit_cell
+scenario = load_scenario()
+result = solve_steady_state(voxelize_unit_cell(scenario.cell.with_separation(80.0)), scenario.boundary)
+print(repr(result.u), result.iterations)
+"""
+
+
+def test_solve_does_not_depend_on_the_blas_thread_count():
+    # a threaded BLAS dot splits its sum by thread; the solve's reductions must not
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(Path(thermal.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SOLVE_80_MM], env=env, capture_output=True, text=True, timeout=300, check=True
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
+
+
+def test_solve_memory_is_bounded(antenna_cell, boundary):
+    grid = voxelize_unit_cell(antenna_cell.with_separation(80.0))
+    tracemalloc.start()
+    try:
+        solve_steady_state(grid, boundary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13e6, f"traced peak {peak / 1e6:.1f} MB"
