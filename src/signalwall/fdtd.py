@@ -4,8 +4,10 @@ Serves as the brute-force time-domain cross-check for the transfer-matrix
 solution.  Standard Yee staggering (Ex at nodes, Hy between), semi-implicit
 conductivity update, total-field/scattered-field plane-wave injection with
 the incident wave evaluated analytically, and first-order Mur terminations.
-At the default Courant number of 1 both the vacuum propagation and the Mur
-boundaries are exact in 1-D, so the source injection is leak-free.
+The time step is the magic one, dt = dz / c0: vacuum propagation is exact
+in 1-D, the Mur update is an exact one-cell shift, and the source injection
+is leak-free.  It is stable only where eps' >= 1, so a layer below that is
+rejected before any time stepping.
 
 A time-domain run holds each layer's (eps', sigma) constant, so
 :func:`validate_against_tmm` runs one simulation per comparison frequency,
@@ -19,6 +21,8 @@ Transmission at a comparison frequency is the ratio of discrete Fourier
 transforms of the transmit-probe signal with the stack present versus a
 free-space reference run of identical grid and source.  The reference is one
 more (vacuum) row of the same batch, so a single time loop serves both.
+The transform is streamed: each block of `_DFT_BLOCK` steps is transformed
+as it is stepped, so no array spans all the steps of a run.
 
 The time loop holds the fields node-major, (n_nodes, n_runs), so every
 shifted slice is one contiguous block, and updates them in place through
@@ -53,18 +57,20 @@ class FdtdInstabilityError(RuntimeError):
 # distance from the stack faces
 _PAD_MM = 60.0
 _PROBE_OFFSET_MM = 20.0
-# time steps per block of the transform, which bounds its kernel at
-# frequencies x _DFT_BLOCK complex values
+# grid cells per wavelength in the densest layer at the top of the band
+_CELLS_PER_WAVELENGTH = 20.0
+# time steps per block of the streamed transform, which bounds its kernel at
+# frequencies x _DFT_BLOCK complex values and its traces at runs x _DFT_BLOCK
 _DFT_BLOCK = 2048
-# comparison points per call: each holds its transmit trace for the whole
-# run (8 B x ~27k steps on the default wall), so this cap, the 0.01 GHz grid
-# of the default 1-8 GHz band, bounds the traces at ~150 MB
+# comparison points per call, the 0.01 GHz grid of the default 1-8 GHz band;
+# on the default wall its fields, coefficients and block kernel peak at
+# ~120 MB of traced memory, and the call runs ~130 s on a 2-core x86_64 VM
 _MAX_POINTS = 701
 
 
 @dataclass(frozen=True)
 class Fdtd1dConfig:
-    """Grid settings of the oracle runs.
+    """Grid settings of the oracle runs; the time step is fixed at dz / c0.
 
     The solver sizes each run from the pulse length and a ring-down
     allowance, then verifies that the transmitted signal has decayed 80 dB
@@ -72,14 +78,10 @@ class Fdtd1dConfig:
     """
 
     dz_mm: float = 0.5
-    cfl: float = 1.0
-    min_cells_per_wavelength: float = 20.0
 
     def __post_init__(self):
         if self.dz_mm <= 0.0:
             raise FdtdError("spatial step must be > 0")
-        if not 0.0 < self.cfl <= 1.0:
-            raise FdtdError(f"CFL safety factor must be in (0, 1], got {self.cfl}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,7 @@ class _Layout:
     i_stack: int
     i_transmit: int
     dz: float
+    dt: float  # the magic time step, dz / c0
     stack_cells: list[int]  # cells per layer
 
 
@@ -132,7 +135,7 @@ def _build_layout(stack: LayerStack, cfg: Fdtd1dConfig) -> _Layout:
     i_stack = i_tfsf + probe
     i_transmit = i_stack + sum(stack_cells) + probe
     n_nodes = i_transmit + pad
-    return _Layout(n_nodes, i_tfsf, i_stack, i_transmit, dz, stack_cells)
+    return _Layout(n_nodes, i_tfsf, i_stack, i_transmit, dz, dz / C0, stack_cells)
 
 
 def _material_arrays(stack: LayerStack, layout: _Layout, freeze_ghz):
@@ -149,8 +152,14 @@ def _material_arrays(stack: LayerStack, layout: _Layout, freeze_ghz):
     eps_half = np.ones((2, len(freeze), layout.n_nodes))
     sig_half = np.zeros((2, len(freeze), layout.n_nodes))
     pos = layout.i_stack
-    for layer, cells in zip(stack.layers, layout.stack_cells):
+    for k, (layer, cells) in enumerate(zip(stack.layers, layout.stack_cells)):
         eps = layer.material.complex_permittivity(freeze)
+        i = int(np.argmin(eps.real))
+        if eps.real[i] < 1.0:
+            raise FdtdError(
+                f"layer {k + 1} ({layer.material.name}) has eps' = {eps.real[i]:.3g} at {freeze[i]:g} GHz; "
+                "the FDTD time step dz / c0 is stable only for eps' >= 1"
+            )
         eps_r = eps.real[:, None]
         sigma = (-eps.imag * EPS0 * omega)[:, None]
         eps_half[1, :, pos: pos + cells] = eps_r          # right half-cells
@@ -173,7 +182,7 @@ def _source(pulse: _Pulse, t):
     return np.exp(-0.5 * (tt / pulse.sigma_t) ** 2) * np.cos(2.0 * math.pi * pulse.center_ghz * 1e9 * tt)
 
 
-def _auto_steps(stack: LayerStack, eps_center, pulse: _Pulse, layout: _Layout, dt: float) -> int:
+def _auto_steps(stack: LayerStack, eps_center, pulse: _Pulse, layout: _Layout) -> int:
     """Steps for the pulse, its passage through the grid and a ring-down allowance.
 
     ``eps_center`` holds each layer's eps' at the pulse centre.
@@ -185,7 +194,7 @@ def _auto_steps(stack: LayerStack, eps_center, pulse: _Pulse, layout: _Layout, d
         math.sqrt(eps) * layer.thickness_mm * 1e-3 for layer, eps in zip(stack.layers, eps_center)
     )
     t_end = 9.0 * pulse.sigma_t + optical_m / C0 + 10e-9 + 12.0 * stack_optical / C0
-    return int(math.ceil(t_end / dt))
+    return int(math.ceil(t_end / layout.dt))
 
 
 @dataclass
@@ -206,7 +215,7 @@ class _Fields:
         return cls(np.zeros((n_nodes, n_runs)), np.zeros((n_nodes - 1, n_runs)))
 
 
-def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int, pulse: _Pulse, fields=None):
+def _time_step_batch(eps, sig, layout: _Layout, pulse: _Pulse, n_steps: int, fields=None):
     """Advance ``n_steps`` leapfrog steps of every run; returns the transmit trace.
 
     ``eps``/``sig`` are (n_runs, n_nodes) and the trace is (n_runs,
@@ -215,8 +224,7 @@ def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int,
     n_runs), so each shifted slice is one contiguous block, and updated in
     place.
     """
-    dz = layout.dz
-    dt = cfg.cfl * dz / C0
+    dz, dt = layout.dz, layout.dt
     n_runs, n_nodes = eps.shape
     fields = _Fields.zeros(n_nodes, n_runs) if fields is None else fields
 
@@ -225,7 +233,6 @@ def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int,
     ca = (eps_abs / dt - 0.5 * sig) / (eps_abs / dt + 0.5 * sig)
     cb = (1.0 / dz) / (eps_abs / dt + 0.5 * sig)
     ch = dt / (MU0 * dz)
-    mur = (C0 * dt - dz) / (C0 * dt + dz)
 
     # the incident waveforms at every step, sampled at the accumulated t_n
     t = np.empty(n_steps)
@@ -243,8 +250,6 @@ def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int,
     d_ex = np.empty_like(hy)
     d_hy = np.empty_like(ex_in)
     inc = np.empty(n_runs)
-    edge = np.empty((2, n_runs))  # ex[1], ex[-2] before the E update
-    mur_d = np.empty(n_runs)
     trace = np.empty((n_steps, n_runs))
     ex_transmit = ex[layout.i_transmit]
 
@@ -256,9 +261,12 @@ def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int,
         hy -= d_ex
         hy_tfsf += h_inc[n]
 
+        # Mur terminations (boundaries sit in vacuum): at dt = dz / c0 each
+        # end node takes its neighbour's value from before the E update
+        ex_first[...] = ex_second
+        ex_last[...] = ex_penult
+
         # E update on interior nodes, then TFSF correction
-        edge[0] = ex_second
-        edge[1] = ex_penult
         np.subtract(hy_hi, hy_lo, out=d_hy)
         d_hy *= cb_in
         ex_in *= ca_in
@@ -267,77 +275,69 @@ def _time_step_batch(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int,
         inc /= ETA0
         ex_tfsf += inc
 
-        # first-order Mur terminations (boundaries sit in vacuum); the end
-        # nodes are untouched by the E update, so they still hold step n-1
-        np.subtract(ex_second, ex_first, out=mur_d)
-        mur_d *= mur
-        np.add(edge[0], mur_d, out=ex_first)
-        np.subtract(ex_penult, ex_last, out=mur_d)
-        mur_d *= mur
-        np.add(edge[1], mur_d, out=ex_last)
-
         trace[n] = ex_transmit
 
         if (fields.step + n) % 2000 == 1999:
             peak = float(np.max(np.abs(ex)))
             if not math.isfinite(peak) or peak > peak_guard:
-                raise FdtdInstabilityError(
-                    f"field grew to {peak:.3g} at step {fields.step + n}; "
-                    f"check the CFL factor (cfl={cfg.cfl}, dz={cfg.dz_mm} mm)"
-                )
+                raise FdtdInstabilityError(f"field grew to {peak:.3g} at step {fields.step + n}; the time loop is unstable")
     fields.step += n_steps
     fields.t_n = float(t[-1]) + dt
     return trace.T
 
 
-def _dft_kernel(n_steps: int, dt: float, f_ghz, first_step: int = 0):
-    """exp(-2j pi f t) on (frequency, step), steps counted from first_step, in one complex array."""
-    f = np.atleast_1d(np.asarray(f_ghz, dtype=float)) * 1e9
-    kernel = np.zeros((f.size, n_steps), dtype=complex)
-    np.multiply.outer(f, np.arange(first_step, first_step + n_steps) * dt, out=kernel.imag)
+def _add_transform(device, reference, block, dt, f_ghz, first):
+    """The sums plus the transform of one block, its steps counted from ``first``:
+    run k at f_ghz[k], the free-space reference (the last run) at every f_ghz."""
+    f = np.asarray(f_ghz, dtype=float) * 1e9
+    kernel = np.zeros((f.size, block.shape[-1]), dtype=complex)  # exp(-2j pi f t) on (frequency, step)
+    np.multiply.outer(f, np.arange(first, first + block.shape[-1]) * dt, out=kernel.imag)
     kernel.imag *= -2.0 * math.pi
-    return np.exp(kernel, out=kernel)
+    np.exp(kernel, out=kernel)
+    return device + np.einsum("kn,kn->k", block[:-1], kernel), reference + np.einsum("n,fn->f", block[-1], kernel)
 
 
-def _transmission(traces, dt, f_ghz):
-    """Run k's transform at its own f_ghz[k] over the reference's there.
-
-    ``traces`` is (n_runs, n_steps) with the free-space reference last.  The
-    transform is summed over blocks of `_DFT_BLOCK` steps, so the kernel
-    never spans the whole trace.
-    """
-    device = reference = 0.0
-    for first in range(0, traces.shape[-1], _DFT_BLOCK):
-        block = traces[:, first: first + _DFT_BLOCK]
-        kernel = _dft_kernel(block.shape[-1], dt, f_ghz, first)
-        device = device + np.einsum("kn,kn->k", block[:-1], kernel)
-        reference = reference + np.einsum("n,fn->f", block[-1], kernel)
-    return device / reference
+def _decayed(peak, tail):
+    """Whether every run's tail maximum lies 80 dB below its peak."""
+    return bool(np.all(tail <= peak * 1e-4 + 1e-300))
 
 
-def _decayed(trace, threshold_db=-80.0):
-    peak = np.maximum(np.max(trace, axis=-1), -np.min(trace, axis=-1))  # max |trace| without a copy
-    tail = np.max(np.abs(trace[..., -max(trace.shape[-1] // 20, 10):]), axis=-1)
-    return np.all(tail <= peak * 10.0 ** (threshold_db / 20.0) + 1e-300)
-
-
-def _run_until_decayed(eps, sig, layout: _Layout, cfg: Fdtd1dConfig, n_steps: int, pulse: _Pulse):
+def _run_until_decayed(eps, sig, layout: _Layout, pulse: _Pulse, n_steps: int, f_ghz):
     """Time loop extended 1.5x, at most twice, until the transmit traces have decayed.
 
-    An extension continues from the saved fields, so the traces equal one
-    run of the final length.  Returns the traces, the step count run and
-    whether the traces decayed.
+    Steps run in blocks aligned to multiples of `_DFT_BLOCK`, each
+    transformed once complete, so the sums equal one run's of the final
+    length.  Each run keeps its peak and the maximum over its last
+    ``max(n // 20, 10)`` steps; an extension's tail window starts after the
+    steps already run, so both are exact.  Returns run k's transform over
+    the reference's, the steps run and whether the traces decayed.
     """
     fields = _Fields.zeros(layout.n_nodes, len(eps))
-    traces = _time_step_batch(eps, sig, layout, cfg, n_steps, pulse, fields)
+    block = np.empty((len(eps), _DFT_BLOCK))
+    device = reference = 0.0
+    peak = np.zeros(len(eps))
     for attempt in range(3):
-        decayed = bool(_decayed(traces))
+        tail_start = n_steps - max(n_steps // 20, 10)
+        tail = np.zeros(len(eps))
+        while fields.step < n_steps:
+            first = fields.step
+            last = min(n_steps, (first // _DFT_BLOCK + 1) * _DFT_BLOCK)
+            trace = _time_step_batch(eps, sig, layout, pulse, last - first, fields)
+            block[:, first % _DFT_BLOCK: first % _DFT_BLOCK + last - first] = trace
+            magnitude = np.abs(trace)
+            np.maximum(peak, np.max(magnitude, axis=-1), out=peak)
+            if last > tail_start:
+                np.maximum(tail, np.max(magnitude[:, max(tail_start - first, 0):], axis=-1), out=tail)
+            if last % _DFT_BLOCK == 0:
+                device, reference = _add_transform(device, reference, block, layout.dt, f_ghz, last - _DFT_BLOCK)
+        decayed = _decayed(peak, tail)
         if decayed or attempt == 2:
-            return traces, n_steps, decayed
-        more = int(n_steps * 1.5) - n_steps
-        tails = _time_step_batch(eps, sig, layout, cfg, more, pulse, fields)
-        traces = np.concatenate((traces, tails), axis=1)
-        n_steps += more
+            break
+        n_steps = int(n_steps * 1.5)
+    partial = n_steps % _DFT_BLOCK
+    if partial:
+        device, reference = _add_transform(device, reference, block[:, :partial], layout.dt, f_ghz, n_steps - partial)
+    return device / reference, n_steps, decayed
 
 
 def validate_against_tmm(
@@ -353,7 +353,8 @@ def validate_against_tmm(
     that point (batched into a single time loop), so the comparison carries
     no dispersion-freezing bias; the residual difference is the
     discretization error of the oracle.  A grid of more than `_MAX_POINTS`
-    points is rejected before any time stepping.
+    points, or a layer with eps' < 1 at a grid point, is rejected before
+    any time stepping.
     """
     if not step_ghz > 0.0:
         raise FdtdError(f"comparison step must be > 0 GHz, got {step_ghz}")
@@ -363,23 +364,21 @@ def validate_against_tmm(
     if freqs.size > _MAX_POINTS:
         raise FdtdError(
             f"comparison grid {f_start_ghz:g}:{f_stop_ghz:g} GHz every {step_ghz:g} GHz has {freqs.size} points, "
-            f"more than {_MAX_POINTS}; each holds a whole transmit trace, so widen the step"
+            f"more than {_MAX_POINTS}; widen the step"
         )
     pulse = _Pulse.covering(f_start_ghz, f_stop_ghz)
 
     # eps' of each layer at the pulse centre sizes the grid check and the run
     eps_center = [float(layer.material.complex_permittivity(pulse.center_ghz).real) for layer in stack.layers]
-    f_resolved = C0 / (cfg.min_cells_per_wavelength * cfg.dz_mm * 1e-3 * math.sqrt(max(eps_center))) / 1e9
+    f_resolved = C0 / (_CELLS_PER_WAVELENGTH * cfg.dz_mm * 1e-3 * math.sqrt(max(eps_center))) / 1e9
     if f_resolved < f_stop_ghz:
         raise FdtdError(f"dz={cfg.dz_mm} mm resolves only {f_resolved:.2f} GHz; reduce the spatial step")
 
     layout = _build_layout(stack, cfg)
     eps, sig = _with_reference_row(*_material_arrays(stack, layout, freqs))
 
-    dt = cfg.cfl * layout.dz / C0
-    n_steps = _auto_steps(stack, eps_center, pulse, layout, dt)
-    trans, n_steps, decayed = _run_until_decayed(eps, sig, layout, cfg, n_steps, pulse)
-    fdtd_t = _transmission(trans, dt, freqs)
+    n_steps = _auto_steps(stack, eps_center, pulse, layout)
+    fdtd_t, n_steps, decayed = _run_until_decayed(eps, sig, layout, pulse, n_steps, freqs)
 
     tmm_t, _ = _coefficients(stack, freqs, 0.0, "TE")
     fdtd_db = amplitude_db(fdtd_t)

@@ -398,16 +398,14 @@ def voxelize_unit_cell(cell: UnitCell, options: MeshOptions = MeshOptions()) -> 
 # finite-volume solve
 
 
-def _face_conductance(lam, d_this, d_next, area, axis):
-    """Harmonic-mean conductance of internal faces along one axis."""
+def _face_conductance(half, area, axis):
+    """Harmonic-mean conductance of internal faces along one axis, from each
+    cell's centre-to-face resistance ``half`` = 0.5 d / lambda along it."""
     sl_lo = [slice(None)] * 3
     sl_hi = [slice(None)] * 3
     sl_lo[axis] = slice(None, -1)
     sl_hi[axis] = slice(1, None)
-    lam_lo = lam[tuple(sl_lo)]
-    lam_hi = lam[tuple(sl_hi)]
-    resist = 0.5 * d_this / lam_lo + 0.5 * d_next / lam_hi
-    return area / resist
+    return area / (half[tuple(sl_lo)] + half[tuple(sl_hi)])
 
 
 def _mirror_classes(widths, material, axis):
@@ -500,9 +498,10 @@ def _assemble(grid: VoxelGrid, bc: ThermalBoundary) -> _FoldedSystem:
     area_y = dx[:, None, None] * dz[None, None, :]
     area_z = dx[:, None, None] * dy[None, :, None]
 
-    gx = _face_conductance(lam, dx[:-1, None, None], dx[1:, None, None], area_x, 0)
-    gy = _face_conductance(lam, dy[None, :-1, None], dy[None, 1:, None], area_y, 1)
-    gz = _face_conductance(lam, dz[None, None, :-1], dz[None, None, 1:], area_z, 2)
+    half_z = 0.5 * dz[None, None, :] / lam
+    gx = _face_conductance(0.5 * dx[:, None, None] / lam, area_x, 0)
+    gy = _face_conductance(0.5 * dy[None, :, None] / lam, area_y, 1)
+    gz = _face_conductance(half_z, area_z, 2)
 
     # per-image diagonal D of the full-cell operator
     diag = np.zeros((hx, hy, nz))
@@ -515,8 +514,8 @@ def _assemble(grid: VoxelGrid, bc: ThermalBoundary) -> _FoldedSystem:
     diag = diag[:mx, :my]
 
     # Robin faces: z=0 outdoor (R_se), z=depth indoor (R_si)
-    g_se = area_z[:mx, :my, 0] / (bc.r_se + 0.5 * dz[0] / lam[:mx, :my, 0])
-    g_si = area_z[:mx, :my, 0] / (bc.r_si + 0.5 * dz[-1] / lam[:mx, :my, -1])
+    g_se = area_z[:mx, :my, 0] / (bc.r_se + half_z[:mx, :my, 0])
+    g_si = area_z[:mx, :my, 0] / (bc.r_si + half_z[:mx, :my, -1])
     b = np.zeros((mx, my, nz))
     diag[:, :, 0] += g_se
     diag[:, :, -1] += g_si
@@ -545,13 +544,14 @@ def _assemble(grid: VoxelGrid, bc: ThermalBoundary) -> _FoldedSystem:
     matrix = sp.dia_array((bands.reshape(7, n), offsets), shape=(n, n))
 
     root_k = np.sqrt(kx[:, None, None] * ky[None, :, None])
+    images = kx[:, None] * ky[None, :]
     return _FoldedSystem(
         matrix=matrix,
         b=(root_k * b).ravel(),
-        x0=(root_k * _layered_profile(grid, bc)).ravel(),
+        x0=(root_k * _layered_profile(lam[:mx, :my], area_z[:mx, :my, 0] * images, dz, bc)).ravel(),
         diag=diag.ravel(),
         root_k=root_k,
-        images=kx[:, None] * ky[None, :],
+        images=images,
         g_se=g_se,
         g_si=g_si,
         qx=qx,
@@ -596,12 +596,13 @@ def _jacobi_pcg(matrix, b, x, diag, rtol, max_iter):
     return max_iter, max_iter
 
 
-def _layered_profile(grid: VoxelGrid, bc: ThermalBoundary) -> np.ndarray:
-    """1-D temperature profile through area-averaged slab conductivities."""
-    lam = grid.conductivity_field()
-    areas = np.outer(grid.dx_m, grid.dy_m)
+def _layered_profile(lam, areas, dz, bc: ThermalBoundary) -> np.ndarray:
+    """1-D temperature profile through area-averaged slab conductivities.
+
+    ``lam`` is (x, y, z) over the lateral columns and ``areas`` (x, y) the
+    area each column stands for: all its mirror images on a folded cell.
+    """
     lam_eff = np.einsum("xy,xyz->z", areas, lam) / areas.sum()
-    dz = grid.dz_m
     r_slab = dz / lam_eff
     r_cum = bc.r_se + np.cumsum(r_slab) - 0.5 * r_slab  # resistance up to cell centres
     r_tot = bc.r_se + np.sum(r_slab) + bc.r_si

@@ -268,7 +268,7 @@ def test_fdtd_validate_rejects_empty_grid_before_time_stepping(monkeypatch, caps
 def test_fdtd_validate_warns_when_traces_have_not_decayed(tmp_path, monkeypatch, capsys):
     from signalwall import fdtd
 
-    monkeypatch.setattr(fdtd, "_decayed", lambda trace, threshold_db=-80.0: False)
+    monkeypatch.setattr(fdtd, "_decayed", lambda peak, tail: False)
     scenario = tmp_path / "slab.json"
     scenario.write_text(json.dumps({"wall": {"layers": [{"material": "concrete", "thickness_mm": 20.0}]}}))
     argv = ["fdtd-validate", "--scenario", str(scenario), "--band", "2:3", "--step", "1", "--dz", "2"]
@@ -276,6 +276,26 @@ def test_fdtd_validate_warns_when_traces_have_not_decayed(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert "max |delta|" in captured.out
     assert "warning: FDTD probe traces had not decayed" in captured.err
+
+
+def test_fdtd_validate_rejects_a_layer_below_unit_permittivity_before_time_stepping(tmp_path, monkeypatch, capsys):
+    from signalwall import fdtd
+
+    def no_time_loop(*args, **kwargs):
+        raise AssertionError("the time loop must not run")
+
+    monkeypatch.setattr(fdtd, "_time_step_batch", no_time_loop)
+    scenario = tmp_path / "thin.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "materials": [{"name": "thin", "thermal_conductivity": 1.0, "permittivity": {"a": 0.5}}],
+                "wall": {"layers": [{"material": "thin", "thickness_mm": 20.0}]},
+            }
+        )
+    )
+    assert main(["fdtd-validate", "--scenario", str(scenario), "--band", "2:3", "--step", "0.5"]) == 2
+    assert "error: layer 1 (thin) has eps' = 0.5 at 2 GHz" in capsys.readouterr().err
 
 
 def test_with_antennas_warns_where_the_shield_is_thinner_than_the_skin_depth(tmp_path, capsys):

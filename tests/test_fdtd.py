@@ -34,7 +34,8 @@ def test_bare_wall_at_3p5_ghz(wall):
 
 def test_validation_transform_memory_is_bounded(wall):
     # a one-piece (frequencies x steps) DFT kernel and a full-trace |x| copy
-    # peaked at 10.7 MB on this call
+    # peaked at 10.7 MB on this call, and whole transmit traces at 5.8 MB;
+    # the streamed transform reads 2.8 MB
     import tracemalloc
 
     tracemalloc.start()
@@ -43,7 +44,7 @@ def test_validation_transform_memory_is_bounded(wall):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8e6
+    assert peak <= 4e6
 
 
 def test_determinism_bit_identical(glass_slab):
@@ -54,14 +55,13 @@ def test_determinism_bit_identical(glass_slab):
 
 
 def test_grid_refinement_convergence(glass_slab):
+    # second order: halving dz cuts the error about fourfold (3.97 measured)
     errors = {}
-    for dz in (2.0, 1.0):
-        table = validate_against_tmm(
-            glass_slab, 4.9, 5.1, 0.1, Fdtd1dConfig(dz_mm=dz, min_cells_per_wavelength=7.0)
-        )
+    for dz in (1.0, 0.5):
+        table = validate_against_tmm(glass_slab, 4.9, 5.1, 0.1, Fdtd1dConfig(dz_mm=dz))
         i = int(np.argmin(np.abs(table["frequencies_ghz"] - 5.0)))
         errors[dz] = abs(table["delta_db"][i])
-    assert errors[2.0] >= 2.0 * errors[1.0]
+    assert errors[1.0] >= 3.5 * errors[0.5]
 
 
 def test_unresolvable_band_raises(glass_slab, monkeypatch):
@@ -83,19 +83,19 @@ def test_point_limit_is_checked_before_time_stepping(wall, monkeypatch):
 
 def test_config_validation(glass_slab):
     with pytest.raises(FdtdError):
-        Fdtd1dConfig(cfl=1.2)
-    with pytest.raises(FdtdError):
-        Fdtd1dConfig(cfl=0.0)
-    with pytest.raises(FdtdError):
         Fdtd1dConfig(dz_mm=-1.0)
     # the source pulse is centred on the band, which must lie above 0.05 GHz
     with pytest.raises(FdtdError, match="comparison band 0.01:0.02"):
         validate_against_tmm(glass_slab, 0.01, 0.02, 0.01)
 
 
-def test_reduced_cfl_still_accurate(glass_slab):
-    table = validate_against_tmm(glass_slab, 2.5, 5.5, 0.5, Fdtd1dConfig(cfl=0.7))
-    assert table["max_abs_delta_db"] < 0.3
+def test_layer_below_unit_permittivity_is_rejected_before_time_stepping(monkeypatch):
+    # the time step dz / c0 is unstable where eps' < 1
+    monkeypatch.setattr(fdtd, "_time_step_batch", None)
+    sub_unity = Material("sub_unity", 1.0, PermittivityModel(0.9, 0.2))  # eps' = 0.9 at 1 GHz, 1.03 at 2 GHz
+    stack = LayerStack([Layer(Material("glass", 1.0, FixedPermittivity(4.0)), 10.0), Layer(sub_unity, 20.0)])
+    with pytest.raises(FdtdError, match=r"layer 2 \(sub_unity\) has eps' = 0.9 at 1 GHz"):
+        validate_against_tmm(stack, 1.0, 3.0, 1.0)
 
 
 def test_validation_reports_decay_and_the_steps_it_ran(glass_slab, monkeypatch):
@@ -106,7 +106,7 @@ def test_validation_reports_decay_and_the_steps_it_ran(glass_slab, monkeypatch):
     assert table["decayed"]
     # never decayed: the run is extended twice, and the reference and the DFT
     # use the steps of the last run
-    monkeypatch.setattr(fdtd, "_decayed", lambda trace, threshold_db=-80.0: False)
+    monkeypatch.setattr(fdtd, "_decayed", lambda peak, tail: False)
     extended = validate_against_tmm(glass_slab, 2.0, 3.0, 1.0, cfg)
     assert not extended["decayed"]
     assert extended["n_steps"] == int(int(table["n_steps"] * 1.5) * 1.5)
@@ -176,12 +176,13 @@ def test_material_arrays_equal_a_per_frequency_freeze(wall, stack_name, dz_mm):
     assert np.any(sig > 0.0)
 
 
-def _reference_time_loop(eps, sig, layout, cfg, pulse, n_steps):
-    """Row-major leapfrog with the source evaluated every step: the oracle
-    the in-place, node-major `fdtd._time_step_batch` must match bit for bit.
-    Returns the transmit trace and the final ex and hy fields."""
+def _reference_time_loop(eps, sig, layout, pulse, n_steps):
+    """Row-major leapfrog with the source evaluated every step and general
+    first-order Mur terminations: the oracle the in-place, node-major
+    `fdtd._time_step_batch` and its one-cell-shift terminations must match
+    bit for bit.  Returns the transmit trace and the final ex and hy fields."""
     dz = layout.dz
-    dt = cfg.cfl * dz / C0
+    dt = dz / C0
     n_runs, n_nodes = eps.shape
     eps_abs = eps * EPS0
     ca = (eps_abs / dt - 0.5 * sig) / (eps_abs / dt + 0.5 * sig)
@@ -193,14 +194,17 @@ def _reference_time_loop(eps, sig, layout, cfg, pulse, n_steps):
     trans = np.zeros((n_runs, n_steps))
     i_tfsf = layout.i_tfsf
     t_n = 0.0
+    # the source sees each time as a one-element array, as the batch's does:
+    # on a Python float, ** 2 goes through libm's pow, which differs from
+    # numpy's square in the last bit at a few steps
     for n in range(n_steps):
         hy -= ch * (ex[:, 1:] - ex[:, :-1])
-        hy[:, i_tfsf - 1] += ch * fdtd._source(pulse, t_n)
+        hy[:, i_tfsf - 1] += ch * fdtd._source(pulse, np.array([t_n]))
         ex_left, ex_right = ex[:, 0].copy(), ex[:, -1].copy()
         ex_left_in, ex_right_in = ex[:, 1].copy(), ex[:, -2].copy()
         ex[:, 1:-1] = ca[:, 1:-1] * ex[:, 1:-1] - cb[:, 1:-1] * (hy[:, 1:] - hy[:, :-1])
         t_half = t_n + 0.5 * dt
-        ex[:, i_tfsf] += cb[:, i_tfsf] * fdtd._source(pulse, t_half + 0.5 * dz / C0) / ETA0
+        ex[:, i_tfsf] += cb[:, i_tfsf] * fdtd._source(pulse, np.array([t_half + 0.5 * dz / C0])) / ETA0
         ex[:, 0] = ex_left_in + mur * (ex[:, 1] - ex_left)
         ex[:, -1] = ex_right_in + mur * (ex[:, -2] - ex_right)
         trans[:, n] = ex[:, layout.i_transmit]
@@ -208,20 +212,20 @@ def _reference_time_loop(eps, sig, layout, cfg, pulse, n_steps):
     return trans, ex, hy
 
 
-def _wall_batch(wall, cfl):
-    cfg = Fdtd1dConfig(dz_mm=2.0, cfl=cfl)
-    layout = fdtd._build_layout(wall, cfg)
+def _wall_batch(wall, dz_mm):
+    layout = fdtd._build_layout(wall, Fdtd1dConfig(dz_mm=dz_mm))
     eps, sig = fdtd._material_arrays(wall, layout, [1.5, 2.0, 2.5])
-    return eps, sig, layout, cfg, fdtd._Pulse(center_ghz=2.0, bandwidth_ghz=2.0)
+    return eps, sig, layout, fdtd._Pulse(center_ghz=2.0, bandwidth_ghz=2.0)
 
 
-@pytest.mark.parametrize("cfl", [1.0, 0.7])
-def test_time_loop_matches_row_major_reference_bit_for_bit(wall, cfl):
-    eps, sig, layout, cfg, pulse = _wall_batch(wall, cfl)
+@pytest.mark.parametrize("dz_mm", [2.0, 0.5])
+def test_time_loop_matches_row_major_reference_bit_for_bit(wall, dz_mm):
+    eps, sig, layout, pulse = _wall_batch(wall, dz_mm)
+    n_steps = int(5000 / dz_mm)  # 16.7 ns, past the transmitted pulse
     assert np.any(sig > 0.0)
     fields = fdtd._Fields.zeros(layout.n_nodes, len(eps))
-    trans = fdtd._time_step_batch(eps, sig, layout, cfg, 2500, pulse, fields)
-    ref_trans, ref_ex, ref_hy = _reference_time_loop(eps, sig, layout, cfg, pulse, 2500)
+    trans = fdtd._time_step_batch(eps, sig, layout, pulse, n_steps, fields)
+    ref_trans, ref_ex, ref_hy = _reference_time_loop(eps, sig, layout, pulse, n_steps)
     assert np.max(np.abs(ref_trans)) > 1e-3
     assert np.array_equal(trans, ref_trans)
     assert np.array_equal(fields.ex.T, ref_ex)
@@ -229,25 +233,42 @@ def test_time_loop_matches_row_major_reference_bit_for_bit(wall, cfl):
 
 
 def test_folded_reference_row_equals_a_vacuum_run(wall):
-    eps, sig, layout, cfg, pulse = _wall_batch(wall, 0.7)
-    batch = fdtd._time_step_batch(*fdtd._with_reference_row(eps, sig), layout, cfg, 2000, pulse)
-    alone = fdtd._time_step_batch(np.ones((1, layout.n_nodes)), np.zeros((1, layout.n_nodes)), layout, cfg, 2000, pulse)
+    eps, sig, layout, pulse = _wall_batch(wall, 2.0)
+    batch = fdtd._time_step_batch(*fdtd._with_reference_row(eps, sig), layout, pulse, 2000)
+    alone = fdtd._time_step_batch(np.ones((1, layout.n_nodes)), np.zeros((1, layout.n_nodes)), layout, pulse, 2000)
     assert np.array_equal(batch[-1], alone[0])
 
 
+def _reference_transmission(traces, dt, f_ghz):
+    """Transform of whole traces, summed over blocks of `_DFT_BLOCK` steps:
+    run k at f_ghz[k] over the free-space reference (the last run) there."""
+    device = reference = 0.0
+    for first in range(0, traces.shape[-1], fdtd._DFT_BLOCK):
+        block = traces[:, first: first + fdtd._DFT_BLOCK]
+        device, reference = fdtd._add_transform(device, reference, block, dt, f_ghz, first)
+    return device / reference
+
+
 def test_extension_continues_the_time_loop(wall, monkeypatch):
-    eps, sig, layout, cfg, pulse = _wall_batch(wall, 0.7)
-    advanced = []
+    eps, sig, layout, pulse = _wall_batch(wall, 2.0)
+    eps, sig = fdtd._with_reference_row(eps, sig)
+    freqs = np.array([1.5, 2.0, 2.5])
+    advanced, maxima = [], []
     loop = fdtd._time_step_batch
 
-    def counted(eps, sig, layout, cfg, n_steps, *args):
+    def counted(eps, sig, layout, pulse, n_steps, *args):
         advanced.append(n_steps)
-        return loop(eps, sig, layout, cfg, n_steps, *args)
+        return loop(eps, sig, layout, pulse, n_steps, *args)
 
-    monkeypatch.setattr(fdtd, "_decayed", lambda trace, threshold_db=-80.0: False)
+    monkeypatch.setattr(fdtd, "_decayed", lambda peak, tail: maxima.append((peak.copy(), tail.copy())) or False)
     monkeypatch.setattr(fdtd, "_time_step_batch", counted)
-    traces, n_steps, decayed = fdtd._run_until_decayed(eps, sig, layout, cfg, 1000, pulse)
+    t, n_steps, decayed = fdtd._run_until_decayed(eps, sig, layout, pulse, 1000, freqs)
     assert not decayed
     assert n_steps == int(int(1000 * 1.5) * 1.5) == sum(advanced)
-    assert len(advanced) == 3
-    assert np.array_equal(traces, loop(eps, sig, layout, cfg, n_steps, pulse))
+    assert max(advanced) <= fdtd._DFT_BLOCK < n_steps
+    # the streamed transform and maxima equal those of one run of each length
+    whole = loop(eps, sig, layout, pulse, n_steps)
+    assert np.array_equal(t, _reference_transmission(whole, layout.dz / C0, freqs))
+    for (peak, tail), n in zip(maxima, (1000, 1500, n_steps), strict=True):
+        assert np.array_equal(peak, np.max(np.abs(whole[:, :n]), axis=-1))
+        assert np.array_equal(tail, np.max(np.abs(whole[:, n - max(n // 20, 10): n]), axis=-1))
