@@ -83,8 +83,13 @@ def cmd_transmission(args) -> int:
                 f"  {f:.1f} GHz: combined {amplitude_db(level):8.2f} dB   "
                 f"improvement {amplitude_db(level) - amplitude_db(t_wall):6.2f} dB"
             )
-        onset = improvement_onset_ghz(cell, max(f1, 1.0), f2, args.theta, args.pol)
-        lines.append(f"  improvement onset: {onset:.2f} GHz" if onset else "  improvement onset: none in band")
+        onset = improvement_onset_ghz(cell, f1, f2, args.theta, args.pol)
+        if onset is None:
+            lines.append("  improvement onset: none in band")
+        elif onset == f1:  # the antenna path already leads at the first scanned frequency
+            lines.append(f"  improvement onset: at or below {f1:.2f} GHz (band start)")
+        else:
+            lines.append(f"  improvement onset: {onset:.2f} GHz")
         thin = freqs[~coax_attenuation(cell.coax, freqs).skin_depth_ok]
         if thin.size:
             print(

@@ -14,6 +14,7 @@ import numpy as np
 
 from .antenna_link import UnitCell, aperture_transmission, combine_paths, COMBINATION_MODES
 from .layered_em import _coefficients, amplitude_db
+from .materials import VALID_RANGE_GHZ
 from .thermal import MeshOptions, ThermalBoundary, solve_steady_state, voxelize_unit_cell
 
 
@@ -38,8 +39,9 @@ class SweepConfig:
             raise SweepError("separations must not repeat")
         if not self.frequencies_ghz:
             raise SweepError("frequency list must not be empty")
-        if any(f <= 0.0 for f in self.frequencies_ghz):
-            raise SweepError("frequencies must be > 0 GHz")
+        lo, hi = VALID_RANGE_GHZ
+        if not all(lo <= f <= hi for f in self.frequencies_ghz):
+            raise SweepError(f"frequencies must lie in the material model's {lo:g}-{hi:g} GHz range")
         if len(set(self.frequencies_ghz)) < len(self.frequencies_ghz):
             raise SweepError("frequencies must not repeat")
         if self.u_limit <= 0.0:

@@ -191,6 +191,8 @@ def fit_permittivity(
     thickness = thickness_mm if thickness_mm is not None else spectrum.thickness_mm
     if thickness is None or thickness <= 0.0:
         raise ValueError("slab thickness must be given and > 0 mm")
+    if n_starts < 1:
+        raise ValueError(f"the start count must be >= 1, got {n_starts}")
     if complex_objective and spectrum.magnitude_only:
         raise ValueError("complex objective needs complex S21 data")
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
@@ -217,7 +219,7 @@ def fit_permittivity(
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
     starts = [0.5 * (lo + hi)]
-    starts.extend(lo + (hi - lo) * rng.random(3) for _ in range(max(n_starts - 1, 0)))
+    starts.extend(lo + (hi - lo) * rng.random(3) for _ in range(n_starts - 1))
     evaluations = 0
     if complex_objective:
         magnitude_fit = fit_permittivity(

@@ -12,12 +12,22 @@ cavity, laminate sheets) on a feature-snapped rectilinear grid:
   preserves the axial conductance lambda*A/L of the bridge exactly
   (concentric circles of radius r map to squares of side sqrt(pi)*r).
 
+Every part of a cell, slabs included, is a box that carries its material.
+One mesher, ``_axis_nodes``, builds the x, y and z nodes alike: cells grow
+geometrically from a spacing hint at each feature line up to a cap per
+segment (``xy_coarse_mm`` laterally, the slab's ``z_insulating_mm`` or
+``z_conductive_mm`` through the wall, ``z_interface_mm`` at the laminate
+and foam planes).
+
 The linear system is symmetric positive definite and solved with conjugate
 gradients under diagonal (Jacobi) preconditioning, started from the 1-D
-layered temperature profile.  The operator is stored as seven bands of a
-``scipy.sparse.dia_array`` at ascending offsets (the x, y and z neighbours
-below, the diagonal, the neighbours above), so a product sums each row in
-column order as CSR does, from 7 numbers per unknown.  The CG loop is the
+layered temperature profile.  The solve has no settable knobs: CG runs to
+``_CG_RTOL`` within ``_MAX_ITER`` iterations, and a converged solve also
+balances its two face heat flows to ``_BALANCE_TOL``.  The operator is
+stored as seven bands of a ``scipy.sparse.dia_array`` at ascending offsets
+(the x, y and z neighbours below, the diagonal, the neighbours above), so a
+product sums each row in column order as CSR does, from 7 numbers per
+unknown.  The CG loop is the
 package's own and runs in place on preallocated vectors, with the recurrence
 and stopping test of ``scipy.sparse.linalg.cg``.  Its inner products are
 summed in one thread by ``np.einsum``: a threaded BLAS dot splits its sum by
@@ -48,6 +58,7 @@ import scipy.sparse as sp
 
 from .antenna_link import UnitCell
 from .layered_em import LayerStack
+from .materials import Material
 
 
 class ThermalError(ValueError):
@@ -122,9 +133,6 @@ class MeshOptions:
     xy_cable_mm: float = 0.4          # spacing hint at cable feature lines
     growth: float = 1.6
 
-    def z_target(self, conductivity: float) -> float:
-        return self.z_insulating_mm if conductivity < 0.1 else self.z_conductive_mm
-
 
 def _graded_spacings(width, h_left, h_right, h_max, growth):
     """Cell widths filling ``width``, growing geometrically from both ends."""
@@ -143,11 +151,18 @@ def _graded_spacings(width, h_left, h_right, h_max, growth):
     return spacings * (width / spacings.sum())
 
 
-def _axis_nodes(segments):
-    """Node coordinates from (a, b, h_left, h_right, h_max, growth) segments."""
-    nodes = [segments[0][0]]
-    for a, b, hl, hr, hmax, growth in segments:
-        cumulative = a + np.cumsum(_graded_spacings(b - a, hl, hr, hmax, growth))
+def _axis_nodes(lines, length, h_max, growth):
+    """Node coordinates on [0, length] through every feature line.
+
+    ``lines`` maps a coordinate to the spacing hint of the cells touching it
+    (``inf`` for none); ``h_max(a, b)`` caps the cells between neighbouring
+    lines a and b, and clamps their hints.
+    """
+    merged = _merge_lines(lines, length)
+    coords = list(merged)
+    nodes = [coords[0]]
+    for a, b in zip(coords, coords[1:]):
+        cumulative = a + np.cumsum(_graded_spacings(b - a, merged[a], merged[b], h_max(a, b), growth))
         cumulative[-1] = b
         nodes.extend(cumulative.tolist())
     return np.asarray(nodes)
@@ -171,15 +186,16 @@ def _merge_lines(lines, length, tol=1e-9):
 
 @dataclass(frozen=True)
 class _Box:
-    """Axis-aligned feature in mm; z range may span several slabs."""
+    """Axis-aligned block of one material in mm, with the x-y spacing hint at its edges."""
 
-    material_id: int
+    material: Material
     x0: float
     x1: float
     y0: float
     y1: float
     z0: float
     z1: float
+    xy_hint: float = math.inf
 
 
 class VoxelGrid:
@@ -231,10 +247,6 @@ class VoxelGrid:
     def area_m2(self):
         return float(self.x_nodes_mm[-1] * self.y_nodes_mm[-1] * 1e-6)
 
-    @property
-    def depth_mm(self):
-        return float(self.z_nodes_mm[-1])
-
     def conductivity_field(self):
         return self.conductivity_by_id[self.material]
 
@@ -256,142 +268,99 @@ def equivalent_square_side_mm(radius_mm: float) -> float:
 def voxelize_unit_cell(cell: UnitCell, options: MeshOptions = MeshOptions()) -> VoxelGrid:
     """Rectilinear voxel model of a unit cell, feature boundaries on grid lines.
 
-    A bare cell (no antenna system) gives the plain slab stack, whose
-    finite-volume solution must match the analytical U-value.
+    Every part is a ``_Box`` painted in order (slabs, foam, laminate, cable),
+    later boxes overriding earlier ones; material ids go to the distinct
+    materials in paint order.  A bare cell (no antenna system) gives the
+    plain slab stack, whose finite-volume solution must match the analytical
+    U-value.
     """
-    features = cell.has_antenna_system
-
-    materials: list = []
-    conductivities: list[float] = []
-    names: list[str] = []
-
-    def material_id(material) -> int:
-        for i, m in enumerate(materials):
-            if m is material:
-                return i
-        materials.append(material)
-        conductivities.append(material.thermal_conductivity)
-        names.append(material.name)
-        return len(materials) - 1
-
     depth = cell.wall.depth_mm
     cx, cy = cell.sx_mm / 2.0, cell.sy_mm / 2.0
+    slab_edges = np.cumsum([0.0] + [layer.thickness_mm for layer in cell.wall.layers])
+    boxes = [
+        _Box(layer.material, 0.0, cell.sx_mm, 0.0, cell.sy_mm, lo, hi)
+        for layer, lo, hi in zip(cell.wall.layers, slab_edges, slab_edges[1:])
+    ]
+    z_lines = dict.fromkeys(slab_edges.tolist(), math.inf)
 
-    # z segmentation: slab boundaries plus laminate/foam interface planes
-    z_lines: dict[float, float] = {}
-    slab_edges = [0.0]
-    for layer in cell.wall.layers:
-        slab_edges.append(slab_edges[-1] + layer.thickness_mm)
-    for edge in slab_edges:
-        z_lines[edge] = math.inf
+    def centred_square(material, x, half, z0, z1, hint):
+        return _Box(material, x - half, x + half, cy - half, cy + half, z0, z1, hint)
 
-    boxes: list[_Box] = []
-    fine_z: set[float] = set()
-    if features:
+    if cell.has_antenna_system:
         lam_t = cell.laminate_thickness_mm if cell.laminate is not None else 0.0
         foam_t = cell.foam_thickness_mm if cell.foam is not None else 0.0
+        foam_z = ((lam_t, lam_t + foam_t), (depth - lam_t - foam_t, depth - lam_t))  # behind each laminate
+        laminate_z = ((0.0, lam_t), (depth - lam_t, depth))
         if lam_t + foam_t > 0.0:
-            for plane in (lam_t, lam_t + foam_t, depth - lam_t - foam_t, depth - lam_t):
-                z_lines[plane] = math.inf
-                fine_z.add(plane)
-            fine_z.update((0.0, depth))
+            for plane in np.ravel(foam_z + laminate_z).tolist():
+                z_lines[plane] = options.z_interface_mm
         if cell.foam is not None:
             half = cell.foam_size_mm / 2.0
             if half > min(cx, cy):
                 raise ThermalError("foam block exceeds the cell bounds")
-            fid = material_id(cell.foam)
-            boxes.append(_Box(fid, cx - half, cx + half, cy - half, cy + half, lam_t, lam_t + foam_t))
-            boxes.append(_Box(fid, cx - half, cx + half, cy - half, cy + half, depth - lam_t - foam_t, depth - lam_t))
+            boxes += [centred_square(cell.foam, cx, half, z0, z1, options.xy_feature_mm) for z0, z1 in foam_z]
         if cell.laminate is not None:
             half = cell.laminate_size_mm / 2.0
-            lid = material_id(cell.laminate)
-            boxes.append(_Box(lid, cx - half, cx + half, cy - half, cy + half, 0.0, lam_t))
-            boxes.append(_Box(lid, cx - half, cx + half, cy - half, cy + half, depth - lam_t, depth))
-
-    x_lines: dict[float, float] = {}
-    y_lines: dict[float, float] = {}
-    if features:
-        for box in boxes:
-            for coord in (box.x0, box.x1):
-                x_lines[coord] = min(x_lines.get(coord, math.inf), options.xy_feature_mm)
-            for coord in (box.y0, box.y1):
-                y_lines[coord] = min(y_lines.get(coord, math.inf), options.xy_feature_mm)
+            boxes += [centred_square(cell.laminate, cx, half, z0, z1, options.xy_feature_mm) for z0, z1 in laminate_z]
 
         spec = cell.coax
-        w_pin = equivalent_square_side_mm(spec.inner_radius_mm)
-        w_bore = equivalent_square_side_mm(spec.shield_inner_radius_mm)
         w_shield = equivalent_square_side_mm(spec.outer_radius_mm)
         if spec.count * w_shield > cell.sx_mm or w_shield > cell.sy_mm:
             raise ThermalError("coax assembly exceeds the cell bounds")
-        conductor_id = material_id(spec.conductor)
-        dielectric_id = material_id(spec.dielectric)
-        # lines side by side along x, shields touching
-        offsets = (np.arange(spec.count) - (spec.count - 1) / 2.0) * w_shield
-        for off in offsets:
-            x0 = cx + off
-            for width, mid in ((w_shield, conductor_id), (w_bore, dielectric_id), (w_pin, conductor_id)):
-                boxes.append(_Box(mid, x0 - width / 2.0, x0 + width / 2.0, cy - width / 2.0, cy + width / 2.0, 0.0, depth))
-                for coord in (x0 - width / 2.0, x0 + width / 2.0):
-                    x_lines[coord] = min(x_lines.get(coord, math.inf), options.xy_cable_mm)
-                for coord in (cy - width / 2.0, cy + width / 2.0):
-                    y_lines[coord] = min(y_lines.get(coord, math.inf), options.xy_cable_mm)
+        # lines side by side along x, shields touching; shield, bore and pin nest as squares
+        parts = (
+            (spec.conductor, spec.outer_radius_mm),
+            (spec.dielectric, spec.shield_inner_radius_mm),
+            (spec.conductor, spec.inner_radius_mm),
+        )
+        for off in (np.arange(spec.count) - (spec.count - 1) / 2.0) * w_shield:
+            for part, radius in parts:
+                half = equivalent_square_side_mm(radius) / 2.0
+                boxes.append(centred_square(part, cx + off, half, 0.0, depth, options.xy_cable_mm))
 
-    # slab paint happens first, later boxes override, cable painted last
-    slab_ids = [material_id(layer.material) for layer in cell.wall.layers]
+    x_lines: dict[float, float] = {}
+    y_lines: dict[float, float] = {}
+    for box in boxes:
+        for lines, coords in ((x_lines, (box.x0, box.x1)), (y_lines, (box.y0, box.y1))):
+            for coord in coords:
+                lines[coord] = min(lines.get(coord, math.inf), box.xy_hint)
+    slab_caps = [
+        options.z_insulating_mm if layer.material.thermal_conductivity < 0.1 else options.z_conductive_mm
+        for layer in cell.wall.layers
+    ]
 
-    x_feat = _merge_lines(x_lines, cell.sx_mm)
-    y_feat = _merge_lines(y_lines, cell.sy_mm)
+    def z_cap(a, b):
+        """Cap of the slab holding the midpoint of [a, b]."""
+        return slab_caps[np.searchsorted(slab_edges[1:-1], 0.5 * (a + b), side="right")]
 
-    def xy_segments(feat: dict[float, float]):
-        coords = list(feat)
-        return [
-            (a, b, feat[a], feat[b], options.xy_coarse_mm, options.growth)
-            for a, b in zip(coords, coords[1:])
-        ]
+    x_nodes = _axis_nodes(x_lines, cell.sx_mm, lambda a, b: options.xy_coarse_mm, options.growth)
+    y_nodes = _axis_nodes(y_lines, cell.sy_mm, lambda a, b: options.xy_coarse_mm, options.growth)
+    z_nodes = _axis_nodes(z_lines, depth, z_cap, options.growth)
 
-    x_nodes = _axis_nodes(xy_segments(x_feat))
-    y_nodes = _axis_nodes(xy_segments(y_feat))
-
-    z_feat = _merge_lines(z_lines, depth)
-    z_coords = list(z_feat)
-    z_segments = []
-    for a, b in zip(z_coords, z_coords[1:]):
-        mid = 0.5 * (a + b)
-        lam = cell.wall.layers[-1].material.thermal_conductivity
-        for layer, lo in zip(cell.wall.layers, slab_edges):
-            if lo <= mid < lo + layer.thickness_mm:
-                lam = layer.material.thermal_conductivity
-                break
-        target = options.z_target(lam)
-        hl = options.z_interface_mm if a in fine_z else target
-        hr = options.z_interface_mm if b in fine_z else target
-        z_segments.append((a, b, hl, hr, target, options.growth))
-    z_nodes = _axis_nodes(z_segments)
-
-    if features:
+    if cell.has_antenna_system:
         # diameter must span at least two cells inside the pack footprint
         xc = 0.5 * (x_nodes[:-1] + x_nodes[1:])
-        half_pack = cell.coax.count * equivalent_square_side_mm(cell.coax.outer_radius_mm) / 2.0
+        half_pack = cell.coax.count * w_shield / 2.0
         widest = float(np.max(np.diff(x_nodes)[np.abs(xc - cx) <= half_pack]))
         if widest > cell.coax.outer_radius_mm:
             raise ThermalError(
                 f"mesh too coarse near the cable: {widest:.3f} mm cells vs {2 * cell.coax.outer_radius_mm:.3f} mm diameter"
             )
 
-    material = np.empty((len(x_nodes) - 1, len(y_nodes) - 1, len(z_nodes) - 1), dtype=np.int16)
-    zc = 0.5 * (z_nodes[:-1] + z_nodes[1:])
-    for sid, lo, layer in zip(slab_ids, slab_edges, cell.wall.layers):
-        material[:, :, (zc >= lo) & (zc < lo + layer.thickness_mm)] = sid
-
-    xc = 0.5 * (x_nodes[:-1] + x_nodes[1:])
-    yc = 0.5 * (y_nodes[:-1] + y_nodes[1:])
+    centres = [0.5 * (nodes[:-1] + nodes[1:]) for nodes in (x_nodes, y_nodes, z_nodes)]
+    material = np.full([len(c) for c in centres], -1, dtype=np.int16)
+    materials: list[Material] = []  # distinct by identity, in paint order; a voxel's id indexes this
+    xc, yc, zc = centres
     for box in boxes:
-        mask_x = (xc > box.x0) & (xc < box.x1)
-        mask_y = (yc > box.y0) & (yc < box.y1)
-        mask_z = (zc > box.z0) & (zc < box.z1)
-        material[np.ix_(mask_x, mask_y, mask_z)] = box.material_id
+        mat_id = next((i for i, m in enumerate(materials) if m is box.material), len(materials))
+        if mat_id == len(materials):
+            materials.append(box.material)
+        masks = ((xc > box.x0) & (xc < box.x1), (yc > box.y0) & (yc < box.y1), (zc > box.z0) & (zc < box.z1))
+        material[np.ix_(*masks)] = mat_id
 
-    return VoxelGrid(x_nodes, y_nodes, z_nodes, material, conductivities, names)
+    return VoxelGrid(
+        x_nodes, y_nodes, z_nodes, material, [m.thermal_conductivity for m in materials], [m.name for m in materials]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,29 +386,26 @@ def _mirror_classes(widths, material, axis):
     return cells
 
 
-def solve_steady_state(
-    grid: VoxelGrid,
-    bc: ThermalBoundary,
-    tol: float = 1e-6,
-    max_iter: int = 50000,
-    cg_rtol: float = 1e-8,
-) -> UValueResult:
+_CG_RTOL = 1e-8  # CG stops once ||r|| < _CG_RTOL ||b||
+_MAX_ITER = 50000  # CG iterations before a solve is reported unconverged
+_BALANCE_TOL = 1e-6  # largest relative mismatch of the two face heat flows in a converged solve
+
+
+def solve_steady_state(grid: VoxelGrid, bc: ThermalBoundary) -> UValueResult:
     """Finite-volume steady-state solve; U from total heat flow per face.
 
     The system is solved on the mirror-symmetric subspace of the cell (see
     the module docstring) by ``_jacobi_pcg``: an in-place Jacobi-PCG loop on
     the banded (DIA) operator whose reductions do not depend on the BLAS
-    thread count.  The returned temperature covers the full grid.
-    ``tol`` bounds the relative mismatch of the two face heat flows (global
-    energy balance); the linear system itself is driven to ``cg_rtol``
-    within ``max_iter`` iterations.  A non-converged solve returns the
-    partial result with converged False.
+    thread count.  The returned temperature covers the full grid.  CG runs
+    to ``_CG_RTOL`` within ``_MAX_ITER`` iterations; the solve is converged
+    when CG is and the two face heat flows agree to ``_BALANCE_TOL``
+    (global energy balance).  A non-converged solve returns the partial
+    result with converged False.
     """
-    if tol <= 0.0:
-        raise ThermalError("tolerance must be > 0")
     system = _assemble(grid, bc)
     y = system.x0  # solved in place
-    info, iterations = _jacobi_pcg(system.matrix, system.b, y, system.diag, cg_rtol, max_iter)
+    info, iterations = _jacobi_pcg(system.matrix, system.b, y, system.diag, _CG_RTOL, _MAX_ITER)
     r = system.b - system.matrix @ y
     residual = math.sqrt(_dot(r, r)) / math.sqrt(_dot(system.b, system.b))  # ||S^T r|| = ||r||
 
@@ -450,7 +416,7 @@ def solve_steady_state(
     balance = abs(q_in - q_out) / q_ref if q_ref > 0.0 else math.inf
     flow = 0.5 * (q_in + q_out)
     u = flow / (grid.area_m2 * bc.delta_t)
-    converged = info == 0 and balance < tol
+    converged = info == 0 and balance < _BALANCE_TOL
     return UValueResult(
         u=u,
         heat_flow_w=flow,

@@ -37,6 +37,13 @@ def test_transmission_with_antennas_summary(tmp_path, capsys):
     assert 2.0 <= onset <= 3.5
 
 
+def test_onset_at_the_band_start_is_reported_as_a_bound(tmp_path, capsys):
+    # the antenna path already leads the bare wall at 4 GHz, so the crossing lies at or below the band
+    assert main(["transmission", "--band", "4:6:5", "--with-antennas", "-o", str(tmp_path / "t.csv")]) == 0
+    onset_lines = [line for line in capsys.readouterr().out.splitlines() if "improvement onset" in line]
+    assert onset_lines == ["  improvement onset: at or below 4.00 GHz (band start)"]
+
+
 def test_transmission_reruns_are_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -115,6 +122,16 @@ def test_fit_rejects_a_dead_reference_point_before_fitting(tmp_path, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: reference ref.csv: 1 point(s) below -100 dB at 5 GHz" in captured.err
+
+
+@pytest.mark.parametrize("starts", ["0", "-3"])
+def test_fit_rejects_a_start_count_below_one(tmp_path, capsys, starts):
+    path = tmp_path / "meas.csv"
+    path.write_text("freq_GHz,s21_dB\n2.0,-3.0\n4.0,-4.0\n8.0,-5.0\n")
+    assert main(["fit-permittivity", str(path), "--thickness", "60", "--starts", starts]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"start count must be >= 1, got {starts}" in captured.err
 
 
 def test_fit_rejects_nonpositive_a_bound(tmp_path, capsys):
@@ -205,6 +222,31 @@ def test_repeated_sweep_values_exit_before_solving(monkeypatch, capsys, option, 
     monkeypatch.setattr(design_sweep, "solve_steady_state", no_solve)
     assert main(["sweep", option, value]) == 2
     assert "must not repeat" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("from_scenario", [False, True])
+def test_sweep_frequencies_outside_the_material_model_range_exit_before_solving(
+    tmp_path, monkeypatch, capsys, from_scenario
+):
+    from signalwall import design_sweep
+    from signalwall.scenario import default_scenario_text
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_steady_state must not run")
+
+    monkeypatch.setattr(design_sweep, "solve_steady_state", no_solve)
+    if from_scenario:
+        data = json.loads(default_scenario_text())
+        data["sweep"]["frequencies_ghz"] = [0.3, 0.5]
+        path = tmp_path / "low.json"
+        path.write_text(json.dumps(data))
+        argv, where = ["sweep", "--scenario", str(path)], "error: sweep: "
+    else:
+        argv, where = ["sweep", "--separations", "150", "--frequencies", "0.3,0.5"], "error: "
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(where + "frequencies must lie in the material model's 1-100 GHz range")
 
 
 def test_materials_list(capsys):

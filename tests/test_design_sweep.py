@@ -101,3 +101,11 @@ def test_config_validation():
         SweepConfig(separations_mm=(150.0, 150.0))
     with pytest.raises(SweepError, match="frequencies must not repeat"):
         SweepConfig(frequencies_ghz=(3.5, 8.0, 3.5))
+
+
+@pytest.mark.parametrize("frequencies", [(0.3, 0.5), (3.5, 0.99), (8.0, 120.0), (3.5, float("nan"))])
+def test_frequencies_outside_the_material_model_range_rejected(frequencies):
+    # the ITU-R P.2040 power law is fitted over 1-100 GHz; outside it the sweep would report extrapolations
+    with pytest.raises(SweepError, match="1-100 GHz range"):
+        SweepConfig(frequencies_ghz=frequencies)
+    SweepConfig(frequencies_ghz=(1.0, 100.0))

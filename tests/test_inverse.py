@@ -161,6 +161,16 @@ def test_evaluations_count_every_model_call(clean_spectrum, monkeypatch, complex
     assert fit.evaluations >= fit.iterations
 
 
+@pytest.mark.parametrize("n_starts", [0, -3])
+def test_start_count_below_one_rejected_before_any_evaluation(clean_spectrum, monkeypatch, n_starts):
+    def no_model(*args):
+        raise AssertionError("the model was evaluated")
+
+    monkeypatch.setattr(inverse, "slab_transmission", no_model)
+    with pytest.raises(ValueError, match=f"start count must be >= 1, got {n_starts}"):
+        fit_permittivity(clean_spectrum, n_starts=n_starts)
+
+
 def test_zero_thickness_rejected(clean_spectrum):
     with pytest.raises(ValueError):
         fit_permittivity(clean_spectrum, thickness_mm=0.0)

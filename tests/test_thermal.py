@@ -99,6 +99,27 @@ def test_grid_spans_cell_exactly(antenna_cell):
     assert np.all(np.diff(grid.z_nodes_mm) > 0)
 
 
+def test_z_mesh_follows_the_slab_and_interface_caps(antenna_cell):
+    options = MeshOptions()
+    z = voxelize_unit_cell(antenna_cell, options).z_nodes_mm
+    dz = np.diff(z)
+    zc = 0.5 * (z[:-1] + z[1:])
+    caps = {"rock_wool": options.z_insulating_mm, "concrete": options.z_conductive_mm}
+    lo = 0.0
+    for layer in antenna_cell.wall.layers:
+        inside = (zc > lo) & (zc < lo + layer.thickness_mm)
+        assert inside.any() and np.all(dz[inside] <= caps[layer.material.name] * (1 + 1e-12)), layer.material.name
+        lo += layer.thickness_mm
+    # the laminate and foam planes at each face: the cells on both sides start at the interface spacing
+    depth = antenna_cell.wall.depth_mm
+    lam_t, foam_t = antenna_cell.laminate_thickness_mm, antenna_cell.foam_thickness_mm
+    for plane in (lam_t, lam_t + foam_t, depth - lam_t - foam_t, depth - lam_t):
+        k = int(np.argmin(np.abs(z - plane)))
+        assert z[k] == pytest.approx(plane, abs=1e-9)
+        assert max(dz[k - 1], dz[k]) <= options.z_interface_mm * (1 + 1e-12), plane
+    assert max(dz[0], dz[-1]) <= options.z_interface_mm * (1 + 1e-12)
+
+
 def test_antenna_cell_u_value(antenna_fv_result, bare_fv_result):
     assert antenna_fv_result.converged
     assert antenna_fv_result.u == pytest.approx(0.16, abs=0.015)
@@ -168,7 +189,7 @@ def _mirrored(half, n, axis):
         ([1.0, 3.0, 2.0, 3.5, 1.0], [2.0, 1.0, 4.0, 4.0, 1.0, 2.0], True, False, (False, False)),
     ],
 )
-def test_mirror_fold_matches_dense_full_cell_solve(x_widths, y_widths, mirror_x, mirror_y, folds):
+def test_mirror_fold_matches_dense_full_cell_solve(monkeypatch, x_widths, y_widths, mirror_x, mirror_y, folds):
     rng = np.random.default_rng(7)
     nx, ny = len(x_widths), len(y_widths)
     z_widths = [4.0, 1.0, 6.0, 6.0, 3.0, 0.5, 5.0, 2.0, 4.0]
@@ -186,7 +207,8 @@ def test_mirror_fold_matches_dense_full_cell_solve(x_widths, y_widths, mirror_x,
         ["insulation", "concrete", "steel"],
     )
     bc = ThermalBoundary()
-    result = solve_steady_state(grid, bc, cg_rtol=1e-14)
+    monkeypatch.setattr(thermal, "_CG_RTOL", 1e-14)
+    result = solve_steady_state(grid, bc)
     u_ref, t_ref = _dense_fv(grid, bc)
     fold_x, fold_y = folds
     assert result.unknowns == ((nx + 1) // 2 if fold_x else nx) * ((ny + 1) // 2 if fold_y else ny) * grid.nz
@@ -224,9 +246,10 @@ def test_monotonicity_in_conductivity(antenna_cell, boundary, antenna_fv_result)
     assert result.u >= antenna_fv_result.u - 1e-9
 
 
-def test_solver_reports_nonconvergence(antenna_cell, boundary):
+def test_solver_reports_nonconvergence(monkeypatch, antenna_cell, boundary):
     grid = voxelize_unit_cell(antenna_cell)
-    result = solve_steady_state(grid, boundary, max_iter=5)
+    monkeypatch.setattr(thermal, "_MAX_ITER", 5)
+    result = solve_steady_state(grid, boundary)
     assert not result.converged
 
 
