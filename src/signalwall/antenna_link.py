@@ -267,9 +267,9 @@ def improvement_onset_ghz(
 
     The crossover t_antenna = |t_wall| is where the combined incoherent level
     sits 3 dB above the bare wall; below it the antenna system no longer
-    gives a meaningful improvement.  A 0.1 GHz scan brackets the first
-    crossing, which is then bisected to ``ONSET_TOL_GHZ``.  Returns None
-    when no crossing exists in the band.
+    gives a meaningful improvement.  A 0.1 GHz scan, closed by the band end,
+    brackets the first crossing, which is then bisected to ``ONSET_TOL_GHZ``.
+    Returns None when no crossing exists in the band.
     """
     if not cell.has_antenna_system:
         return None
@@ -281,6 +281,8 @@ def improvement_onset_ghz(
         return aperture_transmission(cell, f, theta_deg) - np.abs(t_wall)
 
     grid = np.arange(f_start_ghz, f_stop_ghz + 1e-9, 0.1)
+    if grid[-1] < f_stop_ghz - 1e-9:
+        grid = np.append(grid, f_stop_ghz)
     values = excess(grid)
     if values[0] >= 0.0:
         return float(grid[0])

@@ -1,7 +1,9 @@
 """Plane-wave transmission and reflection of layered lossy walls.
 
-Exact transfer-matrix solution on transverse field amplitudes for a stack of
-homogeneous slabs with vacuum ambient on both sides.  Conventions:
+Exact solution on transverse field amplitudes for a stack of homogeneous
+slabs with vacuum ambient on both sides, by the back-to-front recursion of
+generalized reflection coefficients (Chew, Waves and Fields in
+Inhomogeneous Media, 1990, sec. 2.1).  Conventions:
 
 * time dependence e^{+j omega t}, eps = eps' - j eps'';
 * propagating/decaying waves carry e^{-j kz z} with Im(kz) <= 0 in every
@@ -16,11 +18,9 @@ homogeneous slabs with vacuum ambient on both sides.  Conventions:
   of the reflected wave is flipped by the specular bounce; radar
   conventions would label the reflected "co" component here as cross-polar.
 
-Each layer's attenuation is factored out of its propagation terms before
-they are exponentiated, and running transfer matrices are rescaled layer by
-layer, which keeps the cascade finite for arbitrarily thick lossy stacks;
-|t| itself underflows to zero below roughly -6400 dB, far past any
-physically meaningful level.
+Every propagation factor the recursion forms has magnitude <= 1, so it stays
+finite for arbitrarily thick lossy stacks; |t| underflows to zero only below
+roughly -6400 dB.
 """
 
 from __future__ import annotations
@@ -139,10 +139,16 @@ def _branch_kz(k0_sq_eps, kx):
 
 
 def _tmm_linear(eps_media, d_m, f_ghz, theta_deg, pol):
-    """t, r for TE or TM transverse amplitudes across the full cascade.
+    """t, r for TE or TM transverse amplitudes across the whole stack.
 
     eps_media: per-medium relative permittivity arrays, ambient first/last.
     d_m: interior layer thicknesses in metres.
+
+    Runs from the exit face (r = 0, t = 1) back to the entrance face: each
+    interface between media n-1 and n, with rho = (z_n - z_{n-1}) /
+    (z_n + z_{n-1}), maps r to (rho + r) / (1 + rho r) and scales t by
+    (1 + rho) / (1 + rho r); crossing layer n-1 then multiplies t by
+    p = exp(-j kz d) and r by p^2.
     """
     f = np.atleast_1d(np.asarray(f_ghz, dtype=float))
     omega = 2.0 * math.pi * f * 1e9
@@ -157,39 +163,15 @@ def _tmm_linear(eps_media, d_m, f_ghz, theta_deg, pol):
     else:
         raise ValueError(f"linear polarization must be TE or TM, got {pol!r}")
 
-    one = np.ones_like(f, dtype=complex)
-    m11, m12, m21, m22 = one.copy(), np.zeros_like(one), np.zeros_like(one), one.copy()
-    log_scale = np.zeros_like(f)
-
-    n_media = len(eps_media)
-    for n in range(1, n_media):
-        zr = z[n - 1] / z[n]
-        i11 = 0.5 * (1.0 + zr)
-        i12 = 0.5 * (1.0 - zr)
-        m11, m12, m21, m22 = (
-            m11 * i11 + m12 * i12,
-            m11 * i12 + m12 * i11,
-            m21 * i11 + m22 * i12,
-            m21 * i12 + m22 * i11,
-        )
-        if n <= len(d_m):
-            phase = kz[n] * d_m[n - 1]
-            # |exp(j phase)| = exp(g) overflows past ~709 nepers in one layer,
-            # so g is factored out of both propagation terms before exp
-            g = -phase.imag  # one-way attenuation in nepers, >= 0
-            p = np.exp(1j * phase - g)
-            m11 = m11 * p
-            m21 = m21 * p
-            pm = np.exp(-1j * phase - g)
-            m12 = m12 * pm
-            m22 = m22 * pm
-            scale = np.abs(m11)
-            scale = np.where(scale > 1.0, scale, 1.0)
-            m11, m12, m21, m22 = m11 / scale, m12 / scale, m21 / scale, m22 / scale
-            log_scale += g + np.log(scale)
-
-    t = np.exp(-log_scale) / m11
-    r = m21 / m11
+    r = np.zeros_like(f, dtype=complex)
+    t = np.ones_like(f, dtype=complex)
+    for n in range(len(eps_media) - 1, 0, -1):
+        rho = (z[n] - z[n - 1]) / (z[n] + z[n - 1])
+        denom = 1.0 + rho * r
+        t, r = t * (1.0 + rho) / denom, (rho + r) / denom
+        if n >= 2:
+            p = np.exp(-1j * kz[n - 1] * d_m[n - 2])
+            t, r = t * p, r * p * p
     return t, r
 
 

@@ -158,6 +158,8 @@ class MaterialDatabase:
         existing = self._by_key.get(keys[0])
         if existing is not None:
             self._materials.remove(existing)
+            # the replacement takes over every name of the entry it replaces
+            keys += [key for key, m in self._by_key.items() if m is existing]
         for key in keys:
             self._by_key[key] = material
         self._materials.append(material)

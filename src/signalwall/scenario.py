@@ -12,6 +12,7 @@ rejected by the number checks.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -35,7 +36,8 @@ _MISSING = object()
 
 
 def _number(value, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # json reads NaN and Infinity, which no field of a scenario can hold
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
     return float(value)
 

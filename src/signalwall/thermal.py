@@ -138,7 +138,7 @@ def _graded_spacings(width, h_left, h_right, h_max, growth):
     """Cell widths filling ``width``, growing geometrically from both ends."""
     h_left = min(max(h_left, 1e-6), h_max)
     h_right = min(max(h_right, 1e-6), h_max)
-    if width <= 1.25 * min(h_left, h_right):
+    if width <= min(1.25 * min(h_left, h_right), h_max):
         return np.array([width])
     left = [h_left]
     right = [h_right]

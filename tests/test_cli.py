@@ -44,6 +44,13 @@ def test_onset_at_the_band_start_is_reported_as_a_bound(tmp_path, capsys):
     assert onset_lines == ["  improvement onset: at or below 4.00 GHz (band start)"]
 
 
+def test_onset_between_the_last_scan_step_and_the_band_end_is_found(tmp_path, capsys):
+    # the 0.1 GHz scan of 2.0:2.29 ends at 2.2 GHz; the crossing lies between that step and 2.29 GHz
+    assert main(["transmission", "--band", "2.0:2.29:30", "--with-antennas", "-o", str(tmp_path / "t.csv")]) == 0
+    onset_lines = [line for line in capsys.readouterr().out.splitlines() if "improvement onset" in line]
+    assert onset_lines == ["  improvement onset: 2.28 GHz"]
+
+
 def test_transmission_reruns_are_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -1,14 +1,16 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from signalwall.layered_em import (
     Incidence,
     Layer,
     LayerStack,
+    _tmm_linear,
     amplitude_db,
     tmm_coefficients,
     transmission_spectrum,
@@ -176,6 +178,56 @@ def test_layer_splitting_is_exact(eps, loss, d, f, theta):
     assert t1 == pytest.approx(t2, abs=1e-12)
 
 
+def plain_transfer_matrix(eps_media, d_m, f_ghz, theta_deg, pol):
+    """Reference: the textbook 2x2 product of interface and propagation matrices, unscaled."""
+    k0 = 2.0 * math.pi * f_ghz * 1e9 / C0
+    kx = k0 * math.sin(math.radians(theta_deg))
+    kz = []
+    for eps in eps_media:
+        k = cmath.sqrt(k0 * k0 * eps - kx * kx)
+        kz.append(-k if k.imag > 0.0 else k)
+    # only impedance ratios enter: z is proportional to 1/kz (TE) or kz/eps (TM)
+    z = [1.0 / k if pol == "TE" else k / eps for k, eps in zip(kz, eps_media)]
+    m = np.eye(2, dtype=complex)
+    for n in range(1, len(eps_media)):
+        zr = z[n - 1] / z[n]
+        m = m @ (0.5 * np.array([[1.0 + zr, 1.0 - zr], [1.0 - zr, 1.0 + zr]]))
+        if n < len(eps_media) - 1:
+            phase = kz[n] * d_m[n - 1]
+            m = m @ np.diag([cmath.exp(1j * phase), cmath.exp(-1j * phase)])
+    return 1.0 / m[0, 0], m[1, 0] / m[0, 0]
+
+
+@given(
+    layers=st.lists(
+        st.tuples(
+            # eps' below sin^2(theta) makes a layer evanescent
+            st.floats(min_value=0.05, max_value=12.0),
+            st.floats(min_value=0.0, max_value=2.0),
+            st.floats(min_value=1.0, max_value=100.0),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    theta=st.floats(min_value=0.0, max_value=80.0),
+    pol=st.sampled_from(["TE", "TM"]),
+    f=st.floats(min_value=1.0, max_value=20.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_recursion_matches_the_plain_transfer_matrix_product(layers, theta, pol, f):
+    sin2 = math.sin(math.radians(theta)) ** 2
+    # kz = 0 in a layer at the evanescence threshold makes both methods singular
+    assume(all(abs(complex(eps, -loss) - sin2) > 1e-6 for eps, loss, _ in layers))
+    eps_media = [1.0] + [complex(eps, -loss) for eps, loss, _ in layers] + [1.0]
+    d_m = [d * 1e-3 for _, _, d in layers]
+    t_ref, r_ref = plain_transfer_matrix(eps_media, d_m, f, theta, pol)
+    assume(abs(t_ref) > 1e-100)
+    t, r = _tmm_linear([np.array([e]) for e in eps_media], d_m, f, theta, pol)
+    assert abs(t[0] - t_ref) <= 1e-10 * abs(t_ref)
+    # a nearly matched stack's r is a difference of terms of order |t|, so r is compared on that scale
+    assert abs(r[0] - r_ref) <= 1e-10 * max(abs(r_ref), abs(t_ref))
+
+
 def test_wall_layer_splitting(wall, db):
     split_layers = []
     for layer in wall.layers:
@@ -187,7 +239,7 @@ def test_wall_layer_splitting(wall, db):
 
 
 def test_deep_lossy_stack_does_not_overflow():
-    # ~60 dB/layer of loss; the rescaled cascade must stay finite
+    # ~60 dB/layer of loss over 2.4 m of slabs; t and r must stay finite
     material = slab_material(5.0, 2.0)
     stack = LayerStack([Layer(material, 400.0)] * 6)
     t, r = tmm_coefficients(stack, Incidence(8.0))

@@ -140,6 +140,14 @@ def test_merge_overrides_by_name(db):
     assert len(merged) == len(db)
 
 
+def test_override_replaces_a_material_under_all_its_names(db):
+    override = Material("rock_wool", 0.040, PermittivityModel(1.48))
+    merged = db.merged_with([override])
+    for name in ("rock_wool", "rockwool", "mineral_wool"):
+        assert merged.get(name) is override
+    assert db.get("mineral_wool").thermal_conductivity == 0.035
+
+
 def test_invalid_models_rejected():
     with pytest.raises(MaterialError):
         PermittivityModel(0.0)

@@ -144,6 +144,23 @@ def _scenario_with(section, key, value):
     return data
 
 
+@pytest.mark.parametrize(
+    "section, key, value, path",
+    [
+        ("thermal", "r_si", "NaN", "thermal.r_si"),
+        ("unit_cell", "sx_mm", "NaN", "unit_cell.sx_mm"),
+        ("unit_cell.foam", "size_mm", "NaN", "unit_cell.foam.size_mm"),
+        ("sweep", "u_limit", "Infinity", "sweep.u_limit"),
+        ("wall.layers.0", "thickness_mm", "NaN", "wall.layers[0].thickness_mm"),
+    ],
+)
+def test_numbers_must_be_finite(section, key, value, path):
+    # json reads the non-standard literals NaN and Infinity as floats
+    data = _scenario_with(section, key, json.loads(value))
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}: expected a number, got (nan|inf)$"):
+        scenario_from_dict(data)
+
+
 @pytest.mark.parametrize("count", [2.7, 2.0, True, "2"])
 def test_coax_count_must_be_a_json_integer(count):
     with pytest.raises(ScenarioError, match=r"^unit_cell\.coax\.count: expected int"):

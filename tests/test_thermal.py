@@ -99,17 +99,23 @@ def test_grid_spans_cell_exactly(antenna_cell):
     assert np.all(np.diff(grid.z_nodes_mm) > 0)
 
 
-def test_z_mesh_follows_the_slab_and_interface_caps(antenna_cell):
-    options = MeshOptions()
-    z = voxelize_unit_cell(antenna_cell, options).z_nodes_mm
+def _assert_slab_caps(cell, options):
+    """The z cells of ``cell``, after checking each lies within its slab's cap."""
+    z = voxelize_unit_cell(cell, options).z_nodes_mm
     dz = np.diff(z)
     zc = 0.5 * (z[:-1] + z[1:])
     caps = {"rock_wool": options.z_insulating_mm, "concrete": options.z_conductive_mm}
     lo = 0.0
-    for layer in antenna_cell.wall.layers:
+    for layer in cell.wall.layers:
         inside = (zc > lo) & (zc < lo + layer.thickness_mm)
         assert inside.any() and np.all(dz[inside] <= caps[layer.material.name] * (1 + 1e-12)), layer.material.name
         lo += layer.thickness_mm
+    return z, dz
+
+
+def test_z_mesh_follows_the_slab_and_interface_caps(antenna_cell):
+    options = MeshOptions()
+    z, dz = _assert_slab_caps(antenna_cell, options)
     # the laminate and foam planes at each face: the cells on both sides start at the interface spacing
     depth = antenna_cell.wall.depth_mm
     lam_t, foam_t = antenna_cell.laminate_thickness_mm, antenna_cell.foam_thickness_mm
@@ -118,6 +124,13 @@ def test_z_mesh_follows_the_slab_and_interface_caps(antenna_cell):
         assert z[k] == pytest.approx(plane, abs=1e-9)
         assert max(dz[k - 1], dz[k]) <= options.z_interface_mm * (1 + 1e-12), plane
     assert max(dz[0], dz[-1]) <= options.z_interface_mm * (1 + 1e-12)
+
+
+def test_thin_slabs_are_split_to_respect_their_cap(db):
+    # 2.4 mm of rock wool and 6.2 mm of concrete each fit within 1.25x their first-cell hint
+    thin = LayerStack([Layer(db.get("concrete"), 70.0), Layer(db.get("rock_wool"), 2.4), Layer(db.get("concrete"), 6.2)])
+    _, dz = _assert_slab_caps(UnitCell(150.0, 150.0, thin), MeshOptions())
+    assert np.allclose(dz[-4:], [1.2, 1.2, 3.1, 3.1])
 
 
 def test_antenna_cell_u_value(antenna_fv_result, bare_fv_result):
