@@ -14,7 +14,6 @@ from .materials import (
     MaterialError,
     PermittivityModel,
     UnknownMaterialError,
-    builtin_database,
 )
 from .layered_em import (
     Incidence,
@@ -44,6 +43,6 @@ from .thermal import (
 from .fdtd import Fdtd1dConfig, validate_against_tmm
 from .inverse import MeasuredSpectrum, FitResult, fit_permittivity, normalize_spectrum
 from .design_sweep import SweepConfig, SweepResult, min_feasible_separation, run_sweep
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import Scenario, ScenarioError, builtin_database, load_scenario
 
 __version__ = "0.1.0"

@@ -260,6 +260,16 @@ def fit_permittivity(
 # file readers
 
 
+def _numbers(cells, columns, path, line) -> list[float]:
+    """The ``columns`` of one data line as floats; a missing or non-numeric cell names its file and line."""
+    if len(cells) <= max(columns):
+        raise SpectrumFormatError(f"{path}, line {line}: expected {max(columns) + 1} columns, got {len(cells)}")
+    try:
+        return [float(cells[c]) for c in columns]
+    except ValueError as exc:
+        raise SpectrumFormatError(f"{path}, line {line}: {exc}") from None
+
+
 def read_spectrum_csv(path) -> MeasuredSpectrum:
     """CSV with header freq_GHz, s21_dB[, s21_phase_deg]."""
     path = Path(path)
@@ -274,15 +284,17 @@ def read_spectrum_csv(path) -> MeasuredSpectrum:
     except ValueError as exc:
         raise SpectrumFormatError(f"{path}: need columns freq_GHz and s21_dB, got {rows[0]}") from exc
     phase_col = header.index("s21_phase_deg") if "s21_phase_deg" in header else None
+    columns = [f_col, db_col] if phase_col is None else [f_col, db_col, phase_col]
 
     freqs, values = [], []
-    for row in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
         if not row or not row[0].strip():
             continue
-        freqs.append(float(row[f_col]))
-        mag = 10.0 ** (float(row[db_col]) / 20.0)
+        cells = _numbers(row, columns, path, line)
+        freqs.append(cells[0])
+        mag = 10.0 ** (cells[1] / 20.0)
         if phase_col is not None:
-            phase = math.radians(float(row[phase_col]))
+            phase = math.radians(cells[2])
             values.append(mag * complex(math.cos(phase), math.sin(phase)))
         else:
             values.append(mag)
@@ -305,7 +317,7 @@ def read_touchstone(path) -> MeasuredSpectrum:
     fmt = "ma"
     freqs, values = [], []
     with path.open("r", encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.split("!", 1)[0].strip()
             if not line:
                 continue
@@ -318,9 +330,7 @@ def read_touchstone(path) -> MeasuredSpectrum:
                     elif t in ("ma", "db", "ri"):
                         fmt = t
                 continue
-            fields = [float(v) for v in line.split()]
-            if len(fields) < 9:
-                raise SpectrumFormatError(f"{path}: expected 9 columns for a 2-port record, got {len(fields)}")
+            fields = _numbers(line.split(), range(9), path, line_no)  # a 2-port record
             freqs.append(fields[0] * unit_scale)
             x, y = fields[3], fields[4]  # S21 pair
             if fmt == "ri":

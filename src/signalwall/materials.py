@@ -12,15 +12,17 @@ conversion of the loss term lives in :func:`loss_permittivity` alone; the
 solvers that need omega or the free-space wavenumber (``layered_em``,
 ``fdtd``, ``inverse``, ``antenna_link``) each convert their own GHz
 frequencies with the same 1e9 factor.
+
+This module holds the models and the name-indexed database and reads no
+files: every JSON input, the shipped ``data/materials.json`` included, is
+read and checked by :mod:`signalwall.scenario`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable, Union
 
 import numpy as np
@@ -190,54 +192,3 @@ class MaterialDatabase:
         for m in materials:
             db.add(m)
         return db
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MaterialDatabase":
-        entries = data.get("materials")
-        if not isinstance(entries, list):
-            raise MaterialError("material file must contain a 'materials' list")
-        return cls(_material_from_dict(e) for e in entries)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MaterialDatabase":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def load(cls, path) -> "MaterialDatabase":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def _material_from_dict(entry: dict) -> Material:
-    if "name" not in entry or "thermal_conductivity" not in entry:
-        raise MaterialError(f"material entry needs 'name' and 'thermal_conductivity': {entry!r}")
-    perm = entry.get("permittivity")
-    model: Union[PermittivityModel, FixedPermittivity, None]
-    if perm is None:
-        model = None
-    elif "a" in perm:
-        model = PermittivityModel(perm["a"], perm.get("b", 0.0), perm.get("c", 0.0), perm.get("d", 0.0))
-    elif "tan_delta" in perm:
-        model = FixedPermittivity.from_tan_delta(perm["eps_real"], perm["tan_delta"])
-    else:
-        model = FixedPermittivity(perm["eps_real"], perm.get("eps_imag", 0.0))
-    return Material(
-        name=entry["name"],
-        thermal_conductivity=entry["thermal_conductivity"],
-        permittivity=model,
-        resistivity_ohm_m=entry.get("resistivity_ohm_m"),
-        aliases=tuple(entry.get("aliases", ())),
-        note=entry.get("note", ""),
-    )
-
-
-_BUILTIN: MaterialDatabase | None = None
-
-
-def builtin_database() -> MaterialDatabase:
-    """The database shipped with the package (see data/materials.json)."""
-    global _BUILTIN
-    if _BUILTIN is None:
-        text = resources.files("signalwall").joinpath("data/materials.json").read_text(encoding="utf-8")
-        _BUILTIN = MaterialDatabase.from_json(text)
-    return _BUILTIN

@@ -1,19 +1,22 @@
 """Scenario files: one JSON document describing wall, unit cell, and study.
 
-Validation reports the JSON path of the offending field.  A key that no
-part of the parser reads is rejected, so a misspelt field cannot fall back
-to its default unnoticed; material entries are checked by the material
-database instead.  The cable takes its conductor and dielectric from that
-database and its length from the wall depth.  Units are fixed: lengths in
-mm, frequencies in GHz, temperatures in K; suffixes or unit strings are
-rejected by the number checks.
+This module reads every JSON input of the package: scenario files, the
+material files named by ``--materials`` or the environment, and the shipped
+data files, the builtin material database included.  Each JSON object goes
+through one checker, which reports the JSON path of the offending field.  A
+key that no part of the parser reads is rejected, so a misspelt field cannot
+fall back to its default unnoticed; material entries and their permittivity
+are read the same way.  The cable takes its conductor and dielectric from
+the material database and its length from the wall depth.  Units are fixed:
+lengths in mm, frequencies in GHz, temperatures in K; suffixes or unit
+strings are rejected by the number checks.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
@@ -22,7 +25,7 @@ from pathlib import Path
 from .antenna_link import AntennaSpec, CoaxSpec, UnitCell, _require_cable_data
 from .design_sweep import SweepConfig
 from .layered_em import Layer, LayerStack
-from .materials import MaterialDatabase, _material_from_dict, builtin_database
+from .materials import FixedPermittivity, Material, MaterialDatabase, PermittivityModel
 from .thermal import ThermalBoundary
 
 MATERIALS_ENV_VAR = "SIGNALWALL_MATERIALS"
@@ -32,46 +35,45 @@ class ScenarioError(ValueError):
     """Scenario file violates the schema."""
 
 
-_MISSING = object()
-
-
 def _number(value, path):
-    # json reads NaN and Infinity, which no field of a scenario can hold
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # json reads NaN, Infinity and integers beyond the float range, which no field of a scenario can hold
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        shown = value if isinstance(value, float) else "an integer beyond the float range"
+        raise ScenarioError(f"{path}: expected a number, got {shown}")
     return float(value)
 
 
-def _expect(data, key, kind, path, default=_MISSING):
-    if key not in data:
-        if default is not _MISSING:
-            return default
-        raise ScenarioError(f"{path}.{key}: required field is missing")
-    value = data[key]
+def _typed(value, kind, path):
     if kind is float:
-        return _number(value, f"{path}.{key}")
+        return _number(value, path)
     # bool is an int subclass, but true is not a count
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ScenarioError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+        raise ScenarioError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
-def _only(data, path, *fields):
-    """``data``, after rejecting any key that is not one of ``fields``."""
-    for key in data:
-        if key not in fields:
-            raise ScenarioError(f"{path}.{key}: unknown field")
-    return data
+def _items(values, kind, path):
+    """The entries of a JSON list, each checked as ``kind`` at its index."""
+    return tuple(_typed(v, kind, f"{path}[{i}]") for i, v in enumerate(values))
 
 
-def _section(data, path, **kinds):
-    """Type-checked values of the keys of ``data`` that are present.
+def _section(data, path, required=(), **kinds):
+    """Type-checked values of the keys of the JSON object ``data`` that are present.
 
-    A key not in ``kinds`` is an error.  Absent keys are left out, so each
-    default lives in its dataclass alone.
+    A key not in ``kinds`` is an error, and so is a missing key named in
+    ``required``.  Other absent keys are left out, so each default lives in
+    its dataclass alone.
     """
-    _only(data, path, *kinds)
-    return {key: _expect(data, key, kind, path) for key, kind in kinds.items() if key in data}
+    _typed(data, dict, path)
+    for key in data:
+        if key not in kinds:
+            raise ScenarioError(f"{path}.{key}: unknown field")
+    for key in required:
+        if key not in data:
+            raise ScenarioError(f"{path}.{key}: required field is missing")
+    return {key: _typed(data[key], kind, f"{path}.{key}") for key, kind in kinds.items() if key in data}
 
 
 @contextmanager
@@ -83,6 +85,58 @@ def _reported_at(path):
         raise
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _permittivity(data, path):
+    """A power law (``a``, optional ``b``/``c``/``d``), eps' with a loss tangent, or eps' - j eps''."""
+    with _reported_at(path):
+        if "a" in data:
+            return PermittivityModel(**_section(data, path, ("a",), a=float, b=float, c=float, d=float))
+        if "tan_delta" in data:
+            fields = _section(data, path, ("eps_real", "tan_delta"), eps_real=float, tan_delta=float)
+            return FixedPermittivity.from_tan_delta(**fields)
+        return FixedPermittivity(**_section(data, path, ("eps_real",), eps_real=float, eps_imag=float))
+
+
+def _material(entry, path) -> Material:
+    fields = _section(
+        entry, path, ("name", "thermal_conductivity"),
+        name=str, thermal_conductivity=float, permittivity=dict, resistivity_ohm_m=float, aliases=list, note=str,
+    )
+    if "permittivity" in fields:
+        fields["permittivity"] = _permittivity(fields["permittivity"], f"{path}.permittivity")
+    if "aliases" in fields:
+        fields["aliases"] = _items(fields["aliases"], str, f"{path}.aliases")
+    with _reported_at(path):
+        return Material(**fields)
+
+
+def _materials(entries, path) -> list[Material]:
+    return [_material(entry, f"{path}[{i}]") for i, entry in enumerate(entries)]
+
+
+def _material_file(data, name) -> list[Material]:
+    """Entries of a ``{"materials": [...]}`` document, reported under the file ``name``."""
+    entries = _section(data, f"{name}: $", ("materials",), materials=list)["materials"]
+    return _materials(entries, f"{name}: materials")
+
+
+def _material_named(db: MaterialDatabase, name: str, path: str) -> Material:
+    if name not in db:
+        raise ScenarioError(f"{path}: unknown material {name!r}")
+    return db.get(name)
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _data_text(name: str) -> str:
+    return resources.files("signalwall").joinpath(f"data/{name}").read_text(encoding="utf-8")
 
 
 @dataclass
@@ -98,86 +152,73 @@ class Scenario:
         return UnitCell(self.cell.sx_mm, self.cell.sy_mm, self.wall)
 
 
+_BUILTIN: MaterialDatabase | None = None
+
+
+def builtin_database() -> MaterialDatabase:
+    """The database shipped with the package (see data/materials.json)."""
+    global _BUILTIN
+    if _BUILTIN is None:
+        _BUILTIN = MaterialDatabase(_material_file(json.loads(_data_text("materials.json")), "materials.json"))
+    return _BUILTIN
+
+
 def material_database(materials_path: str | None = None) -> MaterialDatabase:
     """Builtin database, optionally replaced via path or environment variable."""
     path = materials_path or os.environ.get(MATERIALS_ENV_VAR)
     if path:
-        return builtin_database().merged_with(MaterialDatabase.load(path))
+        return builtin_database().merged_with(_material_file(_read_json(path), path))
     return builtin_database()
 
 
 def default_scenario_text() -> str:
-    return resources.files("signalwall").joinpath("data/default_scenario.json").read_text(encoding="utf-8")
+    return _data_text("default_scenario.json")
 
 
 def load_scenario(path: str | Path | None = None, materials_path: str | None = None) -> Scenario:
     """Parse and validate a scenario JSON file; None loads the builtin default."""
-    if path is None:
-        data = json.loads(default_scenario_text())
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
+    data = json.loads(default_scenario_text()) if path is None else _read_json(path)
     return scenario_from_dict(data, material_database(materials_path))
 
 
 def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenario:
     if db is None:
         db = builtin_database()
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario root must be a JSON object")
-    _only(data, "$", "name", "description", "materials", "wall", "unit_cell", "thermal", "sweep")
+    root = _section(
+        data, "$", ("wall",),
+        name=str, description=str, materials=list, wall=dict, unit_cell=dict, thermal=dict, sweep=dict,
+    )
+    if root.get("materials"):
+        db = db.merged_with(_materials(root["materials"], "materials"))
 
-    overrides = data.get("materials", [])
-    if overrides:
-        if not isinstance(overrides, list):
-            raise ScenarioError("materials: expected a list of material entries")
-        db = db.merged_with(_material_from_dict(e) for e in overrides)
-
-    wall_data = _only(_expect(data, "wall", dict, "$"), "wall", "layers")
-    layers_data = _expect(wall_data, "layers", list, "wall")
-    if not layers_data:
-        raise ScenarioError("wall.layers: must contain at least one layer")
     layers = []
-    for i, entry in enumerate(layers_data):
+    for i, entry in enumerate(_section(root["wall"], "wall", ("layers",), layers=list)["layers"]):
         path = f"wall.layers[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{path}: expected an object")
-        _only(entry, path, "material", "thickness_mm")
-        name = _expect(entry, "material", str, path)
-        if name not in db:
-            raise ScenarioError(f"{path}.material: unknown material {name!r}")
-        thickness = _expect(entry, "thickness_mm", float, path)
-        if thickness <= 0.0:
-            raise ScenarioError(f"{path}.thickness_mm: must be > 0")
-        layers.append(Layer(db.get(name), thickness))
-    wall = LayerStack(layers)
+        layer = _section(entry, path, ("material", "thickness_mm"), material=str, thickness_mm=float)
+        material = _material_named(db, layer["material"], f"{path}.material")
+        with _reported_at(f"{path}.thickness_mm"):
+            layers.append(Layer(material, layer["thickness_mm"]))
+    with _reported_at("wall.layers"):
+        wall = LayerStack(layers)
 
-    cell_data = _expect(data, "unit_cell", dict, "$", default=None)
-    cell = _parse_cell(cell_data, wall, db) if cell_data is not None else UnitCell(150.0, 150.0, wall)
+    cell = _parse_cell(root["unit_cell"], wall, db) if "unit_cell" in root else UnitCell(150.0, 150.0, wall)
 
     with _reported_at("thermal"):
         boundary = ThermalBoundary(
-            **_section(
-                _expect(data, "thermal", dict, "$", default={}), "thermal",
-                r_si=float, r_se=float, t_inside_k=float, t_outside_k=float,
-            )
+            **_section(root.get("thermal", {}), "thermal", r_si=float, r_se=float, t_inside_k=float, t_outside_k=float)
         )
 
     sweep_fields = _section(
-        _expect(data, "sweep", dict, "$", default={}), "sweep",
-        separations_mm=list, frequencies_ghz=list, u_limit=float, combination=str,
+        root.get("sweep", {}), "sweep", separations_mm=list, frequencies_ghz=list, u_limit=float, combination=str
     )
     for key in ("separations_mm", "frequencies_ghz"):
         if key in sweep_fields:
-            sweep_fields[key] = tuple(_number(v, f"sweep.{key}[{i}]") for i, v in enumerate(sweep_fields[key]))
+            sweep_fields[key] = _items(sweep_fields[key], float, f"sweep.{key}")
     with _reported_at("sweep"):
         sweep = SweepConfig(**sweep_fields)
 
     return Scenario(
-        name=data.get("name", "unnamed"),
+        name=root.get("name", "unnamed"),
         wall=wall,
         cell=cell,
         boundary=boundary,
@@ -187,14 +228,14 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
 
 
 def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> UnitCell:
-    _only(cell_data, "unit_cell", "sx_mm", "sy_mm", "antenna", "coax", "foam", "laminate")
-    sx = _expect(cell_data, "sx_mm", float, "unit_cell")
-    sy = _expect(cell_data, "sy_mm", float, "unit_cell")
+    cell = _section(
+        cell_data, "unit_cell", ("sx_mm", "sy_mm"),
+        sx_mm=float, sy_mm=float, antenna=dict, coax=dict, foam=dict, laminate=dict,
+    )
 
-    antenna = None
-    if "antenna" in cell_data:
+    if "antenna" in cell:
         a = _section(
-            _expect(cell_data, "antenna", dict, "unit_cell"), "unit_cell.antenna",
+            cell["antenna"], "unit_cell.antenna",
             gain_dbi=float, cutoff_ghz=float, rolloff_db_per_octave=float, pattern_exponent=float, gain_table=list,
         )
         if "gain_table" in a:
@@ -203,41 +244,35 @@ def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> Unit
                 entry_path = f"unit_cell.antenna.gain_table[{i}]"
                 if not isinstance(entry, list) or len(entry) != 2:
                     raise ScenarioError(f"{entry_path}: expected a [GHz, dBi] pair, got {entry!r}")
-                table.append(tuple(_number(v, f"{entry_path}[{j}]") for j, v in enumerate(entry)))
+                table.append(_items(entry, float, entry_path))
             a["gain_table"] = tuple(table) or None
         with _reported_at("unit_cell.antenna"):
-            antenna = AntennaSpec(**a)
+            cell["antenna"] = AntennaSpec(**a)
 
-    coax = None
-    if "coax" in cell_data:
+    if "coax" in cell:
         c = _section(
-            _expect(cell_data, "coax", dict, "unit_cell"), "unit_cell.coax", count=int, inner_radius_mm=float,
+            cell["coax"], "unit_cell.coax", count=int, inner_radius_mm=float,
             outer_radius_mm=float, shield_thickness_mm=float, conductor_material=str, dielectric_material=str,
         )
         if "count" in c and c["count"] < 1:
             raise ScenarioError(f"unit_cell.coax.count: must be >= 1, got {c['count']}")
         for role, default in (("conductor", "stainless_steel"), ("dielectric", "ptfe_low_density")):
-            key = f"{role}_material"
-            name = c.pop(key, default)
-            if name not in db:
-                raise ScenarioError(f"unit_cell.coax.{key}: unknown material {name!r}")
-            with _reported_at(f"unit_cell.coax.{key}"):
-                c[role] = _require_cable_data(role, db.get(name))
+            path = f"unit_cell.coax.{role}_material"
+            material = _material_named(db, c.pop(f"{role}_material", default), path)
+            with _reported_at(path):
+                c[role] = _require_cable_data(role, material)
         with _reported_at("unit_cell.coax"):
-            coax = CoaxSpec(**c)
+            cell["coax"] = CoaxSpec(**c)
 
-    features = {}
     for key in ("foam", "laminate"):
-        if key not in cell_data:
-            continue
-        path = f"unit_cell.{key}"
-        f = _only(_expect(cell_data, key, dict, "unit_cell"), path, "material", "size_mm", "thickness_mm")
-        name = _expect(f, "material", str, path)
-        if name not in db:
-            raise ScenarioError(f"{path}.material: unknown material {name!r}")
-        features[key] = db.get(name)
-        features[f"{key}_size_mm"] = _expect(f, "size_mm", float, path)
-        features[f"{key}_thickness_mm"] = _expect(f, "thickness_mm", float, path)
+        if key in cell:
+            path = f"unit_cell.{key}"
+            f = _section(
+                cell[key], path, ("material", "size_mm", "thickness_mm"), material=str, size_mm=float, thickness_mm=float
+            )
+            cell[key] = _material_named(db, f["material"], f"{path}.material")
+            cell[f"{key}_size_mm"] = f["size_mm"]
+            cell[f"{key}_thickness_mm"] = f["thickness_mm"]
 
     with _reported_at("unit_cell"):
-        return UnitCell(sx_mm=sx, sy_mm=sy, wall=wall, antenna=antenna, coax=coax, **features)
+        return UnitCell(wall=wall, **cell)

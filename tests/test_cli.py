@@ -149,6 +149,15 @@ def test_fit_rejects_nonpositive_a_bound(tmp_path, capsys):
     assert "low bound of a must be > 0" in capsys.readouterr().err
 
 
+def test_fit_rejects_a_short_row_with_its_file_and_line(tmp_path, capsys):
+    path = tmp_path / "meas.csv"
+    path.write_text("freq_GHz,s21_dB\n2.0,-3.0\n2.5\n8.0,-5.0\n")
+    assert main(["fit-permittivity", str(path), "--thickness", "60"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}, line 3: expected 2 columns, got 1\n"
+
+
 def test_fit_requires_thickness(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text("freq_GHz,s21_dB\n1.0,-3.0\n")
@@ -271,6 +280,15 @@ def test_materials_flag_merges_user_database(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "hempcrete" in printed
     assert "concrete" in printed
+
+
+def test_materials_flag_reports_a_bad_entry_under_its_file(tmp_path, capsys):
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({"materials": [{"name": "x", "thermal_conductivity": 1.0, "permittivity": {}}]}))
+    assert main(["materials", "list", "--materials", str(extra)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {extra}: materials[0].permittivity.eps_real: required field is missing\n"
 
 
 def test_fdtd_validate_small_band(capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,3 +327,19 @@ def test_measured_spectrum_validation():
         MeasuredSpectrum(np.array([2.0, 1.0]), np.array([1.0, 1.0]))
     with pytest.raises(SpectrumFormatError):
         MeasuredSpectrum(np.array([1.0, 2.0]), np.array([np.nan, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("short.csv", "freq_GHz,s21_dB\n1.0,-3.0\n2.5\n", "line 3: expected 2 columns, got 1"),
+        ("cell.csv", "freq_GHz,s21_dB\n1.0,-3.0\n2.0,x\n", "line 3: could not convert string to float: 'x'"),
+        ("cell.s2p", "# GHz S MA R 50\n1.0 0.1 0 0.5 x 0.5 45 0.1 0\n", "line 2: could not convert string to float: 'x'"),
+    ],
+    ids=["short_csv_row", "csv_cell", "touchstone_cell"],
+)
+def test_readers_name_the_file_and_line_of_a_bad_row(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(SpectrumFormatError, match=f"^{re.escape(f'{path}, {message}')}$"):
+        read_spectrum(path)

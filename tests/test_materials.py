@@ -12,8 +12,8 @@ from signalwall.materials import (
     MaterialError,
     PermittivityModel,
     UnknownMaterialError,
-    builtin_database,
 )
+from signalwall.scenario import builtin_database
 
 # hand oracle: ITU closed form written out both ways
 EPS0 = 8.8541878128e-12

@@ -301,3 +301,51 @@ def test_unit_cell_sections_that_would_be_ignored_are_rejected(drop, message):
         del data["unit_cell"][key]
     with pytest.raises(ScenarioError, match=f"^unit_cell: {message}"):
         scenario_from_dict(data)
+
+
+def _with_material(entry):
+    # the layer is named "b": were aliases "abc" split into a, b and c, this layer would load the entry
+    return {"materials": [entry], "wall": {"layers": [{"material": "b", "thickness_mm": 70.0}]}}
+
+
+def _concrete(**fields):
+    return {"name": "concrete", "thermal_conductivity": 1.3, **fields}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (_concrete(permittivity={}), r"\.permittivity\.eps_real: required field is missing"),
+        (_concrete(permittivity=[1, 2]), r"\.permittivity: expected dict, got list"),
+        (_concrete(permitivity={"a": 5.0}), r"\.permitivity: unknown field"),
+        (_concrete(aliases="abc"), r"\.aliases: expected list, got str"),
+        (_concrete(permittivity={"a": 1.48, "eps_real": 9}), r"\.permittivity\.eps_real: unknown field"),
+        (
+            _concrete(permittivity={"eps_real": 2.2, "tan_delta": 9e-4, "eps_imag": 0.5}),
+            r"\.permittivity\.eps_imag: unknown field",
+        ),
+        ("concrete", r": expected dict, got str"),
+        (_concrete(aliases=["b", 7]), r"\.aliases\[1\]: expected str, got int"),
+        (_concrete(permittivity={"a": -1.0}), r"\.permittivity: coefficient a must be > 0, got -1\.0"),
+        (_concrete(thermal_conductivity=-1.3), r": thermal_conductivity must be > 0, got -1\.3"),
+    ],
+    ids=[
+        "empty_permittivity", "list_permittivity", "misspelt_permittivity", "string_aliases", "power_law_and_eps_real",
+        "tan_delta_and_eps_imag", "non_object", "non_string_alias", "model_error", "model_error_in_entry",
+    ],
+)
+def test_material_entries_are_checked_at_their_path(entry, message):
+    with pytest.raises(ScenarioError, match=rf"^materials\[0\]{message}$"):
+        scenario_from_dict(_with_material(entry))
+
+
+@pytest.mark.parametrize(
+    "data, path",
+    [
+        (_scenario_with("thermal", "r_si", 10**400), "thermal.r_si"),
+        (_with_material(_concrete(thermal_conductivity=10**400)), "materials[0].thermal_conductivity"),
+    ],
+)
+def test_integers_beyond_the_float_range_are_rejected_at_their_path(data, path):
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(path)}: expected a number, got an integer beyond"):
+        scenario_from_dict(data)
