@@ -179,7 +179,8 @@ class UnitCell:
     Lateral cell size doubles as the antenna-system separation on the wall.
     ``antenna`` and ``coax`` are both None for a bare cell, which then has no
     foam or laminate either.  The laminate sheet sits on each wall face with
-    the foam spacer recessed into the concrete behind it.
+    the foam spacer recessed into the concrete behind it.  Every part has a
+    size > 0 and fits the cell, and both faces' stacks fit the wall depth.
     """
 
     sx_mm: float
@@ -195,22 +196,39 @@ class UnitCell:
     laminate_thickness_mm: float = 0.5
 
     def __post_init__(self):
-        if self.sx_mm <= 0.0 or self.sy_mm <= 0.0:
-            raise ValueError("cell dimensions must be > 0")
+        if not (0.0 < self.sx_mm < math.inf and 0.0 < self.sy_mm < math.inf):
+            raise ValueError(f"cell dimensions must be finite and > 0, got {self.sx_mm} x {self.sy_mm} mm")
         if (self.antenna is None) != (self.coax is None):
             raise ValueError("antenna and coax need each other; one alone would be ignored")
         if not self.has_antenna_system and (self.foam is not None or self.laminate is not None):
             raise ValueError("foam and laminate need an antenna system (antenna and coax); alone they would be ignored")
         if self.has_antenna_system:
-            footprint = self.laminate_size_mm if self.laminate is not None else 0.0
-            if min(self.sx_mm, self.sy_mm) <= footprint:
-                raise ValueError(
-                    f"cell ({self.sx_mm} x {self.sy_mm} mm) must exceed the antenna footprint ({footprint} mm)"
-                )
+            for part in ("foam", "laminate"):
+                size, thickness = getattr(self, f"{part}_size_mm"), getattr(self, f"{part}_thickness_mm")
+                if getattr(self, part) is not None and not (size > 0.0 and thickness > 0.0):
+                    raise ValueError(f"{part} size and thickness must be > 0, got {size} and {thickness} mm")
+            cell, diameter = f"cell ({self.sx_mm} x {self.sy_mm} mm)", 2.0 * self.coax.outer_radius_mm
+            if self.coax.count * diameter > self.sx_mm or diameter > self.sy_mm:
+                raise ValueError(f"{cell} must hold the cable pack ({self.coax.count} lines of {diameter} mm side by side)")
+            if self.foam is not None and self.foam_size_mm > min(self.sx_mm, self.sy_mm):
+                raise ValueError(f"{cell} must hold the foam block ({self.foam_size_mm} mm)")
+            if self.laminate is not None and min(self.sx_mm, self.sy_mm) <= self.laminate_size_mm:
+                raise ValueError(f"{cell} must exceed the antenna footprint ({self.laminate_size_mm} mm)")
+            stack, depth = 2.0 * sum(self.face_stack_mm), self.wall.depth_mm
+            if stack > depth:
+                raise ValueError(f"laminate + foam stacks of both faces ({stack} mm) overlap in the {depth} mm wall")
 
     @property
     def has_antenna_system(self) -> bool:
         return self.antenna is not None and self.coax is not None
+
+    @property
+    def face_stack_mm(self) -> tuple[float, float]:
+        """Laminate and foam thickness on each wall face, 0 for a part the cell lacks."""
+        return (
+            self.laminate_thickness_mm if self.laminate is not None else 0.0,
+            self.foam_thickness_mm if self.foam is not None else 0.0,
+        )
 
     @property
     def cell_area_m2(self) -> float:

@@ -19,7 +19,7 @@ from .design_sweep import SweepConfig, run_sweep
 from .fdtd import Fdtd1dConfig, validate_against_tmm
 from .inverse import DEFAULT_BOUNDS, fit_permittivity, normalize_spectrum, read_spectrum
 from .layered_em import Spectrum, _coefficients, amplitude_db, transmission_spectrum
-from .materials import FixedPermittivity, UnknownMaterialError
+from .materials import FixedPermittivity
 from .scenario import load_scenario, material_database
 from .thermal import solve_steady_state, u_value_analytical, voxelize_unit_cell, write_vtk
 
@@ -138,15 +138,10 @@ def cmd_fit(args) -> int:
     dut = read_spectrum(args.input)
     if args.reference:
         dut = normalize_spectrum(dut, read_spectrum(args.reference), interpolate=args.interpolate)
-    bounds = (
-        (args.bounds[0], args.bounds[1]),
-        (args.bounds[2], args.bounds[3]),
-        (args.bounds[4], args.bounds[5]),
-    )
     fit = fit_permittivity(
         dut,
         thickness_mm=args.thickness,
-        bounds=bounds,
+        bounds=tuple(zip(args.bounds[::2], args.bounds[1::2])),
         n_starts=args.starts,
         b_fixed=args.b,
         seed=args.seed,
@@ -304,7 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, UnknownMaterialError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

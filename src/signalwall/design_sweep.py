@@ -103,9 +103,9 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
     freqs = np.array(cfg.frequencies_ghz)
     t_wall, _ = _coefficients(cell_template.wall, freqs, 0.0, "RHCP")
     bare_db = amplitude_db(t_wall)
+    cells = [cell_template.with_separation(s) for s in cfg.separations_mm]  # a cell too small fails before any solve
     records = []
-    for s in cfg.separations_mm:
-        sized = cell_template.with_separation(s)
+    for s, sized in zip(cfg.separations_mm, cells):
         grid = voxelize_unit_cell(sized, options=cfg.mesh)
         thermal = solve_steady_state(grid, bc)
         levels = amplitude_db(combine_paths(t_wall, aperture_transmission(sized, freqs), cfg.combination))

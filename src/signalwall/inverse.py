@@ -9,11 +9,11 @@ identifiable.
 The fit minimizes the RMS error in dB between the measured |S21| and the
 exact slab transmission, using a derivative-free simplex search restarted
 from deterministic seeded points inside the bounds; the objective has
-Fabry-Perot local minima, hence the multistart.  The slab model is the
-closed-form (Airy) transmission of one slab in vacuum, which equals the
-transfer-matrix cascade of :mod:`signalwall.layered_em` for a one-layer
-stack at a fraction of its cost; every objective evaluation is one call of
-:func:`slab_transmission`.  ``FitResult.evaluations`` counts those calls.
+Fabry-Perot local minima, hence the multistart (twice in a complex fit).
+The slab model is the closed-form (Airy) transmission of one slab in vacuum,
+equal to the transfer-matrix cascade of :mod:`signalwall.layered_em` for a
+one-layer stack at a fraction of its cost; every objective evaluation is one
+call of :func:`slab_transmission`.  ``FitResult.evaluations`` counts them.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class FitResult:
     residual_db_rms: float
     iterations: int
     converged: bool
-    starts: list = field(default_factory=list, repr=False)
+    starts: list = field(default_factory=list, repr=False)  # the final level's runs, one entry per start
     evaluations: int = 0  # objective calls over all starts, a complex fit's magnitude pre-fit included
 
     @property
@@ -154,15 +154,7 @@ def slab_transmission_db(a, b, c, d, thickness_mm, frequencies_ghz):
     return 20.0 * np.log10(np.abs(slab_transmission(a, b, c, d, thickness_mm, frequencies_ghz)))
 
 
-def _check_bounds(bounds):
-    """Reject (a, c, d) bounds that hold points outside the model's domain."""
-    for name, (lo, hi) in zip("acd", bounds):
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"bounds: {name} bounds must be finite, got ({lo}, {hi})")
-    if bounds[0][0] <= 0.0:
-        raise ValueError(f"bounds: the low bound of a must be > 0, got {bounds[0][0]}")
-    if bounds[1][0] < 0.0:
-        raise ValueError(f"bounds: the low bound of c must be >= 0, got {bounds[1][0]}")
+_MAX_ITER = 2000  # Nelder-Mead iterations per start
 
 
 def fit_permittivity(
@@ -172,7 +164,6 @@ def fit_permittivity(
     n_starts: int = 16,
     b_fixed: float = 0.0,
     seed: int = 0,
-    max_iterations: int = 2000,
     complex_objective: bool = False,
 ) -> FitResult:
     """Fit (a, c, d) of the slab permittivity to a measured S21 spectrum.
@@ -182,11 +173,12 @@ def fit_permittivity(
     complex-log difference log(t_model/s21), which weighs magnitude error in
     nepers and phase error in radians evenly across a wide dynamic range and
     needs phase-calibrated data.  Phase wrapping through a thick slab makes
-    that landscape a comb, so the complex mode first runs the magnitude fit
-    and adds its optimum to the start list.  The best of ``n_starts``
-    Nelder-Mead runs wins; ties resolve to the lowest start index, so
-    results are reproducible for a given seed.  The reported residual is
-    always the dB-magnitude RMS of the returned fit.
+    that landscape a comb, so the complex mode first runs the magnitude
+    multistart, then the complex one from its optimum and the same starts.
+    At each level the best of the Nelder-Mead runs wins; ties resolve to the
+    lowest start index, so results are reproducible for a given seed.
+    ``iterations`` and ``evaluations`` count both levels.  The reported
+    residual is always the dB-magnitude RMS of the returned fit.
     """
     thickness = thickness_mm if thickness_mm is not None else spectrum.thickness_mm
     if thickness is None or thickness <= 0.0:
@@ -198,7 +190,13 @@ def fit_permittivity(
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     if len(bounds) != 3 or any(lo >= hi for lo, hi in bounds):
         raise ValueError("bounds must be three (low, high) pairs for (a, c, d)")
-    _check_bounds(bounds)
+    for name, (lo, hi) in zip("acd", bounds):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"bounds: {name} bounds must be finite, got ({lo}, {hi})")
+    if bounds[0][0] <= 0.0:
+        raise ValueError(f"bounds: the low bound of a must be > 0, got {bounds[0][0]}")
+    if bounds[1][0] < 0.0:
+        raise ValueError(f"bounds: the low bound of c must be >= 0, got {bounds[1][0]}")
     f = spectrum.frequencies_ghz
     measured_db = spectrum.magnitude_db
     if f.size < 10 or f[-1] / f[0] < 2.0:
@@ -207,53 +205,47 @@ def fit_permittivity(
             stacklevel=2,
         )
 
-    def objective(x):
-        if complex_objective:
-            t_model = slab_transmission(x[0], b_fixed, x[1], x[2], thickness, f)
-            log_error = np.log(t_model / spectrum.s21)
-            return float(np.sqrt(np.mean(np.abs(log_error) ** 2)))
+    def db_rms(x):
         model_db = slab_transmission_db(x[0], b_fixed, x[1], x[2], thickness, f)
         return float(np.sqrt(np.mean((model_db - measured_db) ** 2)))
 
+    def log_rms(x):
+        log_error = np.log(slab_transmission(x[0], b_fixed, x[1], x[2], thickness, f) / spectrum.s21)
+        return float(np.sqrt(np.mean(np.abs(log_error) ** 2)))
+
     rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    lo, hi = np.array(bounds).T
     starts = [0.5 * (lo + hi)]
     starts.extend(lo + (hi - lo) * rng.random(3) for _ in range(n_starts - 1))
-    evaluations = 0
-    if complex_objective:
-        magnitude_fit = fit_permittivity(
-            spectrum, thickness, bounds, n_starts, b_fixed, seed, max_iterations, complex_objective=False
-        )
-        evaluations += magnitude_fit.evaluations
-        if magnitude_fit.converged:
-            starts.insert(0, np.array([magnitude_fit.a, magnitude_fit.c, magnitude_fit.d]))
+    iterations = evaluations = 0
 
-    diagnostics = []
-    best = None
-    total_iterations = 0
-    for index, x0 in enumerate(starts):
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxiter": max_iterations, "xatol": 1e-6, "fatol": 1e-10},
-        )
-        total_iterations += result.nit
-        evaluations += result.nfev
-        entry = {"start": index, "x0": np.asarray(x0), "x": result.x, "residual": float(result.fun), "success": bool(result.success)}
-        diagnostics.append(entry)
-        if result.success and math.isfinite(result.fun):
-            if best is None or result.fun < best["residual"] - 1e-15:
+    def multistart(objective, level_starts):
+        """The best converged Nelder-Mead run over ``level_starts`` (None if none converged) and every run's entry."""
+        nonlocal iterations, evaluations
+        diagnostics, best = [], None
+        for index, x0 in enumerate(level_starts):
+            result = minimize(
+                objective,
+                x0,
+                method="Nelder-Mead",
+                bounds=bounds,
+                options={"maxiter": _MAX_ITER, "xatol": 1e-6, "fatol": 1e-10},
+            )
+            iterations += result.nit
+            evaluations += result.nfev
+            entry = {"start": index, "x0": np.asarray(x0), "x": result.x, "residual": float(result.fun), "success": bool(result.success)}
+            diagnostics.append(entry)
+            if result.success and math.isfinite(result.fun) and (best is None or result.fun < best["residual"] - 1e-15):
                 best = entry
+        return best, diagnostics
 
+    best, diagnostics = multistart(db_rms, starts)
+    if complex_objective:
+        best, diagnostics = multistart(log_rms, ([] if best is None else [best["x"]]) + starts)
     if best is None:
-        return FitResult(math.nan, b_fixed, math.nan, math.nan, math.inf, total_iterations, False, diagnostics, evaluations)
+        return FitResult(math.nan, b_fixed, math.nan, math.nan, math.inf, iterations, False, diagnostics, evaluations)
     a, c, d = best["x"]
-    model_db = slab_transmission_db(a, b_fixed, c, d, thickness, f)
-    residual_db = float(np.sqrt(np.mean((model_db - measured_db) ** 2)))
-    return FitResult(float(a), b_fixed, float(c), float(d), residual_db, total_iterations, True, diagnostics, evaluations)
+    return FitResult(float(a), b_fixed, float(c), float(d), db_rms(best["x"]), iterations, True, diagnostics, evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +260,15 @@ def _numbers(cells, columns, path, line) -> list[float]:
         return [float(cells[c]) for c in columns]
     except ValueError as exc:
         raise SpectrumFormatError(f"{path}, line {line}: {exc}") from None
+
+
+def _s21(fmt, x, y=0.0) -> complex:
+    """One S21 sample from a pair: ``ri`` real/imaginary, ``ma`` magnitude/degrees, ``db`` dB/degrees (phase 0 if absent)."""
+    if fmt == "ri":
+        return complex(x, y)
+    magnitude = 10.0 ** (x / 20.0) if fmt == "db" else x
+    phase = math.radians(y)
+    return magnitude * complex(math.cos(phase), math.sin(phase))
 
 
 def read_spectrum_csv(path) -> MeasuredSpectrum:
@@ -292,12 +293,7 @@ def read_spectrum_csv(path) -> MeasuredSpectrum:
             continue
         cells = _numbers(row, columns, path, line)
         freqs.append(cells[0])
-        mag = 10.0 ** (cells[1] / 20.0)
-        if phase_col is not None:
-            phase = math.radians(cells[2])
-            values.append(mag * complex(math.cos(phase), math.sin(phase)))
-        else:
-            values.append(mag)
+        values.append(_s21("db", *cells[1:]))
     return MeasuredSpectrum(
         np.asarray(freqs), np.asarray(values, dtype=complex), magnitude_only=phase_col is None, fixture_id=path.name
     )
@@ -332,13 +328,7 @@ def read_touchstone(path) -> MeasuredSpectrum:
                 continue
             fields = _numbers(line.split(), range(9), path, line_no)  # a 2-port record
             freqs.append(fields[0] * unit_scale)
-            x, y = fields[3], fields[4]  # S21 pair
-            if fmt == "ri":
-                values.append(complex(x, y))
-            else:
-                mag = 10.0 ** (x / 20.0) if fmt == "db" else x
-                phase = math.radians(y)
-                values.append(mag * complex(math.cos(phase), math.sin(phase)))
+            values.append(_s21(fmt, fields[3], fields[4]))  # S21 pair
     if not freqs:
         raise SpectrumFormatError(f"{path}: no data rows")
     return MeasuredSpectrum(np.asarray(freqs), np.asarray(values, dtype=complex), fixture_id=path.name)

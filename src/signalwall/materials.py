@@ -125,8 +125,10 @@ class Material:
         )
         if self.thermal_conductivity <= 0.0:
             raise MaterialError(f"thermal_conductivity must be > 0, got {self.thermal_conductivity}")
-        if self.resistivity_ohm_m is not None and self.resistivity_ohm_m <= 0.0:
-            raise MaterialError(f"resistivity_ohm_m must be > 0, got {self.resistivity_ohm_m}")
+        if self.resistivity_ohm_m is not None and not 0.0 < self.resistivity_ohm_m < math.inf:
+            raise MaterialError(f"resistivity_ohm_m must be finite and > 0, got {self.resistivity_ohm_m}")
+        if not (isinstance(self.aliases, tuple) and all(isinstance(a, str) and a for a in self.aliases)):
+            raise MaterialError(f"aliases must be a tuple of non-empty names, got {self.aliases!r}")
 
     def complex_permittivity(self, frequency_ghz):
         """eps' - j eps'' at GHz frequencies > 0, in the shape of ``frequency_ghz``.

@@ -172,8 +172,6 @@ def _merge_lines(lines, length, tol=1e-9):
     """Sorted unique {coordinate: spacing hint}, clipped to [0, length]."""
     merged: dict[float, float] = {0.0: lines.get(0.0, math.inf), length: lines.get(length, math.inf)}
     for coord, hint in lines.items():
-        if coord < -tol or coord > length + tol:
-            raise ThermalError(f"feature coordinate {coord} mm outside the cell (0..{length} mm)")
         coord = min(max(coord, 0.0), length)
         for existing in merged:
             if abs(existing - coord) <= tol:
@@ -287,8 +285,7 @@ def voxelize_unit_cell(cell: UnitCell, options: MeshOptions = MeshOptions()) -> 
         return _Box(material, x - half, x + half, cy - half, cy + half, z0, z1, hint)
 
     if cell.has_antenna_system:
-        lam_t = cell.laminate_thickness_mm if cell.laminate is not None else 0.0
-        foam_t = cell.foam_thickness_mm if cell.foam is not None else 0.0
+        lam_t, foam_t = cell.face_stack_mm
         foam_z = ((lam_t, lam_t + foam_t), (depth - lam_t - foam_t, depth - lam_t))  # behind each laminate
         laminate_z = ((0.0, lam_t), (depth - lam_t, depth))
         if lam_t + foam_t > 0.0:
@@ -296,8 +293,6 @@ def voxelize_unit_cell(cell: UnitCell, options: MeshOptions = MeshOptions()) -> 
                 z_lines[plane] = options.z_interface_mm
         if cell.foam is not None:
             half = cell.foam_size_mm / 2.0
-            if half > min(cx, cy):
-                raise ThermalError("foam block exceeds the cell bounds")
             boxes += [centred_square(cell.foam, cx, half, z0, z1, options.xy_feature_mm) for z0, z1 in foam_z]
         if cell.laminate is not None:
             half = cell.laminate_size_mm / 2.0
@@ -305,8 +300,6 @@ def voxelize_unit_cell(cell: UnitCell, options: MeshOptions = MeshOptions()) -> 
 
         spec = cell.coax
         w_shield = equivalent_square_side_mm(spec.outer_radius_mm)
-        if spec.count * w_shield > cell.sx_mm or w_shield > cell.sy_mm:
-            raise ThermalError("coax assembly exceeds the cell bounds")
         # lines side by side along x, shields touching; shield, bore and pin nest as squares
         parts = (
             (spec.conductor, spec.outer_radius_mm),

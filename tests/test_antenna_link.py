@@ -154,8 +154,10 @@ def test_pattern_rolloff():
 def test_aperture_saturation_clamp(antenna_cell):
     # force the effective aperture beyond the cell: the capture fraction must
     # clamp at 1 leaving exactly the cable loss
-    big = dataclasses.replace(antenna_cell, antenna=AntennaSpec(gain_dbi=30.0, rolloff_db_per_octave=0.0))
-    small = big.with_separation(41.0)
+    big = dataclasses.replace(
+        antenna_cell, antenna=AntennaSpec(gain_dbi=30.0, rolloff_db_per_octave=0.0), foam_size_mm=40.0
+    )
+    small = big.with_separation(41.0)  # the foam block must fit the cell
     t = aperture_transmission(small, 1.5)
     cable_db = coax_attenuation(small.coax, 1.5).total_db
     assert 20.0 * math.log10(t) == pytest.approx(-cable_db, abs=1e-9)
@@ -296,6 +298,17 @@ def test_cell_validation(wall, db, antenna_cell):
     coax = antenna_cell.coax
     with pytest.raises(ValueError):
         UnitCell(30.0, 30.0, wall, antenna=AntennaSpec(), coax=coax, laminate=db.get("laminate"))
+    # each part fits the 150 mm cell of the 440 mm wall at its limit and is refused just beyond it
+    for fits, beyond, message in (
+        ({"coax": dataclasses.replace(coax, count=85)}, {"coax": dataclasses.replace(coax, count=86)}, "cable pack"),
+        ({"foam_size_mm": 150.0}, {"foam_size_mm": 150.5}, "foam block"),
+        ({"foam_thickness_mm": 219.5}, {"foam_thickness_mm": 219.6}, "overlap in the 440.0 mm wall"),
+        ({"foam_thickness_mm": 1e-3}, {"foam_thickness_mm": 0.0}, "foam size and thickness must be > 0"),
+        ({"laminate_size_mm": 1e-3}, {"laminate_size_mm": -400.0}, "laminate size and thickness must be > 0"),
+    ):
+        dataclasses.replace(antenna_cell, **fits)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(antenna_cell, **beyond)
 
 
 def test_cell_rejects_features_it_would_ignore(wall, db, antenna_cell):

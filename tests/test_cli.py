@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +239,52 @@ def test_repeated_sweep_values_exit_before_solving(monkeypatch, capsys, option, 
     monkeypatch.setattr(design_sweep, "solve_steady_state", no_solve)
     assert main(["sweep", option, value]) == 2
     assert "must not repeat" in capsys.readouterr().err
+
+
+def test_sweep_sizes_every_cell_before_solving(monkeypatch, capsys):
+    from signalwall import design_sweep
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_steady_state must not run")
+
+    monkeypatch.setattr(design_sweep, "solve_steady_state", no_solve)
+    assert main(["sweep", "--separations", "150,45"]) == 2
+    assert "must hold the foam block (50.0 mm)" in capsys.readouterr().err
+    for separation in ("inf", "nan"):  # an infinite cell would never finish meshing
+        assert main(["sweep", "--separations", f"150,{separation}"]) == 2
+        assert f"cell dimensions must be finite and > 0, got {separation} x {separation} mm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["transmission", "--with-antennas"], ["sweep"], ["uvalue"]], ids=["transmission", "sweep", "uvalue"]
+)
+@pytest.mark.parametrize(
+    "part, key, value, message",
+    [
+        ("foam", "size_mm", 200.0, "must hold the foam block (200.0 mm)"),
+        ("coax", "count", 120, "must hold the cable pack (120 lines of 1.76 mm side by side)"),
+        ("foam", "thickness_mm", 220.0, "laminate + foam stacks of both faces (441.0 mm) overlap in the 440.0 mm wall"),
+    ],
+    ids=["foam-200", "coax-120", "overlapping-stack"],
+)
+def test_parts_outside_the_cell_exit_at_the_unit_cell(tmp_path, monkeypatch, capsys, command, part, key, value, message):
+    from signalwall import cli, design_sweep
+    from signalwall.scenario import default_scenario_text
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_steady_state must not run")
+
+    monkeypatch.setattr(design_sweep, "solve_steady_state", no_solve)
+    monkeypatch.setattr(cli, "solve_steady_state", no_solve)
+    monkeypatch.chdir(tmp_path)
+    data = json.loads(default_scenario_text())
+    data["unit_cell"][part][key] = value
+    Path("s.json").write_text(json.dumps(data))
+    assert main([*command, "--scenario", "s.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unit_cell: ") and message in captured.err
+    assert not Path("transmission.csv").exists()
 
 
 @pytest.mark.parametrize("from_scenario", [False, True])

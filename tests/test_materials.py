@@ -163,6 +163,23 @@ def test_invalid_models_rejected():
         Material("x", 1.0, FixedPermittivity(4.0)).complex_permittivity([1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"resistivity_ohm_m": float("nan")}, "resistivity_ohm_m must be finite and > 0, got nan"),
+        ({"resistivity_ohm_m": float("inf")}, "resistivity_ohm_m must be finite and > 0, got inf"),
+        ({"resistivity_ohm_m": 0.0}, "resistivity_ohm_m must be finite and > 0, got 0.0"),
+        ({"aliases": "abc"}, "aliases must be a tuple of non-empty names"),
+        ({"aliases": ["abc"]}, "aliases must be a tuple of non-empty names"),
+        ({"aliases": ("abc", "")}, "aliases must be a tuple of non-empty names"),
+        ({"aliases": ("abc", 3)}, "aliases must be a tuple of non-empty names"),
+    ],
+)
+def test_material_rejects_bad_resistivity_and_aliases(fields, message):
+    with pytest.raises(MaterialError, match=message):
+        Material("x", 1.0, **fields)
+
+
 def test_material_without_em_model_rejects_evaluation(db):
     with pytest.raises(MaterialError):
         db.get("stainless_steel").complex_permittivity(3.5)

@@ -267,9 +267,9 @@ def test_solver_reports_nonconvergence(monkeypatch, antenna_cell, boundary):
 
 
 def test_geometry_exceeding_cell_rejected(antenna_cell):
-    tiny = antenna_cell.with_separation(45.0)
-    with pytest.raises(ThermalError):
-        voxelize_unit_cell(tiny)
+    # the 50 mm foam block does not fit a 45 mm cell: the cell refuses before any voxelization
+    with pytest.raises(ValueError, match="must hold the foam block"):
+        antenna_cell.with_separation(45.0)
 
 
 def test_cable_resolution_guaranteed_even_with_coarse_options(antenna_cell):
