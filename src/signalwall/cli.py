@@ -9,6 +9,7 @@ or input error, 3 infeasible design or diverged solve.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -28,35 +29,44 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
+def _finite(text: str) -> float:
+    """The one type of every float flag and of each number inside a list or band flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_band(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError("band must be F1:F2 or F1:F2:N in GHz")
     try:
-        f1, f2 = float(parts[0]), float(parts[1])
         n = int(parts[2]) if len(parts) == 3 else 141
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    return f1, f2, n
+    return _finite(parts[0]), _finite(parts[1]), n
 
 
 def _parse_comparison_band(text: str) -> tuple[float, float]:
-    try:
-        f1, f2 = (float(v) for v in text.split(":"))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"comparison band must be F1:F2 in GHz, got {text!r}") from exc
-    return f1, f2
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"comparison band must be F1:F2 in GHz, got {text!r}")
+    return _finite(parts[0]), _finite(parts[1])
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         if ":" in text:
-            start, stop, step = (float(v) for v in text.split(":"))
+            start, stop, step = (_finite(v) for v in text.split(":"))
             if not step > 0.0:
                 raise argparse.ArgumentTypeError(f"range step must be > 0, got {step:g}")
             values = tuple(np.round(np.arange(start, stop + 1e-9, step), 9).tolist())
         else:
-            values = tuple(float(v) for v in text.split(","))
+            values = tuple(_finite(v) for v in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     if not values:
@@ -238,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transmission", help="wall transmission spectrum, optionally with the antenna path")
     common(p)
     p.add_argument("--with-antennas", action="store_true", help="combine the through-antenna path with the wall leakage")
-    p.add_argument("--theta", type=float, default=0.0, help="incidence angle from the normal, degrees")
+    p.add_argument("--theta", type=_finite, default=0.0, help="incidence angle from the normal, degrees")
     p.add_argument("--pol", choices=("TE", "TM", "RHCP", "LHCP"), default="RHCP")
     p.add_argument("--band", type=_parse_band, default=(1.0, 8.0, 141), help="F1:F2[:N] in GHz (default 1:8:141)")
     p.add_argument("--combine", choices=("incoherent", "coherent_best", "coherent_worst"), default="incoherent")
@@ -255,16 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit-permittivity", help="fit slab permittivity coefficients to a measured spectrum")
     p.add_argument("input", help="CSV (freq_GHz, s21_dB[, s21_phase_deg]) or Touchstone .s2p file")
-    p.add_argument("--thickness", type=float, required=True, help="slab thickness in mm")
+    p.add_argument("--thickness", type=_finite, required=True, help="slab thickness in mm")
     p.add_argument("--reference", help="empty-fixture spectrum to normalize by")
     p.add_argument("--interpolate", action="store_true", help="resample the reference onto the DUT grid")
-    p.add_argument("--b", type=float, default=0.0, help="fixed exponent b")
+    p.add_argument("--b", type=_finite, default=0.0, help="fixed exponent b")
     p.add_argument("--starts", type=int, default=16, help="multistart count")
     p.add_argument("--seed", type=int, default=0, help="seed for the deterministic starts")
     p.add_argument("--complex", action="store_true", help="fit the complex S21 instead of its magnitude in dB")
     p.add_argument(
         "--bounds",
-        type=float,
+        type=_finite,
         nargs=6,
         metavar=("A_LO", "A_HI", "C_LO", "C_HI", "D_LO", "D_HI"),
         default=[v for pair in DEFAULT_BOUNDS for v in pair],
@@ -275,15 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--separations", type=_parse_float_list, help="list 70,80,... or range START:STOP:STEP in mm")
     p.add_argument("--frequencies", type=_parse_float_list, help="evaluation frequencies in GHz")
-    p.add_argument("--u-limit", type=float, help="regulatory U-value limit, W/(m^2 K)")
+    p.add_argument("--u-limit", type=_finite, help="regulatory U-value limit, W/(m^2 K)")
     p.add_argument("-o", "--output", help="sweep CSV path")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fdtd-validate", help="cross-check the transfer-matrix result against 1-D FDTD")
     common(p)
     p.add_argument("--band", type=_parse_comparison_band, default=(1.0, 8.0), help="F1:F2 in GHz (default 1:8)")
-    p.add_argument("--step", type=float, default=0.1, help="comparison grid step in GHz")
-    p.add_argument("--dz", type=float, default=0.5, help="FDTD spatial step in mm")
+    p.add_argument("--step", type=_finite, default=0.1, help="comparison grid step in GHz")
+    p.add_argument("--dz", type=_finite, default=0.5, help="FDTD spatial step in mm")
     p.set_defaults(func=cmd_fdtd_validate)
 
     p = sub.add_parser("materials", help="inspect the material database")

@@ -15,7 +15,7 @@ import numpy as np
 from .antenna_link import UnitCell, aperture_transmission, combine_paths, COMBINATION_MODES
 from .layered_em import _coefficients, amplitude_db
 from .materials import VALID_RANGE_GHZ
-from .thermal import MeshOptions, ThermalBoundary, solve_steady_state, voxelize_unit_cell
+from .thermal import ThermalBoundary, solve_steady_state, voxelize_unit_cell
 
 
 class SweepError(ValueError):
@@ -28,7 +28,6 @@ class SweepConfig:
     frequencies_ghz: tuple[float, ...] = (1.5, 3.5, 5.0, 8.0)
     u_limit: float = 0.17
     combination: str = "incoherent"
-    mesh: MeshOptions = MeshOptions()
 
     def __post_init__(self):
         if not self.separations_mm:
@@ -106,7 +105,7 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
     cells = [cell_template.with_separation(s) for s in cfg.separations_mm]  # a cell too small fails before any solve
     records = []
     for s, sized in zip(cfg.separations_mm, cells):
-        grid = voxelize_unit_cell(sized, options=cfg.mesh)
+        grid = voxelize_unit_cell(sized)
         thermal = solve_steady_state(grid, bc)
         levels = amplitude_db(combine_paths(t_wall, aperture_transmission(sized, freqs), cfg.combination))
         transmission = dict(zip(cfg.frequencies_ghz, levels.tolist()))
@@ -151,7 +150,7 @@ def min_feasible_separation(
     feasible one.
     """
     for s in sorted(cfg.separations_mm):
-        grid = voxelize_unit_cell(cell_template.with_separation(s), options=cfg.mesh)
+        grid = voxelize_unit_cell(cell_template.with_separation(s))
         if solve_steady_state(grid, bc).u <= cfg.u_limit:
             return float(s)
     return None

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .constants import C0
-from .materials import MaterialError, PermittivityModel
+from .materials import VALID_RANGE_GHZ, MaterialError, PermittivityModel
 
 
 class SpectrumFormatError(ValueError):
@@ -55,8 +55,8 @@ class MeasuredSpectrum:
             raise SpectrumFormatError("frequencies and S21 must be equal-length 1-D arrays")
         if f.size > 1 and not np.all(np.diff(f) > 0.0):
             raise SpectrumFormatError("frequency grid must be strictly increasing")
-        if not np.all(np.isfinite(s)):
-            raise SpectrumFormatError("S21 must be finite")
+        if not np.all(np.isfinite(s)) or np.any(s == 0.0):
+            raise SpectrumFormatError("S21 must be finite and nonzero")
         self.frequencies_ghz = f
         self.s21 = s
 
@@ -253,22 +253,44 @@ def fit_permittivity(
 
 
 def _numbers(cells, columns, path, line) -> list[float]:
-    """The ``columns`` of one data line as floats; a missing or non-numeric cell names its file and line."""
+    """The ``columns`` of one data line as floats; a missing, non-numeric or non-finite cell names its file and line."""
     if len(cells) <= max(columns):
         raise SpectrumFormatError(f"{path}, line {line}: expected {max(columns) + 1} columns, got {len(cells)}")
     try:
-        return [float(cells[c]) for c in columns]
+        values = [float(cells[c]) for c in columns]
     except ValueError as exc:
         raise SpectrumFormatError(f"{path}, line {line}: {exc}") from None
+    for c, value in zip(columns, values):
+        if not math.isfinite(value):
+            raise SpectrumFormatError(f"{path}, line {line}: expected a finite number, got {cells[c].strip()!r}")
+    return values
 
 
-def _s21(fmt, x, y=0.0) -> complex:
-    """One S21 sample from a pair: ``ri`` real/imaginary, ``ma`` magnitude/degrees, ``db`` dB/degrees (phase 0 if absent)."""
+def _sample(path, line, f_ghz, fmt, x, y=0.0) -> complex:
+    """S21 at ``f_ghz`` from one data line's pair: ``ri`` real/imaginary, ``ma``
+    magnitude/degrees, ``db`` dB/degrees (phase 0 if absent).
+
+    A frequency outside the material model's range, or an |S21| that is 0 or
+    beyond the float range, names the file and line.
+    """
+    lo, hi = VALID_RANGE_GHZ
+    if not lo <= f_ghz <= hi:
+        raise SpectrumFormatError(
+            f"{path}, line {line}: frequency {f_ghz:g} GHz lies outside the material model's {lo:g}-{hi:g} GHz range"
+        )
     if fmt == "ri":
-        return complex(x, y)
-    magnitude = 10.0 ** (x / 20.0) if fmt == "db" else x
-    phase = math.radians(y)
-    return magnitude * complex(math.cos(phase), math.sin(phase))
+        s21 = complex(x, y)
+    else:
+        try:
+            magnitude = 10.0 ** (x / 20.0) if fmt == "db" else x
+        except OverflowError:
+            magnitude = math.inf
+        phase = math.radians(y)
+        s21 = magnitude * complex(math.cos(phase), math.sin(phase))
+    if not 0.0 < abs(s21) < math.inf:
+        shown = f"{x:g} dB" if fmt == "db" else f"{abs(s21):g}"
+        raise SpectrumFormatError(f"{path}, line {line}: |S21| must be finite and > 0, got {shown}")
+    return s21
 
 
 def read_spectrum_csv(path) -> MeasuredSpectrum:
@@ -293,7 +315,7 @@ def read_spectrum_csv(path) -> MeasuredSpectrum:
             continue
         cells = _numbers(row, columns, path, line)
         freqs.append(cells[0])
-        values.append(_s21("db", *cells[1:]))
+        values.append(_sample(path, line, cells[0], "db", *cells[1:]))
     return MeasuredSpectrum(
         np.asarray(freqs), np.asarray(values, dtype=complex), magnitude_only=phase_col is None, fixture_id=path.name
     )
@@ -328,7 +350,7 @@ def read_touchstone(path) -> MeasuredSpectrum:
                 continue
             fields = _numbers(line.split(), range(9), path, line_no)  # a 2-port record
             freqs.append(fields[0] * unit_scale)
-            values.append(_s21(fmt, fields[3], fields[4]))  # S21 pair
+            values.append(_sample(path, line_no, freqs[-1], fmt, fields[3], fields[4]))  # S21 pair
     if not freqs:
         raise SpectrumFormatError(f"{path}: no data rows")
     return MeasuredSpectrum(np.asarray(freqs), np.asarray(values, dtype=complex), fixture_id=path.name)

@@ -108,10 +108,6 @@ class Spectrum:
     def t_db(self) -> np.ndarray:
         return amplitude_db(self.t)
 
-    @property
-    def r_db(self) -> np.ndarray:
-        return amplitude_db(self.r)
-
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_CSV_HEADER + "\n")

@@ -1,12 +1,12 @@
 """Scenario files: one JSON document describing wall, unit cell, and study.
 
 This module reads every JSON input of the package: scenario files, the
-material files named by ``--materials`` or the environment, and the shipped
-data files, the builtin material database included.  Each JSON object goes
-through one checker, which reports the JSON path of the offending field.  A
-key that no part of the parser reads is rejected, so a misspelt field cannot
-fall back to its default unnoticed; material entries and their permittivity
-are read the same way.  The cable takes its conductor and dielectric from
+material file named by ``--materials``, and the shipped data files, the
+builtin material database included.  Each JSON object goes through one
+checker, which reports the JSON path of the offending field.  A key that no
+part of the parser reads is rejected, so a misspelt field cannot fall back
+to its default unnoticed; material entries and their permittivity are read
+the same way.  The cable takes its conductor and dielectric from
 the material database and its length from the wall depth.  Units are fixed:
 lengths in mm, frequencies in GHz, temperatures in K; suffixes or unit
 strings are rejected by the number checks.
@@ -15,7 +15,6 @@ strings are rejected by the number checks.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,8 +26,6 @@ from .design_sweep import SweepConfig
 from .layered_em import Layer, LayerStack
 from .materials import FixedPermittivity, Material, MaterialDatabase, PermittivityModel
 from .thermal import ThermalBoundary
-
-MATERIALS_ENV_VAR = "SIGNALWALL_MATERIALS"
 
 
 class ScenarioError(ValueError):
@@ -51,6 +48,8 @@ def _typed(value, kind, path):
     # bool is an int subclass, but true is not a count
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ScenarioError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
+    if kind is int:
+        _number(value, path)  # a count meets floats in the models, so it must fit their range too
     return value
 
 
@@ -164,10 +163,9 @@ def builtin_database() -> MaterialDatabase:
 
 
 def material_database(materials_path: str | None = None) -> MaterialDatabase:
-    """Builtin database, optionally replaced via path or environment variable."""
-    path = materials_path or os.environ.get(MATERIALS_ENV_VAR)
-    if path:
-        return builtin_database().merged_with(_material_file(_read_json(path), path))
+    """Builtin database, with the entries of the ``materials_path`` file merged over it if given."""
+    if materials_path:
+        return builtin_database().merged_with(_material_file(_read_json(materials_path), materials_path))
     return builtin_database()
 
 
@@ -245,7 +243,12 @@ def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> Unit
                 if not isinstance(entry, list) or len(entry) != 2:
                     raise ScenarioError(f"{entry_path}: expected a [GHz, dBi] pair, got {entry!r}")
                 table.append(_items(entry, float, entry_path))
-            a["gain_table"] = tuple(table) or None
+            a["gain_table"] = tuple(table)
+            plateau = [key for key in ("gain_dbi", "cutoff_ghz", "rolloff_db_per_octave") if key in a]
+            if plateau:
+                raise ScenarioError(
+                    f"unit_cell.antenna.{plateau[0]}: ignored beside a gain_table, which replaces the plateau model"
+                )
         with _reported_at("unit_cell.antenna"):
             cell["antenna"] = AntennaSpec(**a)
 

@@ -14,10 +14,13 @@ cavity, laminate sheets) on a feature-snapped rectilinear grid:
 
 Every part of a cell, slabs included, is a box that carries its material.
 One mesher, ``_axis_nodes``, builds the x, y and z nodes alike: cells grow
-geometrically from a spacing hint at each feature line up to a cap per
-segment (``xy_coarse_mm`` laterally, the slab's ``z_insulating_mm`` or
-``z_conductive_mm`` through the wall, ``z_interface_mm`` at the laminate
-and foam planes).
+by ``_GROWTH`` from a spacing hint at each feature line up to a cap per
+segment.  The mesh has no settable knobs; its lengths are module constants
+in mm: ``_XY_COARSE_MM`` caps the cells across the cell, ``_XY_FEATURE_MM``
+and ``_XY_CABLE_MM`` are the hints at the foam/laminate edges and the cable
+lines, ``_Z_INSULATING_MM`` or ``_Z_CONDUCTIVE_MM`` caps a slab by its
+conductivity, and ``_Z_INTERFACE_MM`` starts the cells at the laminate and
+foam planes.
 
 The linear system is symmetric positive definite and solved with conjugate
 gradients under diagonal (Jacobi) preconditioning, started from the 1-D
@@ -88,17 +91,15 @@ class ThermalBoundary:
 @dataclass
 class UValueResult:
     u: float
-    heat_flow_w: float
     converged: bool
     iterations: int
     residual: float
     balance: float = 0.0
-    area_m2: float = 1.0
     temperature: np.ndarray | None = field(default=None, repr=False)
     unknowns: int = 0  # size of the solved linear system
 
 
-def u_value_analytical(stack: LayerStack, bc: ThermalBoundary, area_m2: float = 1.0) -> UValueResult:
+def u_value_analytical(stack: LayerStack, bc: ThermalBoundary) -> UValueResult:
     """Series-resistance U-value of a laterally homogeneous wall."""
     r = bc.r_si + bc.r_se
     for layer in stack.layers:
@@ -106,36 +107,25 @@ def u_value_analytical(stack: LayerStack, bc: ThermalBoundary, area_m2: float = 
         if lam <= 0.0:
             raise ThermalError(f"layer {layer.material.name!r} needs thermal conductivity > 0")
         r += layer.thickness_mm * 1e-3 / lam
-    u = 1.0 / r
-    return UValueResult(
-        u=u,
-        heat_flow_w=u * bc.delta_t * area_m2,
-        converged=True,
-        iterations=0,
-        residual=0.0,
-        area_m2=area_m2,
-    )
+    return UValueResult(u=1.0 / r, converged=True, iterations=0, residual=0.0)
 
 
 # ---------------------------------------------------------------------------
 # voxelization
 
 
-@dataclass(frozen=True)
-class MeshOptions:
-    """Grid-spacing targets in mm; defaults suit 0.1-1 m walls with mm features."""
-
-    z_conductive_mm: float = 5.0      # slabs with lambda >= 0.1 W/(m K)
-    z_insulating_mm: float = 2.0      # slabs below that
-    z_interface_mm: float = 0.5       # first cell at laminate/foam planes
-    xy_coarse_mm: float = 12.0
-    xy_feature_mm: float = 2.0        # spacing at foam/laminate edges
-    xy_cable_mm: float = 0.4          # spacing hint at cable feature lines
-    growth: float = 1.6
+# grid spacings in mm; they suit 0.1-1 m walls with mm features
+_Z_CONDUCTIVE_MM = 5.0  # cap through slabs with lambda >= 0.1 W/(m K)
+_Z_INSULATING_MM = 2.0  # cap through slabs below that
+_Z_INTERFACE_MM = 0.5  # first cell at the laminate and foam planes
+_XY_COARSE_MM = 12.0  # lateral cap
+_XY_FEATURE_MM = 2.0  # spacing hint at foam/laminate edges
+_XY_CABLE_MM = 0.4  # spacing hint at cable feature lines
+_GROWTH = 1.6  # width ratio of neighbouring graded cells
 
 
-def _graded_spacings(width, h_left, h_right, h_max, growth):
-    """Cell widths filling ``width``, growing geometrically from both ends."""
+def _graded_spacings(width, h_left, h_right, h_max):
+    """Cell widths filling ``width``, growing by ``_GROWTH`` from both ends."""
     h_left = min(max(h_left, 1e-6), h_max)
     h_right = min(max(h_right, 1e-6), h_max)
     if width <= min(1.25 * min(h_left, h_right), h_max):
@@ -144,14 +134,14 @@ def _graded_spacings(width, h_left, h_right, h_max, growth):
     right = [h_right]
     while sum(left) + sum(right) < width:
         if sum(left) <= sum(right):
-            left.append(min(left[-1] * growth, h_max))
+            left.append(min(left[-1] * _GROWTH, h_max))
         else:
-            right.append(min(right[-1] * growth, h_max))
+            right.append(min(right[-1] * _GROWTH, h_max))
     spacings = np.array(left + right[::-1])
     return spacings * (width / spacings.sum())
 
 
-def _axis_nodes(lines, length, h_max, growth):
+def _axis_nodes(lines, length, h_max):
     """Node coordinates on [0, length] through every feature line.
 
     ``lines`` maps a coordinate to the spacing hint of the cells touching it
@@ -162,7 +152,7 @@ def _axis_nodes(lines, length, h_max, growth):
     coords = list(merged)
     nodes = [coords[0]]
     for a, b in zip(coords, coords[1:]):
-        cumulative = a + np.cumsum(_graded_spacings(b - a, merged[a], merged[b], h_max(a, b), growth))
+        cumulative = a + np.cumsum(_graded_spacings(b - a, merged[a], merged[b], h_max(a, b)))
         cumulative[-1] = b
         nodes.extend(cumulative.tolist())
     return np.asarray(nodes)
@@ -263,7 +253,7 @@ def equivalent_square_side_mm(radius_mm: float) -> float:
     return math.sqrt(math.pi) * radius_mm
 
 
-def voxelize_unit_cell(cell: UnitCell, options: MeshOptions = MeshOptions()) -> VoxelGrid:
+def voxelize_unit_cell(cell: UnitCell) -> VoxelGrid:
     """Rectilinear voxel model of a unit cell, feature boundaries on grid lines.
 
     Every part is a ``_Box`` painted in order (slabs, foam, laminate, cable),
@@ -290,13 +280,13 @@ def voxelize_unit_cell(cell: UnitCell, options: MeshOptions = MeshOptions()) -> 
         laminate_z = ((0.0, lam_t), (depth - lam_t, depth))
         if lam_t + foam_t > 0.0:
             for plane in np.ravel(foam_z + laminate_z).tolist():
-                z_lines[plane] = options.z_interface_mm
+                z_lines[plane] = _Z_INTERFACE_MM
         if cell.foam is not None:
             half = cell.foam_size_mm / 2.0
-            boxes += [centred_square(cell.foam, cx, half, z0, z1, options.xy_feature_mm) for z0, z1 in foam_z]
+            boxes += [centred_square(cell.foam, cx, half, z0, z1, _XY_FEATURE_MM) for z0, z1 in foam_z]
         if cell.laminate is not None:
             half = cell.laminate_size_mm / 2.0
-            boxes += [centred_square(cell.laminate, cx, half, z0, z1, options.xy_feature_mm) for z0, z1 in laminate_z]
+            boxes += [centred_square(cell.laminate, cx, half, z0, z1, _XY_FEATURE_MM) for z0, z1 in laminate_z]
 
         spec = cell.coax
         w_shield = equivalent_square_side_mm(spec.outer_radius_mm)
@@ -309,7 +299,7 @@ def voxelize_unit_cell(cell: UnitCell, options: MeshOptions = MeshOptions()) -> 
         for off in (np.arange(spec.count) - (spec.count - 1) / 2.0) * w_shield:
             for part, radius in parts:
                 half = equivalent_square_side_mm(radius) / 2.0
-                boxes.append(centred_square(part, cx + off, half, 0.0, depth, options.xy_cable_mm))
+                boxes.append(centred_square(part, cx + off, half, 0.0, depth, _XY_CABLE_MM))
 
     x_lines: dict[float, float] = {}
     y_lines: dict[float, float] = {}
@@ -318,7 +308,7 @@ def voxelize_unit_cell(cell: UnitCell, options: MeshOptions = MeshOptions()) -> 
             for coord in coords:
                 lines[coord] = min(lines.get(coord, math.inf), box.xy_hint)
     slab_caps = [
-        options.z_insulating_mm if layer.material.thermal_conductivity < 0.1 else options.z_conductive_mm
+        _Z_INSULATING_MM if layer.material.thermal_conductivity < 0.1 else _Z_CONDUCTIVE_MM
         for layer in cell.wall.layers
     ]
 
@@ -326,9 +316,9 @@ def voxelize_unit_cell(cell: UnitCell, options: MeshOptions = MeshOptions()) -> 
         """Cap of the slab holding the midpoint of [a, b]."""
         return slab_caps[np.searchsorted(slab_edges[1:-1], 0.5 * (a + b), side="right")]
 
-    x_nodes = _axis_nodes(x_lines, cell.sx_mm, lambda a, b: options.xy_coarse_mm, options.growth)
-    y_nodes = _axis_nodes(y_lines, cell.sy_mm, lambda a, b: options.xy_coarse_mm, options.growth)
-    z_nodes = _axis_nodes(z_lines, depth, z_cap, options.growth)
+    x_nodes = _axis_nodes(x_lines, cell.sx_mm, lambda a, b: _XY_COARSE_MM)
+    y_nodes = _axis_nodes(y_lines, cell.sy_mm, lambda a, b: _XY_COARSE_MM)
+    z_nodes = _axis_nodes(z_lines, depth, z_cap)
 
     if cell.has_antenna_system:
         # diameter must span at least two cells inside the pack footprint
@@ -407,17 +397,14 @@ def solve_steady_state(grid: VoxelGrid, bc: ThermalBoundary) -> UValueResult:
     q_out = float(np.sum(system.images * system.g_se * (t[:, :, 0] - bc.t_outside_k)))
     q_ref = max(abs(q_in), abs(q_out))
     balance = abs(q_in - q_out) / q_ref if q_ref > 0.0 else math.inf
-    flow = 0.5 * (q_in + q_out)
-    u = flow / (grid.area_m2 * bc.delta_t)
+    u = 0.5 * (q_in + q_out) / (grid.area_m2 * bc.delta_t)
     converged = info == 0 and balance < _BALANCE_TOL
     return UValueResult(
         u=u,
-        heat_flow_w=flow,
         converged=converged,
         iterations=iterations,
         residual=residual,
         balance=balance,
-        area_m2=grid.area_m2,
         temperature=t[system.qx][:, system.qy],
         unknowns=len(y),
     )

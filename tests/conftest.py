@@ -1,8 +1,9 @@
 import pytest
 
-from signalwall import builtin_database, Layer, LayerStack
 from signalwall.antenna_link import AntennaSpec, CoaxSpec, UnitCell
 from signalwall.design_sweep import SweepConfig, run_sweep
+from signalwall.layered_em import Layer, LayerStack
+from signalwall.scenario import builtin_database
 from signalwall.thermal import ThermalBoundary, solve_steady_state, voxelize_unit_cell
 
 

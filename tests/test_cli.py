@@ -250,9 +250,11 @@ def test_sweep_sizes_every_cell_before_solving(monkeypatch, capsys):
     monkeypatch.setattr(design_sweep, "solve_steady_state", no_solve)
     assert main(["sweep", "--separations", "150,45"]) == 2
     assert "must hold the foam block (50.0 mm)" in capsys.readouterr().err
-    for separation in ("inf", "nan"):  # an infinite cell would never finish meshing
-        assert main(["sweep", "--separations", f"150,{separation}"]) == 2
-        assert f"cell dimensions must be finite and > 0, got {separation} x {separation} mm" in capsys.readouterr().err
+    for separation in ("inf", "nan"):  # an infinite cell would never finish meshing; the parser refuses it
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--separations", f"150,{separation}"])
+        assert exc.value.code == 2
+        assert f"argument --separations: expected a finite number, got '{separation}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -498,3 +500,116 @@ def test_bare_cell_exits_2_before_writing_or_solving(tmp_path, monkeypatch, caps
     assert main([*argv, "--scenario", str(scenario), "-o", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_integer_beyond_the_float_range_exits_2_at_its_path(tmp_path, capsys):
+    path = _default_scenario_file(tmp_path, lambda cell: cell["coax"].update(count=10**400))
+    assert main(["uvalue", "--analytical", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unit_cell.coax.count: expected a number, got an integer beyond the float range\n"
+
+
+@pytest.mark.parametrize(
+    "name, rows, flags, message",
+    [
+        ("big.csv", "freq_GHz,s21_dB\n2,-3\n3,7000\n4,-5\n", [], "|S21| must be finite and > 0, got 7000 dB"),
+        ("tiny.csv", "freq_GHz,s21_dB\n2,-3\n3,-7000\n4,-5\n", [], "|S21| must be finite and > 0, got -7000 dB"),
+        ("ninf.csv", "freq_GHz,s21_dB\n2,-3\n3,-inf\n4,-5\n", [], "expected a finite number, got '-inf'"),
+        (
+            "phase.csv",
+            "freq_GHz,s21_dB,s21_phase_deg\n2,-3,0\n3,-4,inf\n4,-5,0\n",
+            ["--complex"],
+            "expected a finite number, got 'inf'",
+        ),
+        (
+            "high.csv",
+            "freq_GHz,s21_dB\n100,-3\n150,-4\n200,-5\n",
+            [],
+            "frequency 150 GHz lies outside the material model's 1-100 GHz range",
+        ),
+        (
+            "zero.s2p",
+            "# GHz S MA R 50\n2 0 0 0.5 0 0.5 0 0 0\n3 0 0 0 0 0 0 0 0\n4 0 0 0.5 0 0.5 0 0 0\n",
+            [],
+            "|S21| must be finite and > 0, got 0",
+        ),
+    ],
+    ids=["7000_dB", "-7000_dB", "-inf_dB", "inf_phase", "100-200_GHz", "zero_magnitude"],
+)
+def test_spectrum_rows_the_fit_cannot_use_exit_2_at_their_file_and_line(
+    tmp_path, monkeypatch, capsys, name, rows, flags, message
+):
+    from signalwall import cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit must not run")
+
+    monkeypatch.setattr(cli, "fit_permittivity", no_fit)
+    path = tmp_path / name
+    path.write_text(rows)
+    assert main(["fit-permittivity", str(path), "--thickness", "10", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}, line 3: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["fit-permittivity", "meas.csv", "--thickness", "nan"], "--thickness", "nan"),
+        (["fit-permittivity", "meas.csv", "--thickness", "inf"], "--thickness", "inf"),
+        (["fit-permittivity", "meas.csv", "--thickness", "60", "--b", "nan"], "--b", "nan"),
+        (["fit-permittivity", "meas.csv", "--thickness", "60", "--bounds", *"1 15 0 inf 0 2".split()], "--bounds", "inf"),
+        (["sweep", "--u-limit", "nan"], "--u-limit", "nan"),
+        (["sweep", "--u-limit", "inf"], "--u-limit", "inf"),
+        (["sweep", "--frequencies", "3.5,nan"], "--frequencies", "nan"),
+        (["sweep", "--separations", "70:inf:10"], "--separations", "inf"),
+        (["fdtd-validate", "--dz", "nan"], "--dz", "nan"),
+        (["fdtd-validate", "--step", "inf"], "--step", "inf"),
+        (["fdtd-validate", "--band", "1:nan"], "--band", "nan"),
+        (["transmission", "--band", "1:inf:11"], "--band", "inf"),
+        (["transmission", "--theta", "nan"], "--theta", "nan"),
+    ],
+)
+def test_float_flags_take_finite_numbers_only(tmp_path, monkeypatch, capsys, argv, flag, value):
+    from signalwall import cli, design_sweep, fdtd
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("no solve, fit or time loop may run")
+
+    for module, name in ((design_sweep, "solve_steady_state"), (cli, "fit_permittivity"), (fdtd, "_time_step_batch")):
+        monkeypatch.setattr(module, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    Path("meas.csv").write_text("freq_GHz,s21_dB\n2.0,-3.0\n4.0,-4.0\n8.0,-5.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: expected a finite number, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("gain_dbi", 30.0), ("cutoff_ghz", 2.0), ("rolloff_db_per_octave", 12.0)]
+)
+def test_plateau_fields_beside_a_gain_table_exit_2_at_the_antenna(tmp_path, capsys, key, value):
+    table = [[1.0, 0.0], [8.0, 5.0]]
+    out = tmp_path / "t.csv"
+    path = _default_scenario_file(tmp_path, lambda cell: cell.update(antenna={"gain_table": table, key: value}))
+    assert main(["transmission", "--with-antennas", "--scenario", str(path), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unit_cell.antenna.{key}: ignored beside a gain_table, which replaces the plateau model\n"
+    assert not out.exists()
+    # the pattern exponent shapes both gain models
+    shaped = {"gain_table": table, "pattern_exponent": 2.0}
+    path = _default_scenario_file(tmp_path, lambda cell: cell.update(antenna=shaped))
+    assert main(["transmission", "--with-antennas", "--scenario", str(path), "-o", str(out)]) == 0
+
+
+def test_an_empty_gain_table_exits_2_at_the_antenna(tmp_path, capsys):
+    # an empty table used to fall back to the plateau model without a word
+    path = _default_scenario_file(tmp_path, lambda cell: cell.update(antenna={"gain_table": []}))
+    assert main(["transmission", "--with-antennas", "--scenario", str(path), "-o", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == "error: unit_cell.antenna: gain table must not be empty\n"

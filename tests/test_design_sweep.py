@@ -1,21 +1,32 @@
+from contextlib import contextmanager
+
 import pytest
 
+from signalwall import thermal
 from signalwall.antenna_link import UnitCell
 from signalwall.design_sweep import SweepConfig, SweepError, min_feasible_separation, run_sweep
-from signalwall.thermal import MeshOptions
 
-# a coarser mesh keeps the small behavioural sweeps fast; the acceptance
-# suite runs the default mesh via the session fixture
-FAST = SweepConfig(
-    separations_mm=(90.0, 130.0, 170.0),
-    frequencies_ghz=(3.5, 8.0),
-    mesh=MeshOptions(z_insulating_mm=6.0, z_conductive_mm=10.0, xy_coarse_mm=20.0),
-)
+FAST = SweepConfig(separations_mm=(90.0, 130.0, 170.0), frequencies_ghz=(3.5, 8.0))
+
+
+@contextmanager
+def coarse_mesh():
+    """A coarser mesh keeps the small behavioural sweeps fast.
+
+    The patch covers only the work inside the block: the session fixtures
+    that the acceptance suite shares must be built on the default mesh.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(thermal, "_Z_INSULATING_MM", 6.0)
+        patch.setattr(thermal, "_Z_CONDUCTIVE_MM", 10.0)
+        patch.setattr(thermal, "_XY_COARSE_MM", 20.0)
+        yield
 
 
 @pytest.fixture(scope="module")
 def fast_sweep(antenna_cell, boundary):
-    return run_sweep(FAST, antenna_cell, boundary)
+    with coarse_mesh():
+        return run_sweep(FAST, antenna_cell, boundary)
 
 
 def test_u_strictly_decreasing_in_separation(fast_sweep):
@@ -53,7 +64,8 @@ def test_reordering_separations_changes_nothing(antenna_cell, boundary, fast_swe
     import dataclasses
 
     shuffled = dataclasses.replace(FAST, separations_mm=(170.0, 90.0, 130.0))
-    result = run_sweep(shuffled, antenna_cell, boundary)
+    with coarse_mesh():
+        result = run_sweep(shuffled, antenna_cell, boundary)
     by_sep = {rec.separation_mm: rec for rec in result.records}
     for rec in fast_sweep.records:
         other = by_sep[rec.separation_mm]
@@ -62,16 +74,18 @@ def test_reordering_separations_changes_nothing(antenna_cell, boundary, fast_swe
 
 
 def test_min_feasible_unconstrained_returns_smallest(antenna_cell, boundary):
-    cfg = SweepConfig(separations_mm=(90.0, 130.0), u_limit=1e9, mesh=FAST.mesh)
-    assert min_feasible_separation(cfg, antenna_cell, boundary) == 90.0
+    cfg = SweepConfig(separations_mm=(90.0, 130.0), u_limit=1e9)
+    with coarse_mesh():
+        assert min_feasible_separation(cfg, antenna_cell, boundary) == 90.0
 
 
 def test_min_feasible_infeasible_returns_none(antenna_cell, boundary, wall):
     from signalwall.thermal import u_value_analytical
 
     bare_u = u_value_analytical(wall, boundary).u
-    cfg = SweepConfig(separations_mm=(90.0, 130.0), u_limit=bare_u * 0.9, mesh=FAST.mesh)
-    assert min_feasible_separation(cfg, antenna_cell, boundary) is None
+    cfg = SweepConfig(separations_mm=(90.0, 130.0), u_limit=bare_u * 0.9)
+    with coarse_mesh():
+        assert min_feasible_separation(cfg, antenna_cell, boundary) is None
 
 
 def test_sweep_requires_antenna_system(wall, boundary):

@@ -347,3 +347,8 @@ def test_readers_name_the_file_and_line_of_a_bad_row(tmp_path, name, text, messa
     path.write_text(text)
     with pytest.raises(SpectrumFormatError, match=f"^{re.escape(f'{path}, {message}')}$"):
         read_spectrum(path)
+
+
+def test_measured_spectrum_rejects_zero_s21():
+    with pytest.raises(SpectrumFormatError, match="S21 must be finite and nonzero"):
+        MeasuredSpectrum(np.array([1.0, 2.0]), np.array([0.5, 0.0]))

@@ -5,12 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from signalwall import builtin_database
 from signalwall.antenna_link import AntennaSpec, CoaxSpec, aperture_transmission, coax_attenuation
 from signalwall.design_sweep import SweepConfig
 from signalwall.scenario import (
-    MATERIALS_ENV_VAR,
     ScenarioError,
+    builtin_database,
     default_scenario_text,
     load_scenario,
     material_database,
@@ -119,11 +118,10 @@ def test_invalid_json_reported(tmp_path):
         load_scenario(path)
 
 
-def test_materials_env_override(tmp_path, monkeypatch):
+def test_material_database_merges_a_file(tmp_path):
     extra = tmp_path / "extra.json"
     extra.write_text(json.dumps({"materials": [{"name": "aerogel", "thermal_conductivity": 0.015}]}))
-    monkeypatch.setenv(MATERIALS_ENV_VAR, str(extra))
-    db = material_database()
+    db = material_database(str(extra))
     assert db.get("aerogel").thermal_conductivity == 0.015
     assert "concrete" in db  # builtin entries survive the merge
 
@@ -198,7 +196,8 @@ def test_gain_table_entries_must_be_number_pairs():
         scenario_from_dict(_scenario_with("unit_cell.antenna", "gain_table", table))
     with pytest.raises(ScenarioError, match=r"^unit_cell\.antenna\.gain_table\[0\]: expected a \[GHz, dBi\] pair"):
         scenario_from_dict(_scenario_with("unit_cell.antenna", "gain_table", [[1.0, -10.0, 3.0]]))
-    parsed = scenario_from_dict(_scenario_with("unit_cell.antenna", "gain_table", [[1.0, -10.0], [4, 4.5]]))
+    # the default antenna's plateau fields would be ignored beside a table, so the table stands alone
+    parsed = scenario_from_dict(_scenario_with("unit_cell", "antenna", {"gain_table": [[1.0, -10.0], [4, 4.5]]}))
     assert parsed.cell.antenna.gain_table == ((1.0, -10.0), (4.0, 4.5))
 
 

@@ -15,7 +15,6 @@ from signalwall.antenna_link import UnitCell
 from signalwall.layered_em import Layer, LayerStack
 from signalwall.materials import Material
 from signalwall.thermal import (
-    MeshOptions,
     ThermalBoundary,
     ThermalError,
     VoxelGrid,
@@ -99,12 +98,12 @@ def test_grid_spans_cell_exactly(antenna_cell):
     assert np.all(np.diff(grid.z_nodes_mm) > 0)
 
 
-def _assert_slab_caps(cell, options):
+def _assert_slab_caps(cell):
     """The z cells of ``cell``, after checking each lies within its slab's cap."""
-    z = voxelize_unit_cell(cell, options).z_nodes_mm
+    z = voxelize_unit_cell(cell).z_nodes_mm
     dz = np.diff(z)
     zc = 0.5 * (z[:-1] + z[1:])
-    caps = {"rock_wool": options.z_insulating_mm, "concrete": options.z_conductive_mm}
+    caps = {"rock_wool": thermal._Z_INSULATING_MM, "concrete": thermal._Z_CONDUCTIVE_MM}
     lo = 0.0
     for layer in cell.wall.layers:
         inside = (zc > lo) & (zc < lo + layer.thickness_mm)
@@ -114,22 +113,21 @@ def _assert_slab_caps(cell, options):
 
 
 def test_z_mesh_follows_the_slab_and_interface_caps(antenna_cell):
-    options = MeshOptions()
-    z, dz = _assert_slab_caps(antenna_cell, options)
+    z, dz = _assert_slab_caps(antenna_cell)
     # the laminate and foam planes at each face: the cells on both sides start at the interface spacing
     depth = antenna_cell.wall.depth_mm
     lam_t, foam_t = antenna_cell.laminate_thickness_mm, antenna_cell.foam_thickness_mm
     for plane in (lam_t, lam_t + foam_t, depth - lam_t - foam_t, depth - lam_t):
         k = int(np.argmin(np.abs(z - plane)))
         assert z[k] == pytest.approx(plane, abs=1e-9)
-        assert max(dz[k - 1], dz[k]) <= options.z_interface_mm * (1 + 1e-12), plane
-    assert max(dz[0], dz[-1]) <= options.z_interface_mm * (1 + 1e-12)
+        assert max(dz[k - 1], dz[k]) <= thermal._Z_INTERFACE_MM * (1 + 1e-12), plane
+    assert max(dz[0], dz[-1]) <= thermal._Z_INTERFACE_MM * (1 + 1e-12)
 
 
 def test_thin_slabs_are_split_to_respect_their_cap(db):
     # 2.4 mm of rock wool and 6.2 mm of concrete each fit within 1.25x their first-cell hint
     thin = LayerStack([Layer(db.get("concrete"), 70.0), Layer(db.get("rock_wool"), 2.4), Layer(db.get("concrete"), 6.2)])
-    _, dz = _assert_slab_caps(UnitCell(150.0, 150.0, thin), MeshOptions())
+    _, dz = _assert_slab_caps(UnitCell(150.0, 150.0, thin))
     assert np.allclose(dz[-4:], [1.2, 1.2, 3.1, 3.1])
 
 
@@ -246,8 +244,12 @@ def test_energy_balance_and_maximum_principle(antenna_fv_result, boundary):
 
 
 def test_mesh_convergence_in_z(antenna_cell, boundary, antenna_fv_result):
-    fine = MeshOptions(z_conductive_mm=2.5, z_insulating_mm=1.0, z_interface_mm=0.25)
-    refined = solve_steady_state(voxelize_unit_cell(antenna_cell, options=fine), boundary)
+    # the session fixture is built on the default mesh before the patch; the patch ends with the block
+    with pytest.MonkeyPatch.context() as fine:
+        fine.setattr(thermal, "_Z_CONDUCTIVE_MM", 2.5)
+        fine.setattr(thermal, "_Z_INSULATING_MM", 1.0)
+        fine.setattr(thermal, "_Z_INTERFACE_MM", 0.25)
+        refined = solve_steady_state(voxelize_unit_cell(antenna_cell), boundary)
     assert abs(refined.u - antenna_fv_result.u) / antenna_fv_result.u < 0.01
 
 
@@ -275,8 +277,12 @@ def test_geometry_exceeding_cell_rejected(antenna_cell):
 def test_cable_resolution_guaranteed_even_with_coarse_options(antenna_cell):
     # feature-snapped meshing keeps the cable pack resolved (diameter spans
     # at least two cells) no matter how coarse the far-field targets are
-    options = MeshOptions(xy_cable_mm=30.0, xy_coarse_mm=40.0, xy_feature_mm=40.0, growth=8.0)
-    grid = voxelize_unit_cell(antenna_cell, options=options)
+    with pytest.MonkeyPatch.context() as coarse:
+        coarse.setattr(thermal, "_XY_CABLE_MM", 30.0)
+        coarse.setattr(thermal, "_XY_COARSE_MM", 40.0)
+        coarse.setattr(thermal, "_XY_FEATURE_MM", 40.0)
+        coarse.setattr(thermal, "_GROWTH", 8.0)
+        grid = voxelize_unit_cell(antenna_cell)
     spec = antenna_cell.coax
     xc = 0.5 * (grid.x_nodes_mm[:-1] + grid.x_nodes_mm[1:])
     pack = np.abs(xc - antenna_cell.sx_mm / 2.0) <= spec.count * math.sqrt(math.pi) * spec.outer_radius_mm / 2.0
