@@ -19,7 +19,7 @@ from .antenna_link import aperture_transmission, coax_attenuation, combine_paths
 from .design_sweep import SweepConfig, run_sweep
 from .fdtd import Fdtd1dConfig, validate_against_tmm
 from .inverse import DEFAULT_BOUNDS, fit_permittivity, normalize_spectrum, read_spectrum
-from .layered_em import Spectrum, _coefficients, amplitude_db, transmission_spectrum
+from .layered_em import POLARIZATIONS, Spectrum, _coefficients, amplitude_db, transmission_spectrum
 from .materials import FixedPermittivity
 from .scenario import load_scenario, material_database
 from .thermal import solve_steady_state, u_value_analytical, voxelize_unit_cell, write_vtk
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--with-antennas", action="store_true", help="combine the through-antenna path with the wall leakage")
     p.add_argument("--theta", type=_finite, default=0.0, help="incidence angle from the normal, degrees")
-    p.add_argument("--pol", choices=("TE", "TM", "RHCP", "LHCP"), default="RHCP")
+    p.add_argument("--pol", choices=POLARIZATIONS, default="RHCP")
     p.add_argument("--band", type=_parse_band, default=(1.0, 8.0, 141), help="F1:F2[:N] in GHz (default 1:8:141)")
     p.add_argument("--combine", choices=("incoherent", "coherent_best", "coherent_worst"), default="incoherent")
     p.add_argument("-o", "--output", default="transmission.csv", help="spectrum CSV path")

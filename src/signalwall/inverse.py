@@ -65,32 +65,41 @@ class MeasuredSpectrum:
         return 20.0 * np.log10(np.abs(self.s21))
 
 
+def _ghz_span(f_ghz) -> str:
+    return f"{f_ghz[0]:g}" if f_ghz.size == 1 else f"{f_ghz[0]:g}-{f_ghz[-1]:g}"
+
+
 def normalize_spectrum(dut: MeasuredSpectrum, reference: MeasuredSpectrum, interpolate: bool = False) -> MeasuredSpectrum:
     """Per-point complex division of the DUT by the reference spectrum.
 
     Magnitude-only inputs subtract in dB.  Grids must match unless
-    ``interpolate``.  A reference point below `REFERENCE_FLOOR_DB` is a dead
-    fixture reading, and dividing by it would turn noise into a
-    transmission, so any such point raises `SpectrumFormatError`.
+    ``interpolate``, and an interpolated reference must span the DUT band:
+    `np.interp` would hold its end values beyond it.  A reference point
+    below `REFERENCE_FLOOR_DB` is a dead fixture reading, and dividing by it
+    would turn noise into a transmission, so any such point raises
+    `SpectrumFormatError`.
     """
-    if dut.frequencies_ghz.shape == reference.frequencies_ghz.shape and np.allclose(
-        dut.frequencies_ghz, reference.frequencies_ghz, rtol=0.0, atol=1e-9
-    ):
+    f = dut.frequencies_ghz
+    if f.shape == reference.frequencies_ghz.shape and np.allclose(f, reference.frequencies_ghz, rtol=0.0, atol=1e-9):
         ref_s21 = reference.s21
     elif interpolate:
-        ref_s21 = np.interp(dut.frequencies_ghz, reference.frequencies_ghz, reference.s21.real) + 1j * np.interp(
-            dut.frequencies_ghz, reference.frequencies_ghz, reference.s21.imag
-        )
+        ref_f = reference.frequencies_ghz
+        outside = [x for x in (f[f < ref_f[0] - 1e-9], f[f > ref_f[-1] + 1e-9]) if x.size]
+        if outside:
+            raise SpectrumFormatError(
+                f"reference {reference.fixture_id or 'spectrum'} covers {ref_f[0]:g}-{ref_f[-1]:g} GHz only; "
+                f"the DUT points at {' and '.join(_ghz_span(x) for x in outside)} GHz lie outside it "
+                "and cannot be interpolated"
+            )
+        ref_s21 = np.interp(f, ref_f, reference.s21.real) + 1j * np.interp(f, ref_f, reference.s21.imag)
     else:
         raise SpectrumFormatError("frequency grids differ; pass interpolate=True to resample the reference")
 
     low = 20.0 * np.log10(np.abs(ref_s21) + 1e-300) < REFERENCE_FLOOR_DB
     if np.any(low):
-        f_low = dut.frequencies_ghz[low]
-        at = f"{f_low[0]:g}" if f_low.size == 1 else f"{f_low[0]:g}-{f_low[-1]:g}"
         raise SpectrumFormatError(
-            f"reference {reference.fixture_id or 'spectrum'}: {f_low.size} point(s) below {REFERENCE_FLOOR_DB:g} dB "
-            f"at {at} GHz; a dead reference point cannot normalize the DUT"
+            f"reference {reference.fixture_id or 'spectrum'}: {np.count_nonzero(low)} point(s) below "
+            f"{REFERENCE_FLOOR_DB:g} dB at {_ghz_span(f[low])} GHz; a dead reference point cannot normalize the DUT"
         )
     magnitude_only = dut.magnitude_only or reference.magnitude_only
     if magnitude_only:
@@ -98,7 +107,7 @@ def normalize_spectrum(dut: MeasuredSpectrum, reference: MeasuredSpectrum, inter
     else:
         s21 = dut.s21 / ref_s21
     return MeasuredSpectrum(
-        dut.frequencies_ghz.copy(),
+        f.copy(),
         s21,
         magnitude_only=magnitude_only,
         thickness_mm=dut.thickness_mm,
@@ -327,8 +336,9 @@ _TOUCHSTONE_UNITS = {"hz": 1e-9, "khz": 1e-6, "mhz": 1e-3, "ghz": 1.0}
 def read_touchstone(path) -> MeasuredSpectrum:
     """Two-port Touchstone (.s2p) reader returning the S21 trace.
 
-    Handles MA (magnitude/angle), DB (dB/angle) and RI encodings; data rows
-    follow the v1 column order S11 S21 S12 S22.
+    Handles MA (magnitude/angle), DB (dB/angle) and RI encodings of
+    S-parameters; an option line declaring Y, Z, H or G parameters is an
+    error.  Data rows follow the v1 column order S11 S21 S12 S22.
     """
     path = Path(path)
     unit_scale = 1.0
@@ -347,6 +357,11 @@ def read_touchstone(path) -> MeasuredSpectrum:
                         unit_scale = _TOUCHSTONE_UNITS[t]
                     elif t in ("ma", "db", "ri"):
                         fmt = t
+                    elif t in ("y", "z", "h", "g"):
+                        raise SpectrumFormatError(
+                            f"{path}, line {line_no}: option line {line!r} declares {t.upper()}-parameters; "
+                            "only S-parameters can be read"
+                        )
                 continue
             fields = _numbers(line.split(), range(9), path, line_no)  # a 2-port record
             freqs.append(fields[0] * unit_scale)

@@ -135,32 +135,35 @@ def _branch_kz(k0_sq_eps, kx):
 
 
 def _tmm_linear(eps_media, d_m, f_ghz, theta_deg, pol):
-    """t, r for TE or TM transverse amplitudes across the whole stack.
+    """t, r of the transverse amplitudes across the whole stack for any of `POLARIZATIONS`.
 
     eps_media: per-medium relative permittivity arrays, ambient first/last.
     d_m: interior layer thicknesses in metres.
 
-    Runs from the exit face (r = 0, t = 1) back to the entrance face: each
-    interface between media n-1 and n, with rho = (z_n - z_{n-1}) /
-    (z_n + z_{n-1}), maps r to (rho + r) / (1 + rho r) and scales t by
-    (1 + rho) / (1 + rho r); crossing layer n-1 then multiplies t by
-    p = exp(-j kz d) and r by p^2.
+    TE and TM are one row each of the recursion; RHCP and LHCP run both rows
+    and return their co-polar mean (TE + TM)/2.  Runs from the exit face
+    (r = 0, t = 1) back to the entrance face: each interface between media
+    n-1 and n, with rho = (z_n - z_{n-1}) / (z_n + z_{n-1}), maps r to
+    (rho + r) / (1 + rho r) and scales t by (1 + rho) / (1 + rho r);
+    crossing layer n-1 then multiplies t by p = exp(-j kz d) and r by p^2.
     """
+    if pol not in POLARIZATIONS:
+        raise ValueError(f"polarization must be one of {POLARIZATIONS}, got {pol!r}")
     f = np.atleast_1d(np.asarray(f_ghz, dtype=float))
     omega = 2.0 * math.pi * f * 1e9
     k0 = omega / C0
     kx = k0 * math.sin(math.radians(theta_deg))
 
     kz = [_branch_kz(k0 * k0 * np.asarray(eps, dtype=complex), kx) for eps in eps_media]
-    if pol == "TE":
-        z = [omega * MU0 / kzn for kzn in kz]
-    elif pol == "TM":
-        z = [kzn / (omega * EPS0 * np.asarray(eps, dtype=complex)) for kzn, eps in zip(kz, eps_media)]
-    else:
-        raise ValueError(f"linear polarization must be TE or TM, got {pol!r}")
+    z = []
+    for kzn, eps in zip(kz, eps_media):
+        rows = [omega * MU0 / kzn] if pol != "TM" else []
+        if pol != "TE":
+            rows.append(kzn / (omega * EPS0 * np.asarray(eps, dtype=complex)))
+        z.append(np.stack(rows))
 
-    r = np.zeros_like(f, dtype=complex)
-    t = np.ones_like(f, dtype=complex)
+    r = np.zeros_like(z[0])
+    t = np.ones_like(z[0])
     for n in range(len(eps_media) - 1, 0, -1):
         rho = (z[n] - z[n - 1]) / (z[n] + z[n - 1])
         denom = 1.0 + rho * r
@@ -168,29 +171,17 @@ def _tmm_linear(eps_media, d_m, f_ghz, theta_deg, pol):
         if n >= 2:
             p = np.exp(-1j * kz[n - 1] * d_m[n - 2])
             t, r = t * p, r * p * p
-    return t, r
-
-
-def _stack_eps(stack: LayerStack, f):
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    ambient = np.ones_like(f, dtype=complex)
-    eps_media = [ambient]
-    for layer in stack.layers:
-        eps_media.append(layer.material.complex_permittivity(f))
-    eps_media.append(ambient)
-    d_m = [layer.thickness_mm * 1e-3 for layer in stack.layers]
-    return eps_media, d_m
+    if pol in ("TE", "TM"):
+        return t[0], r[0]
+    return 0.5 * (t[0] + t[1]), 0.5 * (r[0] + r[1])
 
 
 def _coefficients(stack: LayerStack, f, theta_deg, pol):
-    eps_media, d_m = _stack_eps(stack, f)
-    if pol in ("TE", "TM"):
-        return _tmm_linear(eps_media, d_m, f, theta_deg, pol)
-    t_te, r_te = _tmm_linear(eps_media, d_m, f, theta_deg, "TE")
-    t_tm, r_tm = _tmm_linear(eps_media, d_m, f, theta_deg, "TM")
-    # co components in the fixed incident basis; identical for RHCP and LHCP
-    # through an isotropic stratified stack
-    return 0.5 * (t_te + t_tm), 0.5 * (r_te + r_tm)
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    ambient = np.ones_like(f, dtype=complex)
+    eps_media = [ambient, *(layer.material.complex_permittivity(f) for layer in stack.layers), ambient]
+    d_m = [layer.thickness_mm * 1e-3 for layer in stack.layers]
+    return _tmm_linear(eps_media, d_m, f, theta_deg, pol)
 
 
 def tmm_coefficients(stack: LayerStack, inc: Incidence) -> tuple[complex, complex]:

@@ -151,15 +151,19 @@ def _normalize(name: str) -> str:
 class MaterialDatabase:
     """Name-indexed collection of materials with alias-aware lookup."""
 
-    def __init__(self, materials: Iterable[Material] = ()):
+    def __init__(self):
         self._materials: list[Material] = []
         self._by_key: dict[str, Material] = {}
-        for m in materials:
-            self.add(m)
 
     def add(self, material: Material):
+        """Add ``material``, replacing the entry of the same name under all its names; an alias
+        that already names another entry raises `MaterialError` ``aliases[j]: ...``."""
         keys = [_normalize(material.name)] + [_normalize(a) for a in material.aliases]
         existing = self._by_key.get(keys[0])
+        for j, (alias, key) in enumerate(zip(material.aliases, keys[1:])):
+            owner = self._by_key.get(key)
+            if owner is not None and owner is not existing:
+                raise MaterialError(f"aliases[{j}]: {alias!r} already names material {owner.name!r}")
         if existing is not None:
             self._materials.remove(existing)
             # the replacement takes over every name of the entry it replaces
@@ -190,7 +194,9 @@ class MaterialDatabase:
 
     def merged_with(self, materials: Iterable[Material]) -> "MaterialDatabase":
         """New database where the given materials override same-name entries."""
-        db = MaterialDatabase(self._materials)
+        db = MaterialDatabase()
+        db._materials = list(self._materials)
+        db._by_key = dict(self._by_key)  # keeps the names a replacement took over
         for m in materials:
             db.add(m)
         return db

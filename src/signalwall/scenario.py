@@ -24,7 +24,7 @@ from pathlib import Path
 from .antenna_link import AntennaSpec, CoaxSpec, UnitCell, _require_cable_data
 from .design_sweep import SweepConfig
 from .layered_em import Layer, LayerStack
-from .materials import FixedPermittivity, Material, MaterialDatabase, PermittivityModel
+from .materials import FixedPermittivity, Material, MaterialDatabase, MaterialError, PermittivityModel
 from .thermal import ThermalBoundary
 
 
@@ -110,14 +110,21 @@ def _material(entry, path) -> Material:
         return Material(**fields)
 
 
-def _materials(entries, path) -> list[Material]:
-    return [_material(entry, f"{path}[{i}]") for i, entry in enumerate(entries)]
+def _merged(db: MaterialDatabase, entries, path) -> MaterialDatabase:
+    """``db`` with the material ``entries`` merged over it in order, each error at its ``path[i]``."""
+    for i, entry in enumerate(entries):
+        material = _material(entry, f"{path}[{i}]")
+        try:
+            db = db.merged_with([material])
+        except MaterialError as exc:  # an alias that names another entry: "aliases[j]: ..."
+            raise ScenarioError(f"{path}[{i}].{exc}") from exc
+    return db
 
 
-def _material_file(data, name) -> list[Material]:
-    """Entries of a ``{"materials": [...]}`` document, reported under the file ``name``."""
+def _material_file(data, name, db: MaterialDatabase) -> MaterialDatabase:
+    """``db`` with the entries of a ``{"materials": [...]}`` document merged over it, reported under ``name``."""
     entries = _section(data, f"{name}: $", ("materials",), materials=list)["materials"]
-    return _materials(entries, f"{name}: materials")
+    return _merged(db, entries, f"{name}: materials")
 
 
 def _material_named(db: MaterialDatabase, name: str, path: str) -> Material:
@@ -158,14 +165,14 @@ def builtin_database() -> MaterialDatabase:
     """The database shipped with the package (see data/materials.json)."""
     global _BUILTIN
     if _BUILTIN is None:
-        _BUILTIN = MaterialDatabase(_material_file(json.loads(_data_text("materials.json")), "materials.json"))
+        _BUILTIN = _material_file(json.loads(_data_text("materials.json")), "materials.json", MaterialDatabase())
     return _BUILTIN
 
 
 def material_database(materials_path: str | None = None) -> MaterialDatabase:
     """Builtin database, with the entries of the ``materials_path`` file merged over it if given."""
     if materials_path:
-        return builtin_database().merged_with(_material_file(_read_json(materials_path), materials_path))
+        return _material_file(_read_json(materials_path), materials_path, builtin_database())
     return builtin_database()
 
 
@@ -187,7 +194,7 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
         name=str, description=str, materials=list, wall=dict, unit_cell=dict, thermal=dict, sweep=dict,
     )
     if root.get("materials"):
-        db = db.merged_with(_materials(root["materials"], "materials"))
+        db = _merged(db, root["materials"], "materials")
 
     layers = []
     for i, entry in enumerate(_section(root["wall"], "wall", ("layers",), layers=list)["layers"]):

@@ -1,10 +1,8 @@
 import pytest
 
-from signalwall.antenna_link import AntennaSpec, CoaxSpec, UnitCell
-from signalwall.design_sweep import SweepConfig, run_sweep
-from signalwall.layered_em import Layer, LayerStack
-from signalwall.scenario import builtin_database
-from signalwall.thermal import ThermalBoundary, solve_steady_state, voxelize_unit_cell
+from signalwall.design_sweep import run_sweep
+from signalwall.scenario import builtin_database, load_scenario
+from signalwall.thermal import solve_steady_state, voxelize_unit_cell
 
 
 @pytest.fixture(scope="session")
@@ -13,38 +11,30 @@ def db():
 
 
 @pytest.fixture(scope="session")
-def wall(db):
-    return LayerStack(
-        [
-            Layer(db.get("concrete"), 70.0),
-            Layer(db.get("rock_wool"), 220.0),
-            Layer(db.get("concrete"), 150.0),
-        ]
-    )
+def default_scenario():
+    # the shipped default_scenario.json that every command loads, so the gate checks the design as shipped
+    return load_scenario()
 
 
 @pytest.fixture(scope="session")
-def boundary():
-    return ThermalBoundary()
+def wall(default_scenario):
+    return default_scenario.wall
 
 
 @pytest.fixture(scope="session")
-def antenna_cell(db, wall):
-    return UnitCell(
-        150.0,
-        150.0,
-        wall,
-        antenna=AntennaSpec(),
-        coax=CoaxSpec(db.get("stainless_steel"), db.get("ptfe_low_density")),
-        foam=db.get("foam_backing"),
-        laminate=db.get("laminate"),
-    )
+def boundary(default_scenario):
+    return default_scenario.boundary
 
 
 @pytest.fixture(scope="session")
-def bare_fv_result(wall, boundary):
-    grid = voxelize_unit_cell(UnitCell(150.0, 150.0, wall))
-    return solve_steady_state(grid, boundary)
+def antenna_cell(default_scenario):
+    return default_scenario.cell
+
+
+@pytest.fixture(scope="session")
+def bare_fv_result(default_scenario):
+    grid = voxelize_unit_cell(default_scenario.bare_cell())
+    return solve_steady_state(grid, default_scenario.boundary)
 
 
 @pytest.fixture(scope="session")
@@ -54,7 +44,7 @@ def antenna_fv_result(antenna_cell, boundary):
 
 
 @pytest.fixture(scope="session")
-def default_sweep_result(antenna_cell, boundary):
+def default_sweep_result(default_scenario):
     # the full 70..200 mm sweep is the most expensive artifact in the suite;
     # shared by the design-sweep tests and the acceptance gate
-    return run_sweep(SweepConfig(), antenna_cell, boundary)
+    return run_sweep(default_scenario.sweep, default_scenario.cell, default_scenario.boundary)

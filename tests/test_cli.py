@@ -132,6 +132,54 @@ def test_fit_rejects_a_dead_reference_point_before_fitting(tmp_path, monkeypatch
     assert "error: reference ref.csv: 1 point(s) below -100 dB at 5 GHz" in captured.err
 
 
+def _write_db_csv(path, f, db):
+    path.write_text("freq_GHz,s21_dB\n" + "".join(f"{fi:.6f},{di:.9f}\n" for fi, di in zip(f, db)))
+
+
+def test_fit_rejects_an_interpolated_reference_that_misses_part_of_the_dut_band(tmp_path, monkeypatch, capsys):
+    # a 45 mm slab measured over 2-8 GHz through a sloped fixture that was recorded over 3-7 GHz only
+    from signalwall import cli
+
+    f = np.linspace(2.0, 8.0, 61)
+    dut, ref = tmp_path / "dut.csv", tmp_path / "ref.csv"
+    _write_db_csv(dut, f, slab_transmission_db(5.24, 0.0, 0.0462, 0.78, 45.0, f) - 3.0 - 0.5 * f)
+    narrow = np.linspace(3.0, 7.0, 81)
+    _write_db_csv(ref, narrow, -3.0 - 0.5 * narrow)
+    fit = cli.fit_permittivity
+    monkeypatch.setattr(cli, "fit_permittivity", lambda *args, **kwargs: pytest.fail("the fit must not run"))
+    argv = ["fit-permittivity", str(dut), "--reference", str(ref), "--interpolate", "--thickness", "45", "--starts", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: reference ref.csv covers 3-7 GHz only; the DUT points at 2-2.9 and 7.1-8 GHz lie outside it "
+        "and cannot be interpolated\n"
+    )
+    # a reference over the whole band, on a finer grid holding every DUT point, recovers the slab
+    monkeypatch.setattr(cli, "fit_permittivity", fit)
+    wide = np.linspace(2.0, 8.0, 121)
+    _write_db_csv(ref, wide, -3.0 - 0.5 * wide)
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert "a = 5.2400" in printed and "c = 0.0462" in printed and "d = 0.7800" in printed
+
+
+@pytest.mark.parametrize("parameter", ["Y", "Z", "H", "G"])
+def test_fit_rejects_a_touchstone_file_of_other_than_s_parameters(tmp_path, monkeypatch, capsys, parameter):
+    from signalwall import cli
+
+    monkeypatch.setattr(cli, "fit_permittivity", lambda *args, **kwargs: pytest.fail("the fit must not run"))
+    path = tmp_path / "dut.s2p"
+    path.write_text(f"# GHz {parameter} RI R 50\n2 0 0 0.5 0 0.5 0 0 0\n4 0 0 0.4 0 0.4 0 0 0\n")
+    assert main(["fit-permittivity", str(path), "--thickness", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}, line 1: option line '# GHz {parameter} RI R 50' declares {parameter}-parameters; "
+        "only S-parameters can be read\n"
+    )
+
+
 @pytest.mark.parametrize("starts", ["0", "-3"])
 def test_fit_rejects_a_start_count_below_one(tmp_path, capsys, starts):
     path = tmp_path / "meas.csv"
@@ -340,6 +388,29 @@ def test_materials_flag_reports_a_bad_entry_under_its_file(tmp_path, capsys):
     assert captured.err == f"error: {extra}: materials[0].permittivity.eps_real: required field is missing\n"
 
 
+@pytest.mark.parametrize("inline", [False, True])
+def test_an_alias_naming_another_material_exits_2_at_its_path(tmp_path, capsys, inline):
+    # before, every "concrete" of the scenario silently resolved to x (U = 0.1548 instead of 0.1509)
+    entry = {"name": "x", "thermal_conductivity": 99, "permittivity": {"a": 2}, "aliases": ["concrete"]}
+    if inline:
+        from signalwall.scenario import default_scenario_text
+
+        data = json.loads(default_scenario_text())
+        data["materials"] = [entry]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        argv, where = ["uvalue", "--analytical", "--scenario", str(path)], ""
+    else:
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps({"materials": [{"name": "y", "thermal_conductivity": 1}, entry]}))
+        argv, where = ["uvalue", "--analytical", "--materials", str(path)], f"{path}: "
+    index = 0 if inline else 1
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}materials[{index}].aliases[0]: 'concrete' already names material 'concrete'\n"
+
+
 def test_fdtd_validate_small_band(capsys):
     assert main(["fdtd-validate", "--band", "3.4:3.6", "--step", "0.1"]) == 0
     printed = capsys.readouterr().out
@@ -355,6 +426,8 @@ def test_fdtd_validate_small_band(capsys):
         ("1:8", "-0.5", "step"),
         ("2:1", "0.1", "band"),
         ("0.01:0.02", "0.01", "band"),
+        ("0.2:0.8", "0.3", "band 0.2:0.8 GHz needs 1 <= start <= stop <= 100 GHz"),
+        ("90:101", "1", "band 90:101 GHz needs 1 <= start <= stop <= 100 GHz"),
         ("2:3:99", "0.5", "band"),
         ("1:8", "0.001", "grid 1:8 GHz every 0.001 GHz has 7001 points, more than 701"),  # ~1.5 GB of traces
     ],

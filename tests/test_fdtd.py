@@ -84,7 +84,7 @@ def test_point_limit_is_checked_before_time_stepping(wall, monkeypatch):
 def test_config_validation(glass_slab):
     with pytest.raises(FdtdError):
         Fdtd1dConfig(dz_mm=-1.0)
-    # the source pulse is centred on the band, which must lie above 0.05 GHz
+    # the band must lie inside the material model's 1-100 GHz range
     with pytest.raises(FdtdError, match="comparison band 0.01:0.02"):
         validate_against_tmm(glass_slab, 0.01, 0.02, 0.01)
 

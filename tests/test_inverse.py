@@ -70,6 +70,19 @@ def test_grid_mismatch_requires_interpolation(clean_spectrum):
     assert result.frequencies_ghz.shape == clean_spectrum.frequencies_ghz.shape
 
 
+def test_an_interpolated_reference_must_span_the_dut_band(clean_spectrum):
+    # np.interp would hold the reference's end values over 2-2.95 and 7.05-8 GHz
+    narrow = MeasuredSpectrum(np.linspace(3.0, 7.0, 41), np.ones(41), fixture_id="fixture.csv")
+    message = r"^reference fixture.csv covers 3-7 GHz only; the DUT points at 2-2\.95 and 7\.05-8 GHz lie outside it "
+    with pytest.raises(SpectrumFormatError, match=message):
+        normalize_spectrum(clean_spectrum, narrow, interpolate=True)
+    high = MeasuredSpectrum(np.linspace(2.0, 7.0, 41), np.ones(41))
+    with pytest.raises(SpectrumFormatError, match=r"covers 2-7 GHz only; the DUT points at 7\.05-8 GHz lie outside"):
+        normalize_spectrum(clean_spectrum, high, interpolate=True)
+    wide = MeasuredSpectrum(np.linspace(1.0, 9.0, 41), np.ones(41))
+    assert np.all(normalize_spectrum(clean_spectrum, wide, interpolate=True).s21 == clean_spectrum.s21)
+
+
 def test_reference_below_the_floor_is_an_error(clean_spectrum):
     f = clean_spectrum.frequencies_ghz
     weak = np.ones(f.size, dtype=complex)
@@ -317,6 +330,15 @@ def test_touchstone_db_format_and_hz_units(tmp_path):
     loaded = read_touchstone(path)
     assert loaded.frequencies_ghz == pytest.approx([1.0])
     assert abs(loaded.s21[0]) == pytest.approx(0.5, rel=1e-6)
+
+
+@pytest.mark.parametrize("parameter", ["Y", "Z", "H", "G"])
+def test_touchstone_reads_s_parameters_only(tmp_path, parameter):
+    path = tmp_path / "dut.s2p"
+    path.write_text(f"! example\n# GHz {parameter} RI R 50\n1.0 0 0 0.3 0.4 0.3 0.4 0 0\n")
+    message = f"{path}, line 2: option line '# GHz {parameter} RI R 50' declares {parameter}-parameters; "
+    with pytest.raises(SpectrumFormatError, match=f"^{re.escape(message)}only S-parameters can be read$"):
+        read_touchstone(path)
 
 
 def test_touchstone_dispatch(tmp_path):

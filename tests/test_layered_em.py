@@ -6,10 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from signalwall import layered_em
 from signalwall.layered_em import (
     Incidence,
     Layer,
     LayerStack,
+    _coefficients,
     _tmm_linear,
     amplitude_db,
     tmm_coefficients,
@@ -109,6 +111,46 @@ def test_rhcp_equals_lhcp_for_isotropic_stack(wall):
     t_l, r_l = tmm_coefficients(wall, Incidence(5.0, 45.0, "LHCP"))
     assert t_r == t_l
     assert r_r == r_l
+
+
+def test_circular_polarization_is_one_pass_of_the_recursion(monkeypatch, wall):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[4])
+        return _tmm_linear(*args)
+
+    monkeypatch.setattr(layered_em, "_tmm_linear", counted)
+    transmission_spectrum(wall, 1.0, 8.0, 141, 45.0, "RHCP")
+    assert calls == ["RHCP"]
+
+
+def wall_media(wall, f):
+    ambient = np.ones_like(f, dtype=complex)
+    eps_media = [ambient] + [layer.material.complex_permittivity(f) for layer in wall.layers] + [ambient]
+    return eps_media, [layer.thickness_mm * 1e-3 for layer in wall.layers]
+
+
+@pytest.mark.parametrize("theta", [0.0, 30.0, 45.0, 60.0])
+def test_circular_rows_are_the_bit_exact_mean_of_the_linear_solves(wall, theta):
+    f = np.linspace(1.0, 8.0, 141)
+    eps_media, d_m = wall_media(wall, f)
+    t_te, r_te = _tmm_linear(eps_media, d_m, f, theta, "TE")
+    t_tm, r_tm = _tmm_linear(eps_media, d_m, f, theta, "TM")
+    assert t_te.shape == r_te.shape == t_tm.shape == f.shape  # linear calls stay 1-D
+    for pol in ("RHCP", "LHCP"):
+        t, r = _tmm_linear(eps_media, d_m, f, theta, pol)
+        np.testing.assert_array_equal(t, 0.5 * (t_te + t_tm))
+        np.testing.assert_array_equal(r, 0.5 * (r_te + r_tm))
+
+
+@pytest.mark.parametrize("pol", ["vertical", "rhcp", ""])
+def test_unknown_polarization_raises_in_the_recursion(wall, pol):
+    eps_media, d_m = wall_media(wall, np.array([3.5]))
+    with pytest.raises(ValueError, match="polarization must be one of"):
+        _tmm_linear(eps_media, d_m, 3.5, 0.0, pol)
+    with pytest.raises(ValueError, match="polarization must be one of"):
+        _coefficients(wall, 3.5, 0.0, pol)
 
 
 def test_lossless_energy_conservation_on_grid():

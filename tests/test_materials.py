@@ -148,6 +148,23 @@ def test_override_replaces_a_material_under_all_its_names(db):
     assert db.get("mineral_wool").thermal_conductivity == 0.035
 
 
+def test_an_alias_cannot_take_over_another_entry(db):
+    taker = Material("x", 99.0, PermittivityModel(2.0), aliases=("y", "Concrete"))
+    with pytest.raises(MaterialError, match=r"^aliases\[1\]: 'Concrete' already names material 'concrete'$"):
+        db.merged_with([taker])
+    with pytest.raises(MaterialError, match=r"^aliases\[0\]: 'mineral_wool' already names material 'rock_wool'$"):
+        db.merged_with([Material("concrete", 1.7, aliases=("mineral_wool",))])
+    # the names of the entry replaced by name stay its replacement's
+    override = Material("rock_wool", 0.040, aliases=("mineral_wool",))
+    assert db.merged_with([override]).get("rockwool") is override
+
+
+def test_names_a_replacement_took_over_survive_a_later_merge(db):
+    override = Material("rock_wool", 0.040)
+    merged = db.merged_with([override]).merged_with([Material("hempcrete", 0.07)])
+    assert merged.get("mineral_wool") is override
+
+
 def test_invalid_models_rejected():
     with pytest.raises(MaterialError):
         PermittivityModel(0.0)
