@@ -266,10 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-permittivity", help="fit slab permittivity coefficients to a measured spectrum")
     p.add_argument("input", help="CSV (freq_GHz, s21_dB[, s21_phase_deg]) or Touchstone .s2p file")
     p.add_argument("--thickness", type=_finite, required=True, help="slab thickness in mm")
-    p.add_argument("--reference", help="empty-fixture spectrum to normalize by")
+    p.add_argument(
+        "--reference",
+        help="empty-fixture spectrum to normalize by; the model's S21 reference planes are the slab faces, "
+        "so a fixture with air in the slab's place leaves a phase of exp(+-j k0 t) that biases --complex",
+    )
     p.add_argument("--interpolate", action="store_true", help="resample the reference onto the DUT grid")
     p.add_argument("--b", type=_finite, default=0.0, help="fixed exponent b")
-    p.add_argument("--starts", type=int, default=16, help="multistart count")
+    p.add_argument(
+        "--starts", type=int, default=16, help="multistart count; with --complex, per group-delay start of a"
+    )
     p.add_argument("--seed", type=int, default=0, help="seed for the deterministic starts")
     p.add_argument("--complex", action="store_true", help="fit the complex S21 instead of its magnitude in dB")
     p.add_argument(

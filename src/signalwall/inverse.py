@@ -2,18 +2,22 @@
 
 Normalizes device-under-test spectra by empty-fixture references and fits
 the power-law permittivity coefficients (a, c, d) of a single slab to a
-measured transmission magnitude.  The exponent b stays fixed during the fit
+measured transmission.  The exponent b stays fixed during the fit
 (default 0): on one slab spectrum all four coefficients together are not
 identifiable.
 
-The fit minimizes the RMS error in dB between the measured |S21| and the
-exact slab transmission, using a derivative-free simplex search restarted
-from deterministic seeded points inside the bounds; the objective has
-Fabry-Perot local minima, hence the multistart (twice in a complex fit).
+A magnitude fit minimizes the RMS error in dB between the measured |S21|
+and the exact slab transmission, using a derivative-free simplex search
+restarted from deterministic seeded points inside the bounds: the objective
+has Fabry-Perot local minima, hence the multistart.  A complex fit solves
+the residual log(t_model/s21) as bounded trust-region least squares, with a
+started from the group delay (the slope of the unwrapped S21 phase, as in
+Nicolson & Ross 1970 and Weir 1974) and (c, d) from the same seeded points.
 The slab model is the closed-form (Airy) transmission of one slab in vacuum,
 equal to the transfer-matrix cascade of :mod:`signalwall.layered_em` for a
-one-layer stack at a fraction of its cost; every objective evaluation is one
-call of :func:`slab_transmission`.  ``FitResult.evaluations`` counts them.
+one-layer stack at a fraction of its cost; its reference planes are the slab
+faces.  Every objective evaluation is one call of :func:`slab_transmission`;
+``FitResult.evaluations`` counts them.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 
 from .constants import C0
 from .materials import VALID_RANGE_GHZ, MaterialError, PermittivityModel
@@ -93,7 +97,7 @@ def normalize_spectrum(dut: MeasuredSpectrum, reference: MeasuredSpectrum, inter
             )
         ref_s21 = np.interp(f, ref_f, reference.s21.real) + 1j * np.interp(f, ref_f, reference.s21.imag)
     else:
-        raise SpectrumFormatError("frequency grids differ; pass interpolate=True to resample the reference")
+        raise SpectrumFormatError("frequency grids differ; pass --interpolate to resample the reference onto the DUT grid")
 
     low = 20.0 * np.log10(np.abs(ref_s21) + 1e-300) < REFERENCE_FLOOR_DB
     if np.any(low):
@@ -131,8 +135,8 @@ class FitResult:
     residual_db_rms: float
     iterations: int
     converged: bool
-    starts: list = field(default_factory=list, repr=False)  # the final level's runs, one entry per start
-    evaluations: int = 0  # objective calls over all starts, a complex fit's magnitude pre-fit included
+    starts: list = field(default_factory=list, repr=False)  # one entry per start
+    evaluations: int = 0  # model calls over all starts, finite-difference Jacobian calls included
 
     @property
     def model(self) -> PermittivityModel:
@@ -163,7 +167,27 @@ def slab_transmission_db(a, b, c, d, thickness_mm, frequencies_ghz):
     return 20.0 * np.log10(np.abs(slab_transmission(a, b, c, d, thickness_mm, frequencies_ghz)))
 
 
-_MAX_ITER = 2000  # Nelder-Mead iterations per start
+_MAX_ITER = 2000  # iterations per Nelder-Mead start; residual evaluations per trust-region start
+
+
+def _group_delay_starts(spectrum: MeasuredSpectrum, thickness_mm: float, a_bounds) -> list[float]:
+    """Start values of a from the group index of the S21 phase, one per alias tooth inside ``a_bounds``.
+
+    The unwrapped phase of a slab's t falls as -2 pi f n t / c0, so its slope
+    gives n_g.  On a grid too coarse to unwrap the slab phase that estimate is
+    off by a whole number of teeth c0 / (t df), so every n_g + m c0 / (t df)
+    whose square (n > 0) lies inside the bounds is a start; if none does, n_g^2
+    clipped into the bounds is.
+    """
+    f_hz = spectrum.frequencies_ghz * 1e9
+    t_m = thickness_mm * 1e-3
+    slope = np.polyfit(f_hz, np.unwrap(np.angle(spectrum.s21)), 1)[0]
+    n_g = -C0 / (2.0 * math.pi * t_m) * slope
+    tooth = C0 / (t_m * float(np.median(np.diff(f_hz))))
+    n_lo, n_hi = np.sqrt(a_bounds)
+    m = np.arange(math.ceil((n_lo - n_g) / tooth), math.floor((n_hi - n_g) / tooth) + 1)
+    teeth = (n_g + m * tooth) ** 2 if m.size else np.array([n_g * n_g])
+    return [float(a) for a in np.clip(teeth, *a_bounds)]
 
 
 def fit_permittivity(
@@ -178,16 +202,26 @@ def fit_permittivity(
     """Fit (a, c, d) of the slab permittivity to a measured S21 spectrum.
 
     The default objective is the RMS error of |S21| in dB (fixture phase is
-    often unreliable); ``complex_objective`` switches to the RMS of the
-    complex-log difference log(t_model/s21), which weighs magnitude error in
-    nepers and phase error in radians evenly across a wide dynamic range and
-    needs phase-calibrated data.  Phase wrapping through a thick slab makes
-    that landscape a comb, so the complex mode first runs the magnitude
-    multistart, then the complex one from its optimum and the same starts.
-    At each level the best of the Nelder-Mead runs wins; ties resolve to the
-    lowest start index, so results are reproducible for a given seed.
-    ``iterations`` and ``evaluations`` count both levels.  The reported
-    residual is always the dB-magnitude RMS of the returned fit.
+    often unreliable), minimized by Nelder-Mead from the box midpoint and
+    ``n_starts - 1`` seeded draws inside the bounds: the magnitude landscape
+    has Fabry-Perot local minima, hence the multistart.
+
+    ``complex_objective`` fits the complex-log difference log(t_model/s21)
+    instead, which weighs magnitude error in nepers and phase error in
+    radians evenly across a wide dynamic range and needs phase-calibrated
+    data.  Its residual vector [Re, Im] goes to a bounded trust-region
+    least-squares solve (``least_squares``, method "trf"); no magnitude fit
+    runs first.  The phase slope pins a down (see `_group_delay_starts`), and
+    each start value of a is paired with the (c, d) of the same seeded starts,
+    so a complex fit runs ``n_starts`` solves per alias tooth, usually one.
+    Each start's ``residual`` is sqrt(2 cost / n), the RMS of |log(t_model/s21)|.
+
+    The best successful run wins; ties resolve to the lowest start index, so
+    results are reproducible for a given seed.
+    ``iterations`` counts Nelder-Mead iterations or trust-region Jacobians,
+    ``evaluations`` every model call.  The reported residual is always the
+    dB-magnitude RMS of the returned fit.  The unknowns need at least 3
+    magnitude points, or 2 complex ones.
     """
     thickness = thickness_mm if thickness_mm is not None else spectrum.thickness_mm
     if thickness is None or thickness <= 0.0:
@@ -196,6 +230,11 @@ def fit_permittivity(
         raise ValueError(f"the start count must be >= 1, got {n_starts}")
     if complex_objective and spectrum.magnitude_only:
         raise ValueError("complex objective needs complex S21 data")
+    f = spectrum.frequencies_ghz
+    min_points = 2 if complex_objective else 3
+    if f.size < min_points:
+        kind = "complex" if complex_objective else "magnitude"
+        raise ValueError(f"a {kind} fit of (a, c, d) needs at least {min_points} points, got {f.size}")
     bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     if len(bounds) != 3 or any(lo >= hi for lo, hi in bounds):
         raise ValueError("bounds must be three (low, high) pairs for (a, c, d)")
@@ -206,7 +245,6 @@ def fit_permittivity(
         raise ValueError(f"bounds: the low bound of a must be > 0, got {bounds[0][0]}")
     if bounds[1][0] < 0.0:
         raise ValueError(f"bounds: the low bound of c must be >= 0, got {bounds[1][0]}")
-    f = spectrum.frequencies_ghz
     measured_db = spectrum.magnitude_db
     if f.size < 10 or f[-1] / f[0] < 2.0:
         warnings.warn(
@@ -218,9 +256,12 @@ def fit_permittivity(
         model_db = slab_transmission_db(x[0], b_fixed, x[1], x[2], thickness, f)
         return float(np.sqrt(np.mean((model_db - measured_db) ** 2)))
 
-    def log_rms(x):
-        log_error = np.log(slab_transmission(x[0], b_fixed, x[1], x[2], thickness, f) / spectrum.s21)
-        return float(np.sqrt(np.mean(np.abs(log_error) ** 2)))
+    def log_error(x):
+        nonlocal evaluations
+        evaluations += 1
+        with np.errstate(divide="ignore"):  # a t that underflows to 0 gives -inf, a failed start
+            error = np.log(slab_transmission(x[0], b_fixed, x[1], x[2], thickness, f) / spectrum.s21)
+        return np.concatenate([error.real, error.imag])
 
     rng = np.random.default_rng(seed)
     lo, hi = np.array(bounds).T
@@ -228,29 +269,36 @@ def fit_permittivity(
     starts.extend(lo + (hi - lo) * rng.random(3) for _ in range(n_starts - 1))
     iterations = evaluations = 0
 
-    def multistart(objective, level_starts):
-        """The best converged Nelder-Mead run over ``level_starts`` (None if none converged) and every run's entry."""
-        nonlocal iterations, evaluations
-        diagnostics, best = [], None
-        for index, x0 in enumerate(level_starts):
-            result = minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                bounds=bounds,
-                options={"maxiter": _MAX_ITER, "xatol": 1e-6, "fatol": 1e-10},
-            )
-            iterations += result.nit
-            evaluations += result.nfev
-            entry = {"start": index, "x0": np.asarray(x0), "x": result.x, "residual": float(result.fun), "success": bool(result.success)}
-            diagnostics.append(entry)
-            if result.success and math.isfinite(result.fun) and (best is None or result.fun < best["residual"] - 1e-15):
-                best = entry
-        return best, diagnostics
+    def nelder_mead(x0):
+        nonlocal evaluations
+        result = minimize(
+            db_rms,
+            x0,
+            method="Nelder-Mead",
+            bounds=bounds,
+            options={"maxiter": _MAX_ITER, "xatol": 1e-6, "fatol": 1e-10},
+        )
+        evaluations += result.nfev
+        return result.x, float(result.fun), result.nit, bool(result.success)
 
-    best, diagnostics = multistart(db_rms, starts)
+    def trust_region(x0):
+        if not np.all(np.isfinite(log_error(x0))):  # least_squares rejects a non-finite start
+            return x0, math.inf, 0, False
+        result = least_squares(log_error, x0, method="trf", bounds=(lo, hi), max_nfev=_MAX_ITER)
+        return result.x, math.sqrt(2.0 * result.cost / f.size), result.njev, bool(result.success)
+
+    solve = nelder_mead
     if complex_objective:
-        best, diagnostics = multistart(log_rms, ([] if best is None else [best["x"]]) + starts)
+        solve = trust_region
+        starts = [np.array([a0, *x[1:]]) for a0 in _group_delay_starts(spectrum, thickness, bounds[0]) for x in starts]
+    diagnostics, best = [], None
+    for index, x0 in enumerate(starts):
+        x, residual, nit, success = solve(x0)
+        iterations += nit
+        entry = {"start": index, "x0": np.asarray(x0), "x": x, "residual": residual, "success": success}
+        diagnostics.append(entry)
+        if success and math.isfinite(residual) and (best is None or residual < best["residual"] - 1e-15):
+            best = entry
     if best is None:
         return FitResult(math.nan, b_fixed, math.nan, math.nan, math.inf, iterations, False, diagnostics, evaluations)
     a, c, d = best["x"]

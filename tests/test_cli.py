@@ -180,6 +180,37 @@ def test_fit_rejects_a_touchstone_file_of_other_than_s_parameters(tmp_path, monk
     )
 
 
+def test_fit_names_the_interpolate_flag_when_the_grids_differ(tmp_path, monkeypatch, capsys):
+    from signalwall import cli
+
+    monkeypatch.setattr(cli, "fit_permittivity", lambda *args, **kwargs: pytest.fail("the fit must not run"))
+    dut, ref = tmp_path / "dut.csv", tmp_path / "ref.csv"
+    _write_db_csv(dut, np.linspace(2.0, 8.0, 61), np.full(61, -10.0))
+    _write_db_csv(ref, np.linspace(2.0, 8.0, 121), np.full(121, -1.0))
+    assert main(["fit-permittivity", str(dut), "--reference", str(ref), "--thickness", "45"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: frequency grids differ; pass --interpolate to resample the reference onto the DUT grid\n"
+
+
+@pytest.mark.parametrize(
+    ("rows", "flags", "message"),
+    [
+        ("freq_GHz,s21_dB\n2.0,-3.0\n8.0,-5.0\n", [], "a magnitude fit of (a, c, d) needs at least 3 points, got 2"),
+        ("freq_GHz,s21_dB,s21_phase_deg\n5.0,-3.0,40.0\n", ["--complex"], "a complex fit of (a, c, d) needs at least 2 points, got 1"),
+    ],
+    ids=["magnitude_2_points", "complex_1_point"],
+)
+def test_fit_rejects_fewer_points_than_the_unknowns_need(tmp_path, capsys, rows, flags, message):
+    # (a, c, d) are three unknowns: a magnitude point gives one equation, a complex point two
+    path = tmp_path / "meas.csv"
+    path.write_text(rows)
+    assert main(["fit-permittivity", str(path), "--thickness", "60", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("starts", ["0", "-3"])
 def test_fit_rejects_a_start_count_below_one(tmp_path, capsys, starts):
     path = tmp_path / "meas.csv"

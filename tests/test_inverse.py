@@ -18,6 +18,7 @@ from signalwall.inverse import (
     slab_transmission,
     slab_transmission_db,
 )
+from scipy.optimize import least_squares
 from signalwall.layered_em import Layer, LayerStack, transmission_spectrum
 from signalwall.materials import Material, MaterialError, PermittivityModel
 
@@ -235,7 +236,7 @@ def test_fit_invariant_to_common_offset(clean_spectrum):
 
 
 def test_short_span_warns():
-    # once per fit, also when the complex fit runs its magnitude multistart first
+    # once per fit, for the magnitude and the complex objective alike
     f = np.linspace(3.0, 4.0, 8)
     spectrum = MeasuredSpectrum(f, slab_transmission(5.0, 0.0, 0.1, 0.5, 100.0, f), thickness_mm=100.0)
     for complex_objective in (False, True):
@@ -256,6 +257,101 @@ def test_complex_objective_roundtrip(clean_spectrum):
     assert fit.converged
     assert fit.a == pytest.approx(TRUE[0], abs=0.05)
     assert fit.residual_db_rms < 0.1
+
+
+def _noisy_complex(f, seed):
+    """The 290 mm slab's t with 0.5 dB and 3 degrees of gaussian noise."""
+    rng = np.random.default_rng(seed)
+    t = slab_transmission(TRUE[0], 0.0, TRUE[1], TRUE[2], THICKNESS_MM, f)
+    noisy = t * 10.0 ** (rng.normal(0.0, 0.5, f.size) / 20.0) * np.exp(1j * np.radians(rng.normal(0.0, 3.0, f.size)))
+    return MeasuredSpectrum(f, noisy, thickness_mm=THICKNESS_MM)
+
+
+def _log_error(x, spectrum):
+    error = np.log(slab_transmission(x[0], 0.0, x[1], x[2], THICKNESS_MM, spectrum.frequencies_ghz) / spectrum.s21)
+    return np.concatenate([error.real, error.imag])
+
+
+def _complex_rms(x, spectrum):
+    """The RMS of |log(t_model / s21)| over the spectrum's points."""
+    return float(np.sqrt(2.0 * np.mean(_log_error(x, spectrum) ** 2)))
+
+
+def _polished_from_truth(spectrum):
+    """The complex RMS of a trust-region solve started at the true coefficients."""
+    lo, hi = np.array(inverse.DEFAULT_BOUNDS).T
+    return _complex_rms(least_squares(_log_error, np.array(TRUE), args=(spectrum,), method="trf", bounds=(lo, hi)).x, spectrum)
+
+
+def test_complex_fit_reaches_the_optimum_polished_from_the_truth():
+    # a simplex search from random starts stalls in the d = 0 corner here (complex RMS 0.06 above the optimum)
+    f = np.linspace(2.0, 8.0, 121)
+    for seed in range(20):
+        spectrum = _noisy_complex(f, seed)
+        fit = fit_permittivity(spectrum, complex_objective=True)
+        assert fit.converged
+        assert _complex_rms((fit.a, fit.c, fit.d), spectrum) <= _polished_from_truth(spectrum) + 1e-9, seed
+
+
+def test_complex_fit_on_an_aliased_grid_starts_on_the_slab_tooth():
+    # 0.3 GHz steps through 290 mm wrap the slab phase by more than pi per step: the unwrapped slope
+    # gives n = 1.03 instead of 2.42, one alias tooth c0 / (t df) = 3.45 below
+    f = np.linspace(2.0, 8.0, 21)
+    spectrum = _noisy_complex(f, 0)
+    fit = fit_permittivity(spectrum, complex_objective=True)
+    assert fit.a == pytest.approx(TRUE[0], abs=0.01)
+    assert _complex_rms((fit.a, fit.c, fit.d), spectrum) <= _polished_from_truth(spectrum) + 1e-9
+
+
+def test_every_alias_tooth_inside_the_bounds_pairs_with_the_seeded_starts():
+    # 0.75 GHz steps: teeth 1.38 apart in n, so n = 1.04, 2.42 and 3.80 all square into a's 1-15 bounds
+    f = np.linspace(2.0, 8.0, 9)
+    spectrum = MeasuredSpectrum(f, slab_transmission(TRUE[0], 0.0, TRUE[1], TRUE[2], THICKNESS_MM, f))
+    with pytest.warns(UserWarning, match="fewer than 10 points"):
+        fit = fit_permittivity(spectrum, thickness_mm=THICKNESS_MM, n_starts=4, seed=5, complex_objective=True)
+    teeth = np.sqrt([entry["x0"][0] for entry in fit.starts[::4]])
+    assert len(fit.starts) == 12
+    assert np.diff(teeth) == pytest.approx([2.99792458e8 / (0.29 * 0.75e9)] * 2)
+    assert teeth[1] == pytest.approx(np.sqrt(TRUE[0]), abs=0.01)
+    lo, hi = np.array(inverse.DEFAULT_BOUNDS).T
+    rng = np.random.default_rng(5)
+    seeded = [0.5 * (lo + hi)] + [lo + (hi - lo) * rng.random(3) for _ in range(3)]
+    for tooth in range(3):
+        assert np.array_equal([entry["x0"][1:] for entry in fit.starts[4 * tooth : 4 * tooth + 4]], [x[1:] for x in seeded])
+    assert fit.a == pytest.approx(TRUE[0], rel=1e-6)
+
+
+def test_a_group_delay_outside_the_bounds_starts_at_the_nearest_bound(clean_spectrum):
+    f = clean_spectrum.frequencies_ghz
+    spectrum = MeasuredSpectrum(f, slab_transmission(TRUE[0], 0.0, TRUE[1], TRUE[2], THICKNESS_MM, f))
+    assert inverse._group_delay_starts(spectrum, THICKNESS_MM, (1.0, 15.0)) == [pytest.approx(TRUE[0], abs=0.05)]
+    assert inverse._group_delay_starts(spectrum, THICKNESS_MM, (2.0, 4.0)) == [4.0]
+    assert inverse._group_delay_starts(spectrum, THICKNESS_MM, (8.0, 9.0)) == [8.0]
+
+
+def test_complex_starts_where_the_model_underflows_fail_alone():
+    # at 50-100 GHz the 290 mm slab's t underflows to 0 from high-loss starts (the midpoint among them)
+    f = np.linspace(50.0, 100.0, 101)
+    spectrum = MeasuredSpectrum(f, slab_transmission(TRUE[0], 0.0, TRUE[1], TRUE[2], THICKNESS_MM, f), thickness_mm=THICKNESS_MM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_permittivity(spectrum, complex_objective=True)
+    failed = [entry for entry in fit.starts if not entry["success"]]
+    assert failed and all(entry["residual"] == np.inf for entry in failed)
+    assert fit.converged and fit.a == pytest.approx(TRUE[0], rel=1e-9)
+
+
+@pytest.mark.parametrize(("points", "complex_objective", "kind", "needed"), [(2, False, "magnitude", 3), (1, True, "complex", 2)])
+def test_underdetermined_fits_rejected_before_any_evaluation(monkeypatch, points, complex_objective, kind, needed):
+    def no_model(*args):
+        raise AssertionError("the model was evaluated")
+
+    f = np.linspace(2.0, 8.0, points)
+    spectrum = MeasuredSpectrum(f, slab_transmission(5.0, 0.0, 0.1, 0.5, 45.0, f), thickness_mm=45.0)
+    monkeypatch.setattr(inverse, "slab_transmission", no_model)
+    message = f"^a {kind} fit of \\(a, c, d\\) needs at least {needed} points, got {points}$"
+    with pytest.raises(ValueError, match=message):
+        fit_permittivity(spectrum, complex_objective=complex_objective)
 
 
 def test_complex_objective_needs_complex_data(clean_spectrum):
