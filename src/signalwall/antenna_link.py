@@ -173,14 +173,24 @@ class AntennaSpec:
 
 
 @dataclass(frozen=True)
+class Pad:
+    """A square block of ``material``, ``size_mm`` on a side, centred on each wall face."""
+
+    material: Material
+    size_mm: float
+    thickness_mm: float
+
+
+@dataclass(frozen=True)
 class UnitCell:
     """One periodic cell of the antenna-embedded wall.
 
     Lateral cell size doubles as the antenna-system separation on the wall.
     ``antenna`` and ``coax`` are both None for a bare cell, which then has no
-    foam or laminate either.  The laminate sheet sits on each wall face with
-    the foam spacer recessed into the concrete behind it.  Every part has a
-    size > 0 and fits the cell, and both faces' stacks fit the wall depth.
+    ``foam`` or ``laminate`` pad either.  The laminate pad sits on each wall
+    face with the foam pad recessed into the concrete behind it; a cell
+    without one of them leaves it None.  Every part has a size > 0 and fits
+    the cell, and both faces' stacks fit the wall depth.
     """
 
     sx_mm: float
@@ -188,12 +198,8 @@ class UnitCell:
     wall: LayerStack
     antenna: AntennaSpec | None = None
     coax: CoaxSpec | None = None
-    foam: Material | None = None
-    foam_size_mm: float = 50.0
-    foam_thickness_mm: float = 10.0
-    laminate: Material | None = None
-    laminate_size_mm: float = 40.0
-    laminate_thickness_mm: float = 0.5
+    foam: Pad | None = None
+    laminate: Pad | None = None
 
     def __post_init__(self):
         if not (0.0 < self.sx_mm < math.inf and 0.0 < self.sy_mm < math.inf):
@@ -203,17 +209,16 @@ class UnitCell:
         if not self.has_antenna_system and (self.foam is not None or self.laminate is not None):
             raise ValueError("foam and laminate need an antenna system (antenna and coax); alone they would be ignored")
         if self.has_antenna_system:
-            for part in ("foam", "laminate"):
-                size, thickness = getattr(self, f"{part}_size_mm"), getattr(self, f"{part}_thickness_mm")
-                if getattr(self, part) is not None and not (size > 0.0 and thickness > 0.0):
-                    raise ValueError(f"{part} size and thickness must be > 0, got {size} and {thickness} mm")
+            for part, pad in (("foam", self.foam), ("laminate", self.laminate)):
+                if pad is not None and not (pad.size_mm > 0.0 and pad.thickness_mm > 0.0):
+                    raise ValueError(f"{part} size and thickness must be > 0, got {pad.size_mm} and {pad.thickness_mm} mm")
             cell, diameter = f"cell ({self.sx_mm} x {self.sy_mm} mm)", 2.0 * self.coax.outer_radius_mm
             if self.coax.count * diameter > self.sx_mm or diameter > self.sy_mm:
                 raise ValueError(f"{cell} must hold the cable pack ({self.coax.count} lines of {diameter} mm side by side)")
-            if self.foam is not None and self.foam_size_mm > min(self.sx_mm, self.sy_mm):
-                raise ValueError(f"{cell} must hold the foam block ({self.foam_size_mm} mm)")
-            if self.laminate is not None and min(self.sx_mm, self.sy_mm) <= self.laminate_size_mm:
-                raise ValueError(f"{cell} must exceed the antenna footprint ({self.laminate_size_mm} mm)")
+            if self.foam is not None and self.foam.size_mm > min(self.sx_mm, self.sy_mm):
+                raise ValueError(f"{cell} must hold the foam block ({self.foam.size_mm} mm)")
+            if self.laminate is not None and min(self.sx_mm, self.sy_mm) <= self.laminate.size_mm:
+                raise ValueError(f"{cell} must exceed the antenna footprint ({self.laminate.size_mm} mm)")
             stack, depth = 2.0 * sum(self.face_stack_mm), self.wall.depth_mm
             if stack > depth:
                 raise ValueError(f"laminate + foam stacks of both faces ({stack} mm) overlap in the {depth} mm wall")
@@ -224,11 +229,8 @@ class UnitCell:
 
     @property
     def face_stack_mm(self) -> tuple[float, float]:
-        """Laminate and foam thickness on each wall face, 0 for a part the cell lacks."""
-        return (
-            self.laminate_thickness_mm if self.laminate is not None else 0.0,
-            self.foam_thickness_mm if self.foam is not None else 0.0,
-        )
+        """Laminate and foam thickness on each wall face, 0 for a pad the cell lacks."""
+        return tuple(0.0 if pad is None else pad.thickness_mm for pad in (self.laminate, self.foam))
 
     @property
     def cell_area_m2(self) -> float:

@@ -271,6 +271,10 @@ def fit_permittivity(
 
     def nelder_mead(x0):
         nonlocal evaluations
+        evaluations += 1
+        with np.errstate(divide="ignore"):  # a t that underflows to 0 gives -inf dB, a failed start
+            if not math.isfinite(db_rms(x0)):
+                return x0, math.inf, 0, False
         result = minimize(
             db_rms,
             x0,

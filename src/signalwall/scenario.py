@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .antenna_link import AntennaSpec, CoaxSpec, UnitCell, _require_cable_data
+from .antenna_link import AntennaSpec, CoaxSpec, Pad, UnitCell, _require_cable_data
 from .design_sweep import SweepConfig
 from .layered_em import Layer, LayerStack
 from .materials import FixedPermittivity, Material, MaterialDatabase, MaterialError, PermittivityModel
@@ -152,7 +152,6 @@ class Scenario:
     cell: UnitCell
     boundary: ThermalBoundary
     sweep: SweepConfig
-    db: MaterialDatabase
 
     def bare_cell(self) -> UnitCell:
         return UnitCell(self.cell.sx_mm, self.cell.sy_mm, self.wall)
@@ -222,14 +221,7 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
     with _reported_at("sweep"):
         sweep = SweepConfig(**sweep_fields)
 
-    return Scenario(
-        name=root.get("name", "unnamed"),
-        wall=wall,
-        cell=cell,
-        boundary=boundary,
-        sweep=sweep,
-        db=db,
-    )
+    return Scenario(name=root.get("name", "unnamed"), wall=wall, cell=cell, boundary=boundary, sweep=sweep)
 
 
 def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> UnitCell:
@@ -280,9 +272,7 @@ def _parse_cell(cell_data: dict, wall: LayerStack, db: MaterialDatabase) -> Unit
             f = _section(
                 cell[key], path, ("material", "size_mm", "thickness_mm"), material=str, size_mm=float, thickness_mm=float
             )
-            cell[key] = _material_named(db, f["material"], f"{path}.material")
-            cell[f"{key}_size_mm"] = f["size_mm"]
-            cell[f"{key}_thickness_mm"] = f["thickness_mm"]
+            cell[key] = Pad(_material_named(db, f["material"], f"{path}.material"), f["size_mm"], f["thickness_mm"])
 
     with _reported_at("unit_cell"):
         return UnitCell(wall=wall, **cell)

@@ -276,17 +276,15 @@ def voxelize_unit_cell(cell: UnitCell) -> VoxelGrid:
 
     if cell.has_antenna_system:
         lam_t, foam_t = cell.face_stack_mm
-        foam_z = ((lam_t, lam_t + foam_t), (depth - lam_t - foam_t, depth - lam_t))  # behind each laminate
-        laminate_z = ((0.0, lam_t), (depth - lam_t, depth))
-        if lam_t + foam_t > 0.0:
-            for plane in np.ravel(foam_z + laminate_z).tolist():
-                z_lines[plane] = _Z_INTERFACE_MM
-        if cell.foam is not None:
-            half = cell.foam_size_mm / 2.0
-            boxes += [centred_square(cell.foam, cx, half, z0, z1, _XY_FEATURE_MM) for z0, z1 in foam_z]
-        if cell.laminate is not None:
-            half = cell.laminate_size_mm / 2.0
-            boxes += [centred_square(cell.laminate, cx, half, z0, z1, _XY_FEATURE_MM) for z0, z1 in laminate_z]
+        for pad, faces in (
+            (cell.foam, ((lam_t, lam_t + foam_t), (depth - lam_t - foam_t, depth - lam_t))),  # behind each laminate
+            (cell.laminate, ((0.0, lam_t), (depth - lam_t, depth))),
+        ):
+            if pad is None:
+                continue
+            for z0, z1 in faces:  # one box per wall face, its faces the interface planes
+                boxes.append(centred_square(pad.material, cx, pad.size_mm / 2.0, z0, z1, _XY_FEATURE_MM))
+                z_lines[z0] = z_lines[z1] = _Z_INTERFACE_MM
 
         spec = cell.coax
         w_shield = equivalent_square_side_mm(spec.outer_radius_mm)

@@ -155,7 +155,9 @@ def test_aperture_saturation_clamp(antenna_cell):
     # force the effective aperture beyond the cell: the capture fraction must
     # clamp at 1 leaving exactly the cable loss
     big = dataclasses.replace(
-        antenna_cell, antenna=AntennaSpec(gain_dbi=30.0, rolloff_db_per_octave=0.0), foam_size_mm=40.0
+        antenna_cell,
+        antenna=AntennaSpec(gain_dbi=30.0, rolloff_db_per_octave=0.0),
+        foam=dataclasses.replace(antenna_cell.foam, size_mm=40.0),
     )
     small = big.with_separation(41.0)  # the foam block must fit the cell
     t = aperture_transmission(small, 1.5)
@@ -294,28 +296,32 @@ def test_common_loss_offset_preserves_argmax(antenna_cell):
     assert int(np.argmax(base)) == int(np.argmax(shifted))
 
 
-def test_cell_validation(wall, db, antenna_cell):
+def test_cell_validation(wall, antenna_cell):
     coax = antenna_cell.coax
+
+    def pad(part, **changes):
+        return {part: dataclasses.replace(getattr(antenna_cell, part), **changes)}
+
     with pytest.raises(ValueError):
-        UnitCell(30.0, 30.0, wall, antenna=AntennaSpec(), coax=coax, laminate=db.get("laminate"))
+        UnitCell(30.0, 30.0, wall, antenna=AntennaSpec(), coax=coax, laminate=antenna_cell.laminate)
     # each part fits the 150 mm cell of the 440 mm wall at its limit and is refused just beyond it
     for fits, beyond, message in (
         ({"coax": dataclasses.replace(coax, count=85)}, {"coax": dataclasses.replace(coax, count=86)}, "cable pack"),
-        ({"foam_size_mm": 150.0}, {"foam_size_mm": 150.5}, "foam block"),
-        ({"foam_thickness_mm": 219.5}, {"foam_thickness_mm": 219.6}, "overlap in the 440.0 mm wall"),
-        ({"foam_thickness_mm": 1e-3}, {"foam_thickness_mm": 0.0}, "foam size and thickness must be > 0"),
-        ({"laminate_size_mm": 1e-3}, {"laminate_size_mm": -400.0}, "laminate size and thickness must be > 0"),
+        (pad("foam", size_mm=150.0), pad("foam", size_mm=150.5), "foam block"),
+        (pad("foam", thickness_mm=219.5), pad("foam", thickness_mm=219.6), "overlap in the 440.0 mm wall"),
+        (pad("foam", thickness_mm=1e-3), pad("foam", thickness_mm=0.0), "foam size and thickness must be > 0"),
+        (pad("laminate", size_mm=1e-3), pad("laminate", size_mm=-400.0), "laminate size and thickness must be > 0"),
     ):
         dataclasses.replace(antenna_cell, **fits)
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(antenna_cell, **beyond)
 
 
-def test_cell_rejects_features_it_would_ignore(wall, db, antenna_cell):
+def test_cell_rejects_features_it_would_ignore(wall, antenna_cell):
     with pytest.raises(ValueError, match="antenna and coax need each other"):
         UnitCell(150.0, 150.0, wall, antenna=AntennaSpec())
     with pytest.raises(ValueError, match="antenna and coax need each other"):
         UnitCell(150.0, 150.0, wall, coax=antenna_cell.coax)
     for feature in ("foam", "laminate"):
         with pytest.raises(ValueError, match="foam and laminate need an antenna system"):
-            UnitCell(150.0, 150.0, wall, **{feature: db.get("foam_backing")})
+            UnitCell(150.0, 150.0, wall, **{feature: getattr(antenna_cell, feature)})

@@ -717,3 +717,23 @@ def test_an_empty_gain_table_exits_2_at_the_antenna(tmp_path, capsys):
     path = _default_scenario_file(tmp_path, lambda cell: cell.update(antenna={"gain_table": []}))
     assert main(["transmission", "--with-antennas", "--scenario", str(path), "-o", str(tmp_path / "t.csv")]) == 2
     assert capsys.readouterr().err == "error: unit_cell.antenna: gain table must not be empty\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transmission", "-o", "{dir}"],
+        ["uvalue", "--analytical", "--scenario", "{dir}"],
+        ["fit-permittivity", "{dir}", "--thickness", "10"],
+        ["fit-permittivity", "{dut}", "--reference", "{dir}", "--thickness", "10"],
+        ["materials", "list", "--materials", "{dir}"],
+    ],
+    ids=["output", "scenario", "fit-input", "reference", "materials"],
+)
+def test_a_directory_given_as_a_file_exits_2(tmp_path, capsys, argv):
+    dut = tmp_path / "dut.csv"
+    dut.write_text("freq_GHz,s21_dB\n2,-10\n5,-20\n8,-30\n")
+    assert main([arg.format(dir=tmp_path, dut=dut) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"

@@ -341,6 +341,19 @@ def test_complex_starts_where_the_model_underflows_fail_alone():
     assert fit.converged and fit.a == pytest.approx(TRUE[0], rel=1e-9)
 
 
+def test_magnitude_starts_where_the_model_underflows_fail_alone():
+    # the same 290 mm slab in magnitude only; |S21| does not pin a down there, so the fit's a is not checked
+    f = np.linspace(50.0, 100.0, 101)
+    t = slab_transmission(TRUE[0], 0.0, TRUE[1], TRUE[2], THICKNESS_MM, f)
+    spectrum = MeasuredSpectrum(f, np.abs(t), magnitude_only=True, thickness_mm=THICKNESS_MM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_permittivity(spectrum)
+    failed = [entry for entry in fit.starts if not entry["success"]]
+    assert failed and all(entry["residual"] == np.inf for entry in failed)
+    assert fit.converged and fit.residual_db_rms < 1e-3
+
+
 @pytest.mark.parametrize(("points", "complex_objective", "kind", "needed"), [(2, False, "magnitude", 3), (1, True, "complex", 2)])
 def test_underdetermined_fits_rejected_before_any_evaluation(monkeypatch, points, complex_objective, kind, needed):
     def no_model(*args):

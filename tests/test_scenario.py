@@ -69,8 +69,8 @@ def test_material_overrides_inline():
 
 def test_default_scenario_cable_materials_come_from_the_database():
     scenario = load_scenario()
-    assert scenario.cell.coax.conductor is scenario.db.get("stainless_steel")
-    assert scenario.cell.coax.dielectric is scenario.db.get("ptfe_low_density")
+    assert scenario.cell.coax.conductor is builtin_database().get("stainless_steel")
+    assert scenario.cell.coax.dielectric is builtin_database().get("ptfe_low_density")
 
 
 def test_coax_length_defaults_to_wall_depth(tmp_path):

@@ -113,15 +113,19 @@ def _assert_slab_caps(cell):
 
 
 def test_z_mesh_follows_the_slab_and_interface_caps(antenna_cell):
-    z, dz = _assert_slab_caps(antenna_cell)
-    # the laminate and foam planes at each face: the cells on both sides start at the interface spacing
-    depth = antenna_cell.wall.depth_mm
-    lam_t, foam_t = antenna_cell.laminate_thickness_mm, antenna_cell.foam_thickness_mm
-    for plane in (lam_t, lam_t + foam_t, depth - lam_t - foam_t, depth - lam_t):
-        k = int(np.argmin(np.abs(z - plane)))
-        assert z[k] == pytest.approx(plane, abs=1e-9)
-        assert max(dz[k - 1], dz[k]) <= thermal._Z_INTERFACE_MM * (1 + 1e-12), plane
-    assert max(dz[0], dz[-1]) <= thermal._Z_INTERFACE_MM * (1 + 1e-12)
+    # the default cell, then each pad alone: the mesher takes the interface planes from the pad boxes it paints
+    single_pads = [dataclasses.replace(antenna_cell, **{pad: None}) for pad in ("laminate", "foam")]
+    for cell in [antenna_cell, *single_pads]:
+        z, dz = _assert_slab_caps(cell)
+        # the laminate and foam planes at each face: the cells on both sides start at the interface spacing;
+        # a single pad puts its outer planes on the wall faces, which the last check covers
+        depth = cell.wall.depth_mm
+        lam_t, foam_t = cell.face_stack_mm
+        for plane in {lam_t, lam_t + foam_t, depth - lam_t - foam_t, depth - lam_t} - {0.0, depth}:
+            k = int(np.argmin(np.abs(z - plane)))
+            assert z[k] == pytest.approx(plane, abs=1e-9)
+            assert max(dz[k - 1], dz[k]) <= thermal._Z_INTERFACE_MM * (1 + 1e-12), plane
+        assert max(dz[0], dz[-1]) <= thermal._Z_INTERFACE_MM * (1 + 1e-12)
 
 
 def test_thin_slabs_are_split_to_respect_their_cap(db):
@@ -256,7 +260,9 @@ def test_mesh_convergence_in_z(antenna_cell, boundary, antenna_fv_result):
 def test_monotonicity_in_conductivity(antenna_cell, boundary, antenna_fv_result):
     # raising the foam conductivity (a spot perturbation of lambda) may not
     # lower the U-value
-    hotter_foam = dataclasses.replace(antenna_cell, foam=Material("foam_backing", 0.50))
+    hotter_foam = dataclasses.replace(
+        antenna_cell, foam=dataclasses.replace(antenna_cell.foam, material=Material("foam_backing", 0.50))
+    )
     result = solve_steady_state(voxelize_unit_cell(hotter_foam), boundary)
     assert result.u >= antenna_fv_result.u - 1e-9
 
