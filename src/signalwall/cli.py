@@ -9,14 +9,16 @@ or input error, 3 infeasible design or diverged solve.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from .antenna_link import aperture_transmission, coax_attenuation, combine_paths, improvement_onset_ghz
-from .design_sweep import SweepConfig, run_sweep
+from .design_sweep import run_sweep
 from .fdtd import Fdtd1dConfig, validate_against_tmm
 from .inverse import DEFAULT_BOUNDS, fit_permittivity, normalize_spectrum, read_spectrum
 from .layered_em import POLARIZATIONS, Spectrum, _coefficients, amplitude_db, transmission_spectrum
@@ -74,6 +76,14 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _check_output(path) -> None:
+    """Open an output path for appending, so an unusable one exits 2 before the work; leave no new file."""
+    existed = os.path.lexists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def cmd_transmission(args) -> int:
     scenario = load_scenario(args.scenario, args.materials)
     f1, f2, n = args.band
@@ -122,11 +132,14 @@ def cmd_transmission(args) -> int:
 def cmd_uvalue(args) -> int:
     scenario = load_scenario(args.scenario, args.materials)
     run_both = args.fv == args.analytical  # neither or both flags -> show both
+    run_fv = run_both or args.fv
+    if run_fv and args.export_vtk:
+        _check_output(args.export_vtk)
     code = EXIT_OK
     if run_both or args.analytical:
         result = u_value_analytical(scenario.wall, scenario.boundary)
         print(f"analytical (layered): U = {result.u:.4f} W/(m^2 K)")
-    if run_both or args.fv:
+    if run_fv:
         cell = scenario.bare_cell() if args.bare else scenario.cell
         grid = voxelize_unit_cell(cell)
         result = solve_steady_state(grid, scenario.boundary)
@@ -175,13 +188,10 @@ def cmd_fit(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario, args.materials)
-    base = scenario.sweep
-    cfg = SweepConfig(
-        separations_mm=args.separations if args.separations is not None else base.separations_mm,
-        frequencies_ghz=args.frequencies if args.frequencies is not None else base.frequencies_ghz,
-        u_limit=args.u_limit if args.u_limit is not None else base.u_limit,
-        combination=base.combination,
-    )
+    flags = {"separations_mm": args.separations, "frequencies_ghz": args.frequencies, "u_limit": args.u_limit}
+    cfg = dataclasses.replace(scenario.sweep, **{name: value for name, value in flags.items() if value is not None})
+    if args.output:
+        _check_output(args.output)
     result = run_sweep(cfg, scenario.cell, scenario.boundary)
     print(f"{'sep mm':>7} {'U':>8} {'feasible':>8}  " + "  ".join(f"{f:g} GHz" for f in cfg.frequencies_ghz))
     for rec in result.records:

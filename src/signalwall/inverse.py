@@ -252,61 +252,53 @@ def fit_permittivity(
             stacklevel=2,
         )
 
-    def db_rms(x):
-        model_db = slab_transmission_db(x[0], b_fixed, x[1], x[2], thickness, f)
-        return float(np.sqrt(np.mean((model_db - measured_db) ** 2)))
+    def db_error(x):
+        return slab_transmission_db(x[0], b_fixed, x[1], x[2], thickness, f) - measured_db
 
     def log_error(x):
+        error = np.log(slab_transmission(x[0], b_fixed, x[1], x[2], thickness, f) / spectrum.s21)
+        return np.concatenate([error.real, error.imag])
+
+    level = log_error if complex_objective else db_error
+
+    def residuals(x):
+        """The level's residual vector at x, counted in ``evaluations``."""
         nonlocal evaluations
         evaluations += 1
-        with np.errstate(divide="ignore"):  # a t that underflows to 0 gives -inf, a failed start
-            error = np.log(slab_transmission(x[0], b_fixed, x[1], x[2], thickness, f) / spectrum.s21)
-        return np.concatenate([error.real, error.imag])
+        with np.errstate(divide="ignore"):  # t underflowing to 0 gives -inf: a failed start or a point the simplex leaves
+            return level(x)
+
+    def rms(x):
+        return float(np.sqrt(np.mean(residuals(x) ** 2)))
 
     rng = np.random.default_rng(seed)
     lo, hi = np.array(bounds).T
     starts = [0.5 * (lo + hi)]
     starts.extend(lo + (hi - lo) * rng.random(3) for _ in range(n_starts - 1))
-    iterations = evaluations = 0
-
-    def nelder_mead(x0):
-        nonlocal evaluations
-        evaluations += 1
-        with np.errstate(divide="ignore"):  # a t that underflows to 0 gives -inf dB, a failed start
-            if not math.isfinite(db_rms(x0)):
-                return x0, math.inf, 0, False
-        result = minimize(
-            db_rms,
-            x0,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxiter": _MAX_ITER, "xatol": 1e-6, "fatol": 1e-10},
-        )
-        evaluations += result.nfev
-        return result.x, float(result.fun), result.nit, bool(result.success)
-
-    def trust_region(x0):
-        if not np.all(np.isfinite(log_error(x0))):  # least_squares rejects a non-finite start
-            return x0, math.inf, 0, False
-        result = least_squares(log_error, x0, method="trf", bounds=(lo, hi), max_nfev=_MAX_ITER)
-        return result.x, math.sqrt(2.0 * result.cost / f.size), result.njev, bool(result.success)
-
-    solve = nelder_mead
     if complex_objective:
-        solve = trust_region
         starts = [np.array([a0, *x[1:]]) for a0 in _group_delay_starts(spectrum, thickness, bounds[0]) for x in starts]
+    iterations = evaluations = 0
     diagnostics, best = [], None
     for index, x0 in enumerate(starts):
-        x, residual, nit, success = solve(x0)
+        if not np.all(np.isfinite(residuals(x0))):  # the model underflows here; least_squares would reject the start
+            x, residual, nit, success = x0, math.inf, 0, False
+        elif complex_objective:
+            result = least_squares(residuals, x0, method="trf", bounds=(lo, hi), max_nfev=_MAX_ITER)
+            x, residual, nit, success = result.x, math.sqrt(2.0 * result.cost / f.size), result.njev, result.success
+        else:
+            options = {"maxiter": _MAX_ITER, "xatol": 1e-6, "fatol": 1e-10}
+            result = minimize(rms, x0, method="Nelder-Mead", bounds=bounds, options=options)
+            x, residual, nit, success = result.x, float(result.fun), result.nit, result.success
         iterations += nit
-        entry = {"start": index, "x0": np.asarray(x0), "x": x, "residual": residual, "success": success}
+        entry = {"start": index, "x0": np.asarray(x0), "x": x, "residual": residual, "success": bool(success)}
         diagnostics.append(entry)
         if success and math.isfinite(residual) and (best is None or residual < best["residual"] - 1e-15):
             best = entry
     if best is None:
         return FitResult(math.nan, b_fixed, math.nan, math.nan, math.inf, iterations, False, diagnostics, evaluations)
     a, c, d = best["x"]
-    return FitResult(float(a), b_fixed, float(c), float(d), db_rms(best["x"]), iterations, True, diagnostics, evaluations)
+    db_rms = float(np.sqrt(np.mean(db_error(best["x"]) ** 2)))
+    return FitResult(float(a), b_fixed, float(c), float(d), db_rms, iterations, True, diagnostics, evaluations)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,16 @@ cavity, laminate sheets) on a feature-snapped rectilinear grid:
   preserves the axial conductance lambda*A/L of the bridge exactly
   (concentric circles of radius r map to squares of side sqrt(pi)*r).
 
-Every part of a cell, slabs included, is a box that carries its material.
-One mesher, ``_axis_nodes``, builds the x, y and z nodes alike: cells grow
-by ``_GROWTH`` from a spacing hint at each feature line up to a cap per
-segment.  The mesh has no settable knobs; its lengths are module constants
-in mm: ``_XY_COARSE_MM`` caps the cells across the cell, ``_XY_FEATURE_MM``
-and ``_XY_CABLE_MM`` are the hints at the foam/laminate edges and the cable
-lines, ``_Z_INSULATING_MM`` or ``_Z_CONDUCTIVE_MM`` caps a slab by its
-conductivity, and ``_Z_INTERFACE_MM`` starts the cells at the laminate and
-foam planes.
+Every part of a cell, slabs included, is a box that carries its material
+and, per axis, a spacing hint at its faces and a cap on the cells inside it.
+One mesher, ``_axis_nodes``, builds the x, y and z nodes alike from the box
+faces: cells grow by ``_GROWTH`` from the smallest hint on each face up to
+the smallest cap of the boxes that hold them.  The mesh has no settable
+knobs; its lengths are module constants in mm.  The slabs carry the caps,
+``_XY_COARSE_MM`` across the cell and ``_Z_INSULATING_MM`` or
+``_Z_CONDUCTIVE_MM`` through it by conductivity; the foam and laminate pads
+carry the hints ``_XY_FEATURE_MM`` at their edges and ``_Z_INTERFACE_MM`` at
+their planes, and the cable boxes ``_XY_CABLE_MM`` at their lines.
 
 The linear system is symmetric positive definite and solved with conjugate
 gradients under diagonal (Jacobi) preconditioning, started from the 1-D
@@ -174,16 +175,15 @@ def _merge_lines(lines, length, tol=1e-9):
 
 @dataclass(frozen=True)
 class _Box:
-    """Axis-aligned block of one material in mm, with the x-y spacing hint at its edges."""
+    """Axis-aligned block of one material in mm, each field an (x, y, z) triple:
+    corners ``lo`` and ``hi``, the spacing ``hint`` at its faces and the
+    ``cap`` on the cells inside it."""
 
     material: Material
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-    z0: float
-    z1: float
-    xy_hint: float = math.inf
+    lo: tuple[float, float, float]
+    hi: tuple[float, float, float]
+    hint: tuple[float, float, float] = (math.inf,) * 3
+    cap: tuple[float, float, float] = (math.inf,) * 3
 
 
 class VoxelGrid:
@@ -263,28 +263,28 @@ def voxelize_unit_cell(cell: UnitCell) -> VoxelGrid:
     U-value.
     """
     depth = cell.wall.depth_mm
+    size = (cell.sx_mm, cell.sy_mm, depth)
     cx, cy = cell.sx_mm / 2.0, cell.sy_mm / 2.0
-    slab_edges = np.cumsum([0.0] + [layer.thickness_mm for layer in cell.wall.layers])
-    boxes = [
-        _Box(layer.material, 0.0, cell.sx_mm, 0.0, cell.sy_mm, lo, hi)
-        for layer, lo, hi in zip(cell.wall.layers, slab_edges, slab_edges[1:])
-    ]
-    z_lines = dict.fromkeys(slab_edges.tolist(), math.inf)
+    slab_edges = np.cumsum([0.0] + [layer.thickness_mm for layer in cell.wall.layers]).tolist()
+    boxes = []
+    for layer, lo, hi in zip(cell.wall.layers, slab_edges, slab_edges[1:]):
+        z_cap = _Z_INSULATING_MM if layer.material.thermal_conductivity < 0.1 else _Z_CONDUCTIVE_MM
+        boxes.append(_Box(layer.material, (0.0, 0.0, lo), (*size[:2], hi), cap=(_XY_COARSE_MM, _XY_COARSE_MM, z_cap)))
 
     def centred_square(material, x, half, z0, z1, hint):
-        return _Box(material, x - half, x + half, cy - half, cy + half, z0, z1, hint)
+        return _Box(material, (x - half, cy - half, z0), (x + half, cy + half, z1), hint)
 
     if cell.has_antenna_system:
         lam_t, foam_t = cell.face_stack_mm
+        pad_hint = (_XY_FEATURE_MM, _XY_FEATURE_MM, _Z_INTERFACE_MM)
         for pad, faces in (
             (cell.foam, ((lam_t, lam_t + foam_t), (depth - lam_t - foam_t, depth - lam_t))),  # behind each laminate
             (cell.laminate, ((0.0, lam_t), (depth - lam_t, depth))),
         ):
             if pad is None:
                 continue
-            for z0, z1 in faces:  # one box per wall face, its faces the interface planes
-                boxes.append(centred_square(pad.material, cx, pad.size_mm / 2.0, z0, z1, _XY_FEATURE_MM))
-                z_lines[z0] = z_lines[z1] = _Z_INTERFACE_MM
+            for z0, z1 in faces:  # one box per wall face, its z faces the interface planes
+                boxes.append(centred_square(pad.material, cx, pad.size_mm / 2.0, z0, z1, pad_hint))
 
         spec = cell.coax
         w_shield = equivalent_square_side_mm(spec.outer_radius_mm)
@@ -297,47 +297,39 @@ def voxelize_unit_cell(cell: UnitCell) -> VoxelGrid:
         for off in (np.arange(spec.count) - (spec.count - 1) / 2.0) * w_shield:
             for part, radius in parts:
                 half = equivalent_square_side_mm(radius) / 2.0
-                boxes.append(centred_square(part, cx + off, half, 0.0, depth, _XY_CABLE_MM))
+                boxes.append(centred_square(part, cx + off, half, 0.0, depth, (_XY_CABLE_MM, _XY_CABLE_MM, math.inf)))
 
-    x_lines: dict[float, float] = {}
-    y_lines: dict[float, float] = {}
-    for box in boxes:
-        for lines, coords in ((x_lines, (box.x0, box.x1)), (y_lines, (box.y0, box.y1))):
-            for coord in coords:
-                lines[coord] = min(lines.get(coord, math.inf), box.xy_hint)
-    slab_caps = [
-        _Z_INSULATING_MM if layer.material.thermal_conductivity < 0.1 else _Z_CONDUCTIVE_MM
-        for layer in cell.wall.layers
-    ]
+    nodes = []
+    for axis, length in enumerate(size):
+        lines: dict[float, float] = {}  # each box face, at the smallest hint of the boxes on it
+        for box in boxes:
+            for coord in (box.lo[axis], box.hi[axis]):
+                lines[coord] = min(lines.get(coord, math.inf), box.hint[axis])
 
-    def z_cap(a, b):
-        """Cap of the slab holding the midpoint of [a, b]."""
-        return slab_caps[np.searchsorted(slab_edges[1:-1], 0.5 * (a + b), side="right")]
+        def cap(a, b):
+            """Smallest cap of the boxes holding the midpoint of [a, b]; the slabs tile the cell."""
+            return min(box.cap[axis] for box in boxes if box.lo[axis] < 0.5 * (a + b) < box.hi[axis])
 
-    x_nodes = _axis_nodes(x_lines, cell.sx_mm, lambda a, b: _XY_COARSE_MM)
-    y_nodes = _axis_nodes(y_lines, cell.sy_mm, lambda a, b: _XY_COARSE_MM)
-    z_nodes = _axis_nodes(z_lines, depth, z_cap)
+        nodes.append(_axis_nodes(lines, length, cap))
+    x_nodes, y_nodes, z_nodes = nodes
+    centres = [0.5 * (n[:-1] + n[1:]) for n in nodes]
 
     if cell.has_antenna_system:
         # diameter must span at least two cells inside the pack footprint
-        xc = 0.5 * (x_nodes[:-1] + x_nodes[1:])
         half_pack = cell.coax.count * w_shield / 2.0
-        widest = float(np.max(np.diff(x_nodes)[np.abs(xc - cx) <= half_pack]))
+        widest = float(np.max(np.diff(x_nodes)[np.abs(centres[0] - cx) <= half_pack]))
         if widest > cell.coax.outer_radius_mm:
             raise ThermalError(
                 f"mesh too coarse near the cable: {widest:.3f} mm cells vs {2 * cell.coax.outer_radius_mm:.3f} mm diameter"
             )
 
-    centres = [0.5 * (nodes[:-1] + nodes[1:]) for nodes in (x_nodes, y_nodes, z_nodes)]
     material = np.full([len(c) for c in centres], -1, dtype=np.int16)
     materials: list[Material] = []  # distinct by identity, in paint order; a voxel's id indexes this
-    xc, yc, zc = centres
     for box in boxes:
         mat_id = next((i for i, m in enumerate(materials) if m is box.material), len(materials))
         if mat_id == len(materials):
             materials.append(box.material)
-        masks = ((xc > box.x0) & (xc < box.x1), (yc > box.y0) & (yc < box.y1), (zc > box.z0) & (zc < box.z1))
-        material[np.ix_(*masks)] = mat_id
+        material[np.ix_(*((c > lo) & (c < hi) for c, lo, hi in zip(centres, box.lo, box.hi)))] = mat_id
 
     return VoxelGrid(
         x_nodes, y_nodes, z_nodes, material, [m.thermal_conductivity for m in materials], [m.name for m in materials]

@@ -737,3 +737,25 @@ def test_a_directory_given_as_a_file_exits_2(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--separations", "150", "-o", "{path}"], ["uvalue", "--export-vtk", "{path}"]],
+    ids=["sweep", "uvalue"],
+)
+@pytest.mark.parametrize("path", ["{dir}", "{dir}/missing/out"], ids=["directory", "missing-parent"])
+def test_an_unusable_output_path_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, argv, path):
+    from signalwall import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the work ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_solve)
+    monkeypatch.setattr(cli, "solve_steady_state", no_solve)
+    path = path.format(dir=tmp_path)
+    assert main([arg.format(path=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "[Errno 21] Is a directory" if path == str(tmp_path) else "[Errno 2] No such file or directory"
+    assert captured.err == f"error: {reason}: '{path}'\n"

@@ -354,6 +354,17 @@ def test_magnitude_starts_where_the_model_underflows_fail_alone():
     assert fit.converged and fit.residual_db_rms < 1e-3
 
 
+def test_a_simplex_run_into_underflow_prints_no_warning():
+    # on seed 3 one simplex walks from a finite start of the 290 mm slab into a point where t underflows
+    f = np.linspace(50.0, 100.0, 101)
+    t = slab_transmission(TRUE[0], 0.0, TRUE[1], TRUE[2], THICKNESS_MM, f)
+    spectrum = MeasuredSpectrum(f, np.abs(t), magnitude_only=True, thickness_mm=THICKNESS_MM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_permittivity(spectrum, seed=3)
+    assert fit.converged and fit.residual_db_rms < 1e-3
+
+
 @pytest.mark.parametrize(("points", "complex_objective", "kind", "needed"), [(2, False, "magnitude", 3), (1, True, "complex", 2)])
 def test_underdetermined_fits_rejected_before_any_evaluation(monkeypatch, points, complex_objective, kind, needed):
     def no_model(*args):

@@ -128,6 +128,23 @@ def test_z_mesh_follows_the_slab_and_interface_caps(antenna_cell):
         assert max(dz[0], dz[-1]) <= thermal._Z_INTERFACE_MM * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("separation", [70.0, 150.0, 200.0])
+def test_lateral_mesh_follows_the_coarse_cap_and_the_pad_edge_hint(antenna_cell, separation):
+    pads = [{}, {"laminate": None}, {"foam": None}, {"foam": None, "laminate": None}]
+    for changes in pads:
+        cell = dataclasses.replace(antenna_cell, **changes).with_separation(separation)
+        grid = voxelize_unit_cell(cell)
+        for nodes, centre in ((grid.x_nodes_mm, cell.sx_mm / 2.0), (grid.y_nodes_mm, cell.sy_mm / 2.0)):
+            widths = np.diff(nodes)
+            assert np.all(widths <= thermal._XY_COARSE_MM * (1 + 1e-12)), changes
+            # the cells on both sides of each foam and laminate edge start at the feature spacing
+            for pad in (p for p in (cell.foam, cell.laminate) if p is not None):
+                for edge in (centre - pad.size_mm / 2.0, centre + pad.size_mm / 2.0):
+                    k = int(np.argmin(np.abs(nodes - edge)))
+                    assert nodes[k] == pytest.approx(edge, abs=1e-9)
+                    assert max(widths[k - 1], widths[k]) <= thermal._XY_FEATURE_MM * (1 + 1e-12), (changes, edge)
+
+
 def test_thin_slabs_are_split_to_respect_their_cap(db):
     # 2.4 mm of rock wool and 6.2 mm of concrete each fit within 1.25x their first-cell hint
     thin = LayerStack([Layer(db.get("concrete"), 70.0), Layer(db.get("rock_wool"), 2.4), Layer(db.get("concrete"), 6.2)])
