@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C0, ETA0, MU0
-from .layered_em import Incidence, LayerStack, _coefficients
+from .layered_em import LayerStack, _check_band, _coefficients
 from .materials import Material
 
 COMBINATION_MODES = ("incoherent", "coherent_best", "coherent_worst")
@@ -276,6 +276,13 @@ def combine_paths(t_wall, t_antenna, mode: str = "incoherent"):
     return np.abs(w - a)
 
 
+def link_budget(cell: UnitCell, frequency_ghz, theta_deg: float = 0.0, polarization: str = "RHCP", mode: str = "incoherent"):
+    """(t_wall, t_antenna, combined), 1-D arrays over ``frequency_ghz``: the one place the two paths meet."""
+    t_wall, _ = _coefficients(cell.wall, frequency_ghz, theta_deg, polarization)
+    t_antenna = aperture_transmission(cell, np.atleast_1d(frequency_ghz), theta_deg)
+    return t_wall, t_antenna, combine_paths(t_wall, t_antenna, mode)
+
+
 def improvement_onset_ghz(
     cell: UnitCell,
     f_start_ghz: float = 1.0,
@@ -289,16 +296,17 @@ def improvement_onset_ghz(
     sits 3 dB above the bare wall; below it the antenna system no longer
     gives a meaningful improvement.  A 0.1 GHz scan, closed by the band end,
     brackets the first crossing, which is then bisected to ``ONSET_TOL_GHZ``.
-    Returns None when no crossing exists in the band.
+    Returns None when no crossing exists in the band.  A band that
+    ``transmission_spectrum`` would reject raises ValueError.
     """
     if not cell.has_antenna_system:
         return None
-    Incidence(f_start_ghz, theta_deg, polarization)  # reuse validation
+    _check_band(f_start_ghz, f_stop_ghz)
 
     def excess(f):
         """t_antenna - |t_wall| at each frequency of ``f`` (scalar or array), as an array."""
-        t_wall, _ = _coefficients(cell.wall, f, theta_deg, polarization)
-        return aperture_transmission(cell, f, theta_deg) - np.abs(t_wall)
+        t_wall, t_antenna, _ = link_budget(cell, f, theta_deg, polarization)
+        return t_antenna - np.abs(t_wall)
 
     grid = np.arange(f_start_ghz, f_stop_ghz + 1e-9, 0.1)
     if grid[-1] < f_stop_ghz - 1e-9:

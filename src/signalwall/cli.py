@@ -17,11 +17,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .antenna_link import aperture_transmission, coax_attenuation, combine_paths, improvement_onset_ghz
+from .antenna_link import COMBINATION_MODES, coax_attenuation, improvement_onset_ghz, link_budget
 from .design_sweep import run_sweep
 from .fdtd import Fdtd1dConfig, validate_against_tmm
 from .inverse import DEFAULT_BOUNDS, fit_permittivity, normalize_spectrum, read_spectrum
-from .layered_em import POLARIZATIONS, Spectrum, _coefficients, amplitude_db, transmission_spectrum
+from .layered_em import POLARIZATIONS, _coefficients, amplitude_db, transmission_spectrum
 from .materials import FixedPermittivity
 from .scenario import load_scenario, material_database
 from .thermal import solve_steady_state, u_value_analytical, voxelize_unit_cell, write_vtk
@@ -91,13 +91,11 @@ def cmd_transmission(args) -> int:
 
     cell = scenario.cell
     summary_freqs = np.array([f for f in (3.5, 8.0) if f1 <= f <= f2])
-    t_summary = _coefficients(scenario.wall, summary_freqs, args.theta, args.pol)[0]
     lines = []
     if args.with_antennas:
         freqs = spectrum.frequencies_ghz
-        combined = combine_paths(spectrum.t, aperture_transmission(cell, freqs, args.theta), args.combine)
-        spectrum = Spectrum(freqs, combined, spectrum.r, spectrum.polarization, spectrum.theta_deg)
-        levels = combine_paths(t_summary, aperture_transmission(cell, summary_freqs, args.theta), args.combine)
+        spectrum = dataclasses.replace(spectrum, t=link_budget(cell, freqs, args.theta, args.pol, args.combine)[2])
+        t_summary, _, levels = link_budget(cell, summary_freqs, args.theta, args.pol, args.combine)
         for f, t_wall, level in zip(summary_freqs, t_summary, levels):
             lines.append(
                 f"  {f:.1f} GHz: combined {amplitude_db(level):8.2f} dB   "
@@ -119,6 +117,7 @@ def cmd_transmission(args) -> int:
                 file=sys.stderr,
             )
     else:
+        t_summary = _coefficients(scenario.wall, summary_freqs, args.theta, args.pol)[0]
         for f, t_wall in zip(summary_freqs, t_summary):
             lines.append(f"  {f:.1f} GHz: wall loss {-amplitude_db(t_wall):6.2f} dB")
 
@@ -197,6 +196,9 @@ def cmd_sweep(args) -> int:
     for rec in result.records:
         gains = "  ".join(f"{rec.improvement_db[f]:+6.1f}" for f in cfg.frequencies_ghz)
         print(f"{rec.separation_mm:7.0f} {rec.u:8.4f} {str(rec.feasible):>8}  {gains}")
+    unconverged = ", ".join(f"{rec.separation_mm:g}" for rec in result.records if not rec.converged)
+    if unconverged:
+        print(f"warning: finite-volume solve did not converge at {unconverged} mm", file=sys.stderr)
     if args.output:
         result.write_csv(args.output)
         print(f"sweep table written to {args.output}")
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_finite, default=0.0, help="incidence angle from the normal, degrees")
     p.add_argument("--pol", choices=POLARIZATIONS, default="RHCP")
     p.add_argument("--band", type=_parse_band, default=(1.0, 8.0, 141), help="F1:F2[:N] in GHz (default 1:8:141)")
-    p.add_argument("--combine", choices=("incoherent", "coherent_best", "coherent_worst"), default="incoherent")
+    p.add_argument("--combine", choices=COMBINATION_MODES, default="incoherent")
     p.add_argument("-o", "--output", default="transmission.csv", help="spectrum CSV path")
     p.set_defaults(func=cmd_transmission)
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antenna_link import UnitCell, aperture_transmission, combine_paths, COMBINATION_MODES
-from .layered_em import _coefficients, amplitude_db
+from .antenna_link import UnitCell, COMBINATION_MODES, link_budget
+from .layered_em import amplitude_db
 from .materials import VALID_RANGE_GHZ
 from .thermal import ThermalBoundary, solve_steady_state, voxelize_unit_cell
 
@@ -98,26 +98,21 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
     """
     if not cell_template.has_antenna_system:
         raise SweepError("sweep needs a unit cell with an antenna system")
-    # with_separation resizes the cell only, so every separation shares the wall's transmission
-    freqs = np.array(cfg.frequencies_ghz)
-    t_wall, _ = _coefficients(cell_template.wall, freqs, 0.0, "RHCP")
-    bare_db = amplitude_db(t_wall)
     cells = [cell_template.with_separation(s) for s in cfg.separations_mm]  # a cell too small fails before any solve
     records = []
     for s, sized in zip(cfg.separations_mm, cells):
         grid = voxelize_unit_cell(sized)
         thermal = solve_steady_state(grid, bc)
-        levels = amplitude_db(combine_paths(t_wall, aperture_transmission(sized, freqs), cfg.combination))
-        transmission = dict(zip(cfg.frequencies_ghz, levels.tolist()))
-        improvement = dict(zip(cfg.frequencies_ghz, (levels - bare_db).tolist()))
+        t_wall, _, combined = link_budget(sized, cfg.frequencies_ghz, mode=cfg.combination)
+        levels = amplitude_db(combined)
         records.append(
             SeparationRecord(
                 separation_mm=float(s),
                 u=thermal.u,
                 feasible=thermal.u <= cfg.u_limit,
                 converged=thermal.converged,
-                transmission_db=transmission,
-                improvement_db=improvement,
+                transmission_db=dict(zip(cfg.frequencies_ghz, levels.tolist())),
+                improvement_db=dict(zip(cfg.frequencies_ghz, (levels - amplitude_db(t_wall)).tolist())),
             )
         )
 

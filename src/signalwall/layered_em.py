@@ -190,6 +190,15 @@ def tmm_coefficients(stack: LayerStack, inc: Incidence) -> tuple[complex, comple
     return complex(t[0]), complex(r[0])
 
 
+def _check_band(f_start_ghz: float, f_stop_ghz: float) -> None:
+    """Reject a band that is empty, reversed or outside the material model's validity."""
+    lo, hi = VALID_RANGE_GHZ
+    if not (f_start_ghz >= lo and f_stop_ghz <= hi and f_start_ghz < f_stop_ghz):
+        raise ValueError(
+            f"frequency band must satisfy {lo:g} <= start < stop <= {hi:g} GHz, got [{f_start_ghz}, {f_stop_ghz}]"
+        )
+
+
 def transmission_spectrum(
     stack: LayerStack,
     f_start_ghz: float,
@@ -199,11 +208,7 @@ def transmission_spectrum(
     polarization: str = "TE",
 ) -> Spectrum:
     """Spectrum over a linear frequency grid inside the material model's validity."""
-    lo, hi = VALID_RANGE_GHZ
-    if not (f_start_ghz >= lo and f_stop_ghz <= hi and f_start_ghz < f_stop_ghz):
-        raise ValueError(
-            f"frequency band must satisfy {lo:g} <= start < stop <= {hi:g} GHz, got [{f_start_ghz}, {f_stop_ghz}]"
-        )
+    _check_band(f_start_ghz, f_stop_ghz)
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     Incidence(f_start_ghz, theta_deg, polarization)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signalwall.antenna_link import (
+    COMBINATION_MODES,
     AntennaSpec,
     CoaxSpec,
     UnitCell,
@@ -15,6 +16,7 @@ from signalwall.antenna_link import (
     coax_impedance,
     combine_paths,
     improvement_onset_ghz,
+    link_budget,
 )
 from signalwall.layered_em import Incidence, _coefficients, amplitude_db, tmm_coefficients
 from signalwall.materials import FixedPermittivity, Material, PermittivityModel
@@ -176,6 +178,18 @@ def test_aperture_decreases_with_cell_area(antenna_cell):
     assert all(a > b for a, b in zip(t_values, t_values[1:]))
 
 
+def test_antenna_power_times_the_cell_area_is_fixed_below_full_capture(antenna_cell):
+    # |t_antenna|^2 = (A_eff / A_cell) L_cable while the capture fraction is < 1, so |t_antenna|^2 s^2 is the same
+    cable = 10.0 ** (-coax_attenuation(antenna_cell.coax, 8.0, antenna_cell.wall.depth_mm * 1e-3).total_db / 10.0)
+    products = []
+    for s in (90.0, 150.0):
+        _, t_antenna, _ = link_budget(antenna_cell.with_separation(s), 8.0)
+        assert t_antenna.shape == (1,)
+        assert t_antenna[0] ** 2 / cable < 0.05  # capture 0.040 at 90 mm, 0.014 at 150 mm
+        products.append(t_antenna[0] ** 2 * s * s)
+    assert products[0] == pytest.approx(products[1], rel=1e-12, abs=0.0)
+
+
 def test_embedded_level_at_8_ghz(antenna_cell):
     level = 20.0 * math.log10(aperture_transmission(antenna_cell, 8.0))
     assert level == pytest.approx(-25.5, abs=3.0)
@@ -210,6 +224,15 @@ def test_array_calls_match_a_loop_of_float_calls(antenna_cell, antenna, theta):
     for mode in ("incoherent", "coherent_best", "coherent_worst"):
         looped = [combine_paths(t, a, mode) for t, a in zip(t_wall.tolist(), looped_ant.tolist())]
         assert np.array_equal(combine_paths(t_wall, looped_ant, mode), looped), mode
+
+    # link_budget is the hand composition wall -> antenna -> combination, bit for bit, on the band and the summary
+    for freqs in (f, np.array([3.5, 8.0])):
+        t_wall, _ = _coefficients(cell.wall, freqs, theta, "RHCP")
+        t_ant = aperture_transmission(cell, freqs, theta)
+        for mode in COMBINATION_MODES:
+            budget = link_budget(cell, freqs, theta, "RHCP", mode)
+            for got, want in zip(budget, (t_wall, t_ant, combine_paths(t_wall, t_ant, mode))):
+                assert got.shape == freqs.shape and got.tobytes() == want.tobytes(), (freqs.size, mode)
 
 
 def test_combine_paths_modes():
@@ -270,6 +293,12 @@ def test_onset_bisection_values(antenna_cell, theta, pol, onset):
     # the 0.1 GHz scan and the bisection share one TMM call; these are the
     # onsets the bisection gave when it built an Incidence per midpoint
     assert improvement_onset_ghz(antenna_cell, 1.0, 8.0, theta, pol) == onset
+
+
+@pytest.mark.parametrize("band", [(8.0, 1.0), (0.5, 8.0), (3.0, 3.0), (1.0, 101.0)])
+def test_onset_rejects_a_bad_band_as_transmission_spectrum_does(antenna_cell, band):
+    with pytest.raises(ValueError, match=r"frequency band must satisfy 1 <= start < stop <= 100 GHz, got \["):
+        improvement_onset_ghz(antenna_cell, *band)
 
 
 def test_onset_none_without_antennas(antenna_cell, wall):

@@ -280,6 +280,36 @@ def test_sweep_solves_each_separation_once(monkeypatch, capsys):
     assert edge == smallest
 
 
+def test_sweep_names_every_unconverged_separation_on_stderr(tmp_path, monkeypatch, capsys):
+    from signalwall import design_sweep
+    from signalwall.thermal import UValueResult
+
+    def run(converged):
+        def solve(grid, *args, **kwargs):
+            return UValueResult(u=0.15, converged=converged(float(grid.x_nodes_mm[-1])), iterations=1, residual=0.0)
+
+        monkeypatch.setattr(design_sweep, "solve_steady_state", solve)
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--separations", "72.5,150,160", "-o", str(out)])
+        return code, capsys.readouterr(), out.read_text()
+
+    code, printed, table = run(lambda s: s == 150.0)
+    assert printed.err == "warning: finite-volume solve did not converge at 72.5, 160 mm\n"
+    code_ok, printed_ok, table_ok = run(lambda s: True)
+    assert printed_ok.err == ""
+    # the warning is all that changes: stdout, the CSV, feasibility and the exit code read as for converged solves
+    assert (code, printed.out, table) == (code_ok, printed_ok.out, table_ok)
+    assert code == 0 and "True" in printed.out
+
+
+def test_sweep_warns_when_the_solver_stops_short(monkeypatch, capsys):
+    from signalwall import thermal
+
+    monkeypatch.setattr(thermal, "_MAX_ITER", 5)
+    main(["sweep", "--separations", "150"])
+    assert capsys.readouterr().err == "warning: finite-volume solve did not converge at 150 mm\n"
+
+
 def test_empty_separations_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--separations", "nonsense"])
