@@ -17,10 +17,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 import numpy as np
 
 from .constants import C0, ETA0, MU0
-from .layered_em import LayerStack, _check_band, _coefficients
+from .layered_em import LayerStack, _check_band, _check_theta, _coefficients, amplitude_db
 from .materials import Material
 
 COMBINATION_MODES = ("incoherent", "coherent_best", "coherent_worst")
@@ -250,8 +251,7 @@ def aperture_transmission(cell: UnitCell, frequency_ghz, theta_deg: float = 0.0)
     """
     if not cell.has_antenna_system:
         raise ValueError("unit cell has no antenna system")
-    if not 0.0 <= theta_deg < 90.0:
-        raise ValueError(f"theta must be in [0, 90), got {theta_deg}")
+    _check_theta(theta_deg)
     # the cable first: its dielectric rejects frequencies <= 0 before lambda divides by them
     cable = 10.0 ** (-coax_attenuation(cell.coax, frequency_ghz, cell.wall.depth_mm * 1e-3).total_db / 10.0)
     lam = C0 / (np.asarray(frequency_ghz, dtype=float) * 1e9)
@@ -276,11 +276,23 @@ def combine_paths(t_wall, t_antenna, mode: str = "incoherent"):
     return np.abs(w - a)
 
 
+class LinkBudget(NamedTuple):
+    """Wall, antenna and combined amplitudes, 1-D arrays over the frequencies: the one place the two paths meet."""
+
+    t_wall: np.ndarray
+    t_antenna: np.ndarray
+    combined: np.ndarray
+
+    @property
+    def improvement_db(self) -> np.ndarray:
+        """The combined level over the bare wall's, in dB."""
+        return amplitude_db(self.combined) - amplitude_db(self.t_wall)
+
+
 def link_budget(cell: UnitCell, frequency_ghz, theta_deg: float = 0.0, polarization: str = "RHCP", mode: str = "incoherent"):
-    """(t_wall, t_antenna, combined), 1-D arrays over ``frequency_ghz``: the one place the two paths meet."""
+    t_antenna = aperture_transmission(cell, np.atleast_1d(frequency_ghz), theta_deg)  # checks theta before the TMM
     t_wall, _ = _coefficients(cell.wall, frequency_ghz, theta_deg, polarization)
-    t_antenna = aperture_transmission(cell, np.atleast_1d(frequency_ghz), theta_deg)
-    return t_wall, t_antenna, combine_paths(t_wall, t_antenna, mode)
+    return LinkBudget(t_wall, t_antenna, combine_paths(t_wall, t_antenna, mode))
 
 
 def improvement_onset_ghz(
@@ -314,14 +326,10 @@ def improvement_onset_ghz(
     values = excess(grid)
     if values[0] >= 0.0:
         return float(grid[0])
-    crossing = None
-    for f1, f2, v1, v2 in zip(grid, grid[1:], values, values[1:]):
-        if v1 < 0.0 <= v2:
-            crossing = (f1, f2)
-            break
-    if crossing is None:
+    ahead = np.flatnonzero(values >= 0.0)
+    if ahead.size == 0:
         return None
-    lo, hi = crossing
+    lo, hi = grid[ahead[0] - 1], grid[ahead[0]]
     while hi - lo > ONSET_TOL_GHZ:
         mid = 0.5 * (lo + hi)
         if excess(mid)[0] >= 0.0:

@@ -95,12 +95,9 @@ def cmd_transmission(args) -> int:
     if args.with_antennas:
         freqs = spectrum.frequencies_ghz
         spectrum = dataclasses.replace(spectrum, t=link_budget(cell, freqs, args.theta, args.pol, args.combine)[2])
-        t_summary, _, levels = link_budget(cell, summary_freqs, args.theta, args.pol, args.combine)
-        for f, t_wall, level in zip(summary_freqs, t_summary, levels):
-            lines.append(
-                f"  {f:.1f} GHz: combined {amplitude_db(level):8.2f} dB   "
-                f"improvement {amplitude_db(level) - amplitude_db(t_wall):6.2f} dB"
-            )
+        budget = link_budget(cell, summary_freqs, args.theta, args.pol, args.combine)
+        for f, level, gain in zip(summary_freqs, amplitude_db(budget.combined), budget.improvement_db):
+            lines.append(f"  {f:.1f} GHz: combined {level:8.2f} dB   improvement {gain:6.2f} dB")
         onset = improvement_onset_ghz(cell, f1, f2, args.theta, args.pol)
         if onset is None:
             lines.append("  improvement onset: none in band")

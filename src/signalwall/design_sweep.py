@@ -103,16 +103,15 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
     for s, sized in zip(cfg.separations_mm, cells):
         grid = voxelize_unit_cell(sized)
         thermal = solve_steady_state(grid, bc)
-        t_wall, _, combined = link_budget(sized, cfg.frequencies_ghz, mode=cfg.combination)
-        levels = amplitude_db(combined)
+        budget = link_budget(sized, cfg.frequencies_ghz, mode=cfg.combination)
         records.append(
             SeparationRecord(
                 separation_mm=float(s),
                 u=thermal.u,
                 feasible=thermal.u <= cfg.u_limit,
                 converged=thermal.converged,
-                transmission_db=dict(zip(cfg.frequencies_ghz, levels.tolist())),
-                improvement_db=dict(zip(cfg.frequencies_ghz, (levels - amplitude_db(t_wall)).tolist())),
+                transmission_db=dict(zip(cfg.frequencies_ghz, amplitude_db(budget.combined).tolist())),
+                improvement_db=dict(zip(cfg.frequencies_ghz, budget.improvement_db.tolist())),
             )
         )
 

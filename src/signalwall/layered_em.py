@@ -69,6 +69,12 @@ class LayerStack:
         return LayerStack(tuple(reversed(self.layers)))
 
 
+def _check_theta(theta_deg: float) -> None:
+    """Reject an incidence angle outside [0, 90) degrees from the wall normal."""
+    if not 0.0 <= theta_deg < 90.0:
+        raise ValueError(f"theta must be in [0, 90) degrees, got {theta_deg}")
+
+
 @dataclass(frozen=True)
 class Incidence:
     frequency_ghz: float
@@ -76,8 +82,7 @@ class Incidence:
     polarization: str = "TE"
 
     def __post_init__(self):
-        if not 0.0 <= self.theta_deg < 90.0:
-            raise ValueError(f"theta must be in [0, 90) degrees, got {self.theta_deg}")
+        _check_theta(self.theta_deg)
         if self.polarization not in POLARIZATIONS:
             raise ValueError(f"polarization must be one of {POLARIZATIONS}, got {self.polarization!r}")
         if self.frequency_ghz <= 0.0:
@@ -93,16 +98,6 @@ class Spectrum:
     r: np.ndarray
     polarization: str
     theta_deg: float
-
-    def __post_init__(self):
-        f = np.asarray(self.frequencies_ghz, dtype=float)
-        if f.ndim != 1 or f.size < 1:
-            raise ValueError("frequency grid must be a 1-D array")
-        if f.size > 1 and not np.all(np.diff(f) > 0.0):
-            raise ValueError("frequency grid must be strictly increasing")
-        self.frequencies_ghz = f
-        self.t = np.asarray(self.t, dtype=complex)
-        self.r = np.asarray(self.r, dtype=complex)
 
     @property
     def t_db(self) -> np.ndarray:

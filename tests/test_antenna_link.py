@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,8 @@ def test_array_calls_match_a_loop_of_float_calls(antenna_cell, antenna, theta):
             budget = link_budget(cell, freqs, theta, "RHCP", mode)
             for got, want in zip(budget, (t_wall, t_ant, combine_paths(t_wall, t_ant, mode))):
                 assert got.shape == freqs.shape and got.tobytes() == want.tobytes(), (freqs.size, mode)
+            improvement = amplitude_db(combine_paths(t_wall, t_ant, mode)) - amplitude_db(t_wall)
+            assert budget.improvement_db.tobytes() == improvement.tobytes(), (freqs.size, mode)
 
 
 def test_combine_paths_modes():
@@ -293,6 +296,33 @@ def test_onset_bisection_values(antenna_cell, theta, pol, onset):
     # the 0.1 GHz scan and the bisection share one TMM call; these are the
     # onsets the bisection gave when it built an Incidence per midpoint
     assert improvement_onset_ghz(antenna_cell, 1.0, 8.0, theta, pol) == onset
+
+
+@pytest.mark.parametrize(
+    "band, theta, pol, onset",
+    [((1.0, 2.0), 0.0, "RHCP", None), ((1.0, 2.0), 60.0, "TE", 1.9656250000000008), ((2.5, 8.0), 0.0, "RHCP", 2.5)],
+    ids=["no-crossing", "bisected", "band-start"],
+)
+def test_onset_reads_the_first_scanned_point_where_the_antenna_path_leads(antenna_cell, band, theta, pol, onset):
+    assert improvement_onset_ghz(antenna_cell, *band, theta, pol) == onset
+
+
+@pytest.mark.parametrize("theta", [90.0, -1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cell, theta: Incidence(3.5, theta),
+        lambda cell, theta: aperture_transmission(cell, 3.5, theta),
+        lambda cell, theta: link_budget(cell, [3.5, 8.0], theta),
+        lambda cell, theta: improvement_onset_ghz(cell, 1.0, 8.0, theta),
+    ],
+    ids=["Incidence", "aperture_transmission", "link_budget", "improvement_onset_ghz"],
+)
+def test_every_theta_check_is_the_incidence_rule(antenna_cell, call, theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the rule runs before the wall solve divides by cos(90 deg)
+        with pytest.raises(ValueError, match=r"^theta must be in \[0, 90\) degrees, got "):
+            call(antenna_cell, theta)
 
 
 @pytest.mark.parametrize("band", [(8.0, 1.0), (0.5, 8.0), (3.0, 3.0), (1.0, 101.0)])

@@ -52,6 +52,13 @@ def test_onset_between_the_last_scan_step_and_the_band_end_is_found(tmp_path, ca
     assert onset_lines == ["  improvement onset: 2.28 GHz"]
 
 
+def test_onset_without_a_crossing_in_the_band_is_reported(tmp_path, capsys):
+    # below 2 GHz the bare wall leads the antenna path at every scanned point
+    assert main(["transmission", "--band", "1:2:11", "--with-antennas", "-o", str(tmp_path / "t.csv")]) == 0
+    onset_lines = [line for line in capsys.readouterr().out.splitlines() if "improvement onset" in line]
+    assert onset_lines == ["  improvement onset: none in band"]
+
+
 def test_transmission_reruns_are_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -99,6 +106,18 @@ def test_fit_permittivity_roundtrip_via_cli(tmp_path, capsys):
     assert "residual" in printed
 
 
+def test_uvalue_that_stops_short_exits_3_and_still_writes_the_vtk(tmp_path, monkeypatch, capsys):
+    from signalwall import thermal
+
+    monkeypatch.setattr(thermal, "_MAX_ITER", 5)
+    vtk = tmp_path / "t.vtk"
+    assert main(["uvalue", "--fv", "--export-vtk", str(vtk)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "warning: finite-volume solve did not converge\n"
+    assert captured.out.endswith(f"temperature field written to {vtk}\n")
+    assert vtk.read_text().startswith("# vtk DataFile Version 3.0\n")
+
+
 def test_fit_prints_start_and_evaluation_counts_last(tmp_path, capsys):
     f = np.linspace(2.0, 8.0, 41)
     db = slab_transmission_db(5.24, 0.0, 0.0462, 0.78, 60.0, f)
@@ -134,6 +153,18 @@ def test_fit_rejects_a_dead_reference_point_before_fitting(tmp_path, monkeypatch
 
 def _write_db_csv(path, f, db):
     path.write_text("freq_GHz,s21_dB\n" + "".join(f"{fi:.6f},{di:.9f}\n" for fi, di in zip(f, db)))
+
+
+def test_fit_that_converges_from_no_start_exits_3(tmp_path, capsys):
+    # a 290 mm slab over 50-100 GHz, with c and d boxed away from the true 0.205 S/m and 0.06
+    f = np.linspace(50.0, 100.0, 21)
+    path = tmp_path / "thick.csv"
+    _write_db_csv(path, f, slab_transmission_db(5.84, 0.0, 0.205, 0.06, 290.0, f))
+    bounds = ["1", "15", "1.5", "2", "1.5", "2"]
+    assert main(["fit-permittivity", str(path), "--thickness", "290", "--bounds", *bounds, "--starts", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fit did not converge from any start\n"
 
 
 def test_fit_rejects_an_interpolated_reference_that_misses_part_of_the_dut_band(tmp_path, monkeypatch, capsys):
@@ -478,6 +509,17 @@ def test_fdtd_validate_small_band(capsys):
     assert "max |delta|" in printed
     max_delta = float(printed.splitlines()[-1].split(":")[1].split("dB")[0])
     assert max_delta <= 0.5
+
+
+def test_fdtd_validate_takes_a_one_point_band_that_transmission_rejects(tmp_path, capsys):
+    # the comparison grid runs from start to stop in --step, so 3:3 is the one point 3 GHz;
+    # the transmission grid is a linspace of >= 2 points and needs start < stop
+    assert main(["fdtd-validate", "--band", "3:3", "--step", "0.5", "--dz", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == ["3.00"]
+    assert lines[-1].endswith(" dB over 1 points")
+    assert main(["transmission", "--band", "3:3", "-o", str(tmp_path / "t.csv")]) == 2
+    assert "error: frequency band must satisfy 1 <= start < stop <= 100 GHz, got [3.0, 3.0]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
