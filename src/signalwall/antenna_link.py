@@ -83,13 +83,11 @@ def coax_impedance(spec: CoaxSpec, frequency_ghz):
 
 @dataclass(frozen=True)
 class CoaxAttenuation:
-    """Cable losses in dB and the skin depth, each in the shape of the frequencies asked for."""
+    """Cable losses in dB, each in the shape of the frequencies asked for."""
 
     total_db: float | np.ndarray
     conductor_db: float | np.ndarray
     dielectric_db: float | np.ndarray
-    skin_depth_m: float | np.ndarray
-    skin_depth_ok: bool | np.ndarray
 
 
 def coax_attenuation(spec: CoaxSpec, frequency_ghz, length_m: float = 0.44) -> CoaxAttenuation:
@@ -98,12 +96,11 @@ def coax_attenuation(spec: CoaxSpec, frequency_ghz, length_m: float = 0.44) -> C
     The cable runs through the wall, so a cell's cable is ``wall.depth_mm * 1e-3``
     long; the default is the depth of the paper's 440 mm wall.
 
-    Conductor loss from the skin-effect surface resistance
-    R_s = sqrt(pi f mu rho) distributed over pin and shield,
-    R' = (R_s / 2 pi)(1/a + 1/b); dielectric loss from the loss tangent
-    eps''/eps' of the dielectric at ``frequency_ghz``.  The skin-effect
-    model assumes conductors much thicker than the skin depth;
-    ``skin_depth_ok`` is False where the shield is not.
+    Conductor loss R' = (R_s / 2 pi)(1/a + k/b), with R_s = sqrt(pi f mu rho).
+    The shield, t thick over an insulator, has Z_s = R_s (1 + j) coth((1 + j) t / delta),
+    so k = Re[Z_s] / R_s: 1 for t >> delta, delta / t (the sheet resistance rho / t) for
+    t << delta (Ramo, Whinnery & Van Duzer).  The pin keeps R_s: its radius spans many
+    skin depths.  Dielectric loss from the loss tangent eps''/eps' at ``frequency_ghz``.
     """
     eps = spec.dielectric.complex_permittivity(frequency_ghz)  # rejects frequencies <= 0
     f_hz = np.asarray(frequency_ghz, dtype=float) * 1e9
@@ -112,16 +109,16 @@ def coax_attenuation(spec: CoaxSpec, frequency_ghz, length_m: float = 0.44) -> C
     rho = spec.conductor.resistivity_ohm_m
 
     r_surf = np.sqrt(math.pi * f_hz * MU0 * rho)
-    r_per_m = r_surf / (2.0 * math.pi) * (1.0 / a + 1.0 / b)
-    alpha_c = r_per_m / (2.0 * coax_impedance(spec, frequency_ghz))
     skin_depth = np.sqrt(rho / (math.pi * f_hz * MU0))
+    k = ((1 + 1j) / np.tanh((1 + 1j) * spec.shield_thickness_mm * 1e-3 / skin_depth)).real
+    r_per_m = r_surf / (2.0 * math.pi) * (1.0 / a + k / b)
+    alpha_c = r_per_m / (2.0 * coax_impedance(spec, frequency_ghz))
     alpha_d = math.pi * f_hz * np.sqrt(eps.real) / C0 * (-eps.imag / eps.real)
 
     np_to_db = 20.0 / math.log(10.0)
     conductor_db = np_to_db * alpha_c * length_m
     dielectric_db = np_to_db * alpha_d * length_m
-    skin_ok = skin_depth < spec.shield_thickness_mm * 1e-3
-    return CoaxAttenuation(conductor_db + dielectric_db, conductor_db, dielectric_db, skin_depth, skin_ok)
+    return CoaxAttenuation(conductor_db + dielectric_db, conductor_db, dielectric_db)
 
 
 @dataclass(frozen=True)
@@ -336,4 +333,4 @@ def improvement_onset_ghz(
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return float(0.5 * (lo + hi))

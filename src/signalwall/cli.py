@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .antenna_link import COMBINATION_MODES, coax_attenuation, improvement_onset_ghz, link_budget
+from .antenna_link import COMBINATION_MODES, improvement_onset_ghz, link_budget
 from .design_sweep import run_sweep
 from .fdtd import Fdtd1dConfig, validate_against_tmm
 from .inverse import DEFAULT_BOUNDS, fit_permittivity, normalize_spectrum, read_spectrum
@@ -63,7 +63,10 @@ def _parse_comparison_band(text: str) -> tuple[float, float]:
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         if ":" in text:
-            start, stop, step = (_finite(v) for v in text.split(":"))
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise argparse.ArgumentTypeError(f"a range is START:STOP:STEP, got {text!r}")
+            start, stop, step = (_finite(v) for v in parts)
             if not step > 0.0:
                 raise argparse.ArgumentTypeError(f"range step must be > 0, got {step:g}")
             values = tuple(np.round(np.arange(start, stop + 1e-9, step), 9).tolist())
@@ -93,8 +96,8 @@ def cmd_transmission(args) -> int:
     summary_freqs = np.array([f for f in (3.5, 8.0) if f1 <= f <= f2])
     lines = []
     if args.with_antennas:
-        freqs = spectrum.frequencies_ghz
-        spectrum = dataclasses.replace(spectrum, t=link_budget(cell, freqs, args.theta, args.pol, args.combine)[2])
+        combined = link_budget(cell, spectrum.frequencies_ghz, args.theta, args.pol, args.combine).combined
+        spectrum = dataclasses.replace(spectrum, t=combined)
         budget = link_budget(cell, summary_freqs, args.theta, args.pol, args.combine)
         for f, level, gain in zip(summary_freqs, amplitude_db(budget.combined), budget.improvement_db):
             lines.append(f"  {f:.1f} GHz: combined {level:8.2f} dB   improvement {gain:6.2f} dB")
@@ -105,14 +108,6 @@ def cmd_transmission(args) -> int:
             lines.append(f"  improvement onset: at or below {f1:.2f} GHz (band start)")
         else:
             lines.append(f"  improvement onset: {onset:.2f} GHz")
-        thin = freqs[~coax_attenuation(cell.coax, freqs).skin_depth_ok]
-        if thin.size:
-            print(
-                f"warning: the skin depth exceeds the {cell.coax.shield_thickness_mm:g} mm coax shield at "
-                f"{thin.size} of {n} band frequencies ({thin[0]:.2f}-{thin[-1]:.2f} GHz); "
-                "the conductor loss there assumes a thick shield",
-                file=sys.stderr,
-            )
     else:
         t_summary = _coefficients(scenario.wall, summary_freqs, args.theta, args.pol)[0]
         for f, t_wall in zip(summary_freqs, t_summary):

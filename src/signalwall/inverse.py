@@ -369,6 +369,8 @@ def read_spectrum_csv(path) -> MeasuredSpectrum:
         cells = _numbers(row, columns, path, line)
         freqs.append(cells[0])
         values.append(_sample(path, line, cells[0], "db", *cells[1:]))
+    if not freqs:
+        raise SpectrumFormatError(f"{path}: no data rows")
     return MeasuredSpectrum(
         np.asarray(freqs), np.asarray(values, dtype=complex), magnitude_only=phase_col is None, fixture_id=path.name
     )

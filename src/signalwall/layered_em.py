@@ -123,10 +123,8 @@ def amplitude_db(x):
 
 def _branch_kz(k0_sq_eps, kx):
     """kz = sqrt(k0^2 eps - kx^2) with Im(kz) <= 0 (decay along +z)."""
-    kz = np.sqrt(k0_sq_eps - kx * kx + 0j)
-    kz = np.where(kz.imag > 0.0, -kz, kz)
-    kz = np.where((kz.imag == 0.0) & (kz.real < 0.0), -kz, kz)
-    return kz
+    kz = np.sqrt(k0_sq_eps - kx * kx + 0j)  # the principal root: Re(kz) >= 0
+    return np.where(kz.imag > 0.0, -kz, kz)
 
 
 def _tmm_linear(eps_media, d_m, f_ghz, theta_deg, pol):

@@ -19,6 +19,7 @@ from signalwall.antenna_link import (
     improvement_onset_ghz,
     link_budget,
 )
+from signalwall.constants import MU0
 from signalwall.layered_em import Incidence, _coefficients, amplitude_db, tmm_coefficients
 from signalwall.materials import FixedPermittivity, Material, PermittivityModel
 
@@ -70,7 +71,6 @@ def test_cable_losses_scale_with_length(steel_ptfe):
     full = coax_attenuation(spec, f)  # the default wall's 0.44 m
     half = coax_attenuation(spec, f, 0.22)
     assert half.total_db == pytest.approx(full.total_db / 2.0, rel=1e-12)
-    assert np.array_equal(half.skin_depth_m, full.skin_depth_m)
 
 
 def test_cable_materials_need_their_electrical_data(db):
@@ -87,7 +87,6 @@ def test_cable_losses_at_design_frequencies(steel_ptfe):
     spec = CoaxSpec(*steel_ptfe)
     assert coax_attenuation(spec, 3.5).total_db == pytest.approx(3.7, abs=0.5)
     assert coax_attenuation(spec, 8.0).total_db == pytest.approx(6.3, abs=0.5)
-    assert coax_attenuation(spec, 3.5).skin_depth_ok
 
 
 def test_lossless_dielectric_leaves_conductor_loss(db):
@@ -125,10 +124,37 @@ def test_conductor_loss_scales_as_sqrt_f(steel_ptfe):
     assert ratio == pytest.approx(math.sqrt(8.0 / 3.5), rel=0.01)
 
 
-def test_skin_depth_warning_for_thin_shield(steel_ptfe):
-    # at 1 MHz-scale frequencies the skin depth in steel exceeds 0.2 mm
-    result = coax_attenuation(CoaxSpec(*steel_ptfe), 0.002)
-    assert not result.skin_depth_ok
+def test_a_thick_shield_keeps_the_thick_conductor_loss(steel_ptfe):
+    # the default 0.2 mm shield spans 15 skin depths at 1 GHz: coth((1 + j) t / delta) is 1 to
+    # 1e-13 there, and exactly 1 in float64 from 1.5 GHz up
+    spec = CoaxSpec(*steel_ptfe)
+    f = np.linspace(1.0, 100.0, 991)
+    f_hz = f * 1e9
+    r_surf = np.sqrt(math.pi * f_hz * MU0 * spec.conductor.resistivity_ohm_m)
+    r_per_m = r_surf / (2.0 * math.pi) * (1.0 / (spec.inner_radius_mm * 1e-3) + 1.0 / (spec.outer_radius_mm * 1e-3))
+    thick_db = 20.0 / math.log(10.0) * (r_per_m / (2.0 * coax_impedance(spec, f))) * 0.44
+    got = coax_attenuation(spec, f).conductor_db
+    np.testing.assert_allclose(got, thick_db, rtol=1e-12, atol=0.0)
+    assert np.array_equal(got[f >= 1.5], thick_db[f >= 1.5])
+
+
+def test_halving_a_thick_shield_leaves_the_cable_loss(steel_ptfe):
+    full = coax_attenuation(CoaxSpec(*steel_ptfe), 3.5).total_db
+    half = coax_attenuation(CoaxSpec(*steel_ptfe, shield_thickness_mm=0.1), 3.5).total_db
+    assert half == pytest.approx(full, abs=1e-9)  # 0.1 mm is 14 skin depths at 3.5 GHz
+
+
+@pytest.mark.parametrize("shield_mm, f_ghz", [(0.005, 0.001), (0.001, 0.01), (0.002, 0.003)])
+def test_a_thin_shield_tends_to_its_sheet_resistance(steel_ptfe, shield_mm, f_ghz):
+    spec = CoaxSpec(*steel_ptfe, shield_thickness_mm=shield_mm)
+    rho = spec.conductor.resistivity_ohm_m
+    skin_depth = math.sqrt(rho / (math.pi * f_ghz * 1e9 * MU0))
+    t, a, b = shield_mm * 1e-3, spec.inner_radius_mm * 1e-3, spec.outer_radius_mm * 1e-3
+    assert t / skin_depth <= 0.03
+    pin = math.sqrt(math.pi * f_ghz * 1e9 * MU0 * rho) / (2.0 * math.pi * a)
+    r_per_m = coax_attenuation(spec, f_ghz).conductor_db * math.log(10.0) / (20.0 * 0.44) * 2.0 * coax_impedance(spec, f_ghz)
+    shield = r_per_m - pin
+    assert shield == pytest.approx(rho / (2.0 * math.pi * b * t), rel=1e-6)
 
 
 def test_gain_model_plateau_and_rolloff():
@@ -212,7 +238,7 @@ def test_array_calls_match_a_loop_of_float_calls(antenna_cell, antenna, theta):
     floats = f.tolist()
 
     cable = coax_attenuation(cell.coax, f)
-    for field in ("total_db", "conductor_db", "dielectric_db", "skin_depth_m", "skin_depth_ok"):
+    for field in ("total_db", "conductor_db", "dielectric_db"):
         looped = [getattr(coax_attenuation(cell.coax, fi), field) for fi in floats]
         assert np.array_equal(getattr(cable, field), looped), field
 
@@ -305,6 +331,13 @@ def test_onset_bisection_values(antenna_cell, theta, pol, onset):
 )
 def test_onset_reads_the_first_scanned_point_where_the_antenna_path_leads(antenna_cell, band, theta, pol, onset):
     assert improvement_onset_ghz(antenna_cell, *band, theta, pol) == onset
+
+
+@pytest.mark.parametrize(
+    "band, theta, pol", [((1.0, 2.0), 60.0, "TE"), ((1.0, 8.0), 0.0, "RHCP"), ((2.5, 8.0), 0.0, "RHCP")]
+)
+def test_onset_is_a_python_float(antenna_cell, band, theta, pol):
+    assert type(improvement_onset_ghz(antenna_cell, *band, theta, pol)) is float
 
 
 @pytest.mark.parametrize("theta", [90.0, -1.0])

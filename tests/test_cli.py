@@ -590,21 +590,17 @@ def test_fdtd_validate_rejects_a_layer_below_unit_permittivity_before_time_stepp
     assert "error: layer 1 (thin) has eps' = 0.5 at 2 GHz" in capsys.readouterr().err
 
 
-def test_with_antennas_warns_where_the_shield_is_thinner_than_the_skin_depth(tmp_path, capsys):
-    from importlib import resources
-
+def test_with_antennas_runs_a_thin_shield_without_a_warning(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert main(["transmission", "--with-antennas", "-o", str(out)]) == 0
-    assert capsys.readouterr().err == ""  # skin depth 13 um at 1 GHz against a 0.2 mm shield
+    assert capsys.readouterr().err == ""
 
-    scenario = json.loads(resources.files("signalwall").joinpath("data/default_scenario.json").read_text())
-    scenario["unit_cell"]["coax"]["shield_thickness_mm"] = 0.005
-    path = tmp_path / "thin.json"
-    path.write_text(json.dumps(scenario))
+    # 5 um of steel is 0.38 skin depths at 1 GHz: the finite-thickness shield loss, with no warning
+    path = _default_scenario_file(tmp_path, lambda cell: cell["coax"].update(shield_thickness_mm=0.005))
     assert main(["transmission", "--with-antennas", "--scenario", str(path), "-o", str(out)]) == 0
-    err = capsys.readouterr().err
-    assert "warning: the skin depth exceeds the 0.005 mm coax shield" in err
-    assert "(1.00-" in err and "of 141 band frequencies" in err
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "  3.5 GHz: combined   -14.47 dB   improvement   8.60 dB\n" in captured.out
     assert main(["transmission", "--scenario", str(path), "-o", str(out)]) == 0
     assert capsys.readouterr().err == ""
 
@@ -728,6 +724,144 @@ def test_spectrum_rows_the_fit_cannot_use_exit_2_at_their_file_and_line(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}, line 3: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("header.csv", "freq_GHz,s21_dB\n", "no data rows"),
+        ("empty.csv", "", "empty file"),
+        ("option.s2p", "# GHz S MA R 50\n", "no data rows"),
+    ],
+    ids=["header-only-csv", "empty-csv", "option-line-only-touchstone"],
+)
+def test_a_spectrum_file_without_data_exits_2_naming_itself(tmp_path, monkeypatch, capsys, name, text, message):
+    from signalwall import cli
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit must not run")
+
+    monkeypatch.setattr(cli, "fit_permittivity", no_fit)
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["fit-permittivity", str(path), "--thickness", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+def _edited_default_scenario(edit):
+    from signalwall.scenario import default_scenario_text
+
+    data = json.loads(default_scenario_text())
+    edit(data)
+    return data
+
+
+def _materials(**entry):
+    return {"materials": [{"name": "x", "thermal_conductivity": 1.0, **entry}]}
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (
+            ["transmission", "--with-antennas", "--scenario", "s.json"],
+            {"s.json": _edited_default_scenario(lambda d: d["unit_cell"]["antenna"].update(pattern_exponent=-1))},
+            "unit_cell.antenna: pattern exponent must be >= 0",
+        ),
+        (
+            ["transmission", "--with-antennas", "--scenario", "s.json"],
+            {"s.json": _edited_default_scenario(lambda d: d["unit_cell"]["antenna"].update(rolloff_db_per_octave=-1))},
+            "unit_cell.antenna: roll-off must be >= 0 dB/octave",
+        ),
+        (
+            ["uvalue", "--analytical", "--scenario", "s.json"],
+            {"s.json": _edited_default_scenario(lambda d: d["unit_cell"].update(sx_mm=0))},
+            "unit_cell: cell dimensions must be finite and > 0, got 0.0 x 150.0 mm",
+        ),
+        (["sweep", "--separations", "0,80"], {}, "separations must be > 0 mm"),
+        (
+            ["sweep", "--scenario", "s.json"],
+            {"s.json": _edited_default_scenario(lambda d: d["sweep"].update(frequencies_ghz=[]))},
+            "sweep: frequency list must not be empty",
+        ),
+        (
+            ["materials", "list", "--materials", "m.json"],
+            {"m.json": _materials(permittivity={"eps_real": -1})},
+            "m.json: materials[0].permittivity: eps_real must be > 0, got -1.0",
+        ),
+        (
+            ["materials", "list", "--materials", "m.json"],
+            {"m.json": _materials(permittivity={"eps_real": 2, "eps_imag": -0.1})},
+            "m.json: materials[0].permittivity: eps_imag must be >= 0, got -0.1",
+        ),
+        (
+            ["materials", "list", "--materials", "m.json"],
+            {"m.json": _materials(name="")},
+            "m.json: materials[0]: material name must be non-empty",
+        ),
+        (
+            ["fdtd-validate", "--scenario", "s.json", "--band", "2:3", "--step", "0.5", "--dz", "0.5"],
+            {"s.json": {"wall": {"layers": [{"material": "concrete", "thickness_mm": 0.2}]}}},
+            "spatial step too coarse to resolve a layer",
+        ),
+        (
+            ["uvalue", "--fv", "--scenario", "s.json"],
+            {
+                "s.json": _edited_default_scenario(
+                    lambda d: d["unit_cell"]["coax"].update(inner_radius_mm=0.2, outer_radius_mm=0.25, shield_thickness_mm=0.02)
+                )
+            },
+            "mesh too coarse near the cable: 0.354 mm cells vs 0.500 mm diameter",
+        ),
+    ],
+    ids=[
+        "pattern-exponent",
+        "rolloff",
+        "zero-cell",
+        "zero-separation",
+        "no-sweep-frequencies",
+        "negative-eps-real",
+        "negative-eps-imag",
+        "empty-name",
+        "layer-below-dz",
+        "cable-below-mesh",
+    ],
+)
+def test_input_rules_exit_2_before_any_work(tmp_path, monkeypatch, capsys, argv, files, message):
+    from signalwall import cli, design_sweep, fdtd
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("no solve or time loop may run")
+
+    for module, name in ((design_sweep, "solve_steady_state"), (cli, "solve_steady_state"), (fdtd, "_time_step_batch")):
+        monkeypatch.setattr(module, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        Path(name).write_text(json.dumps(data))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transmission", "--band", "1:2:3:4"], "argument --band: band must be F1:F2 or F1:F2:N in GHz"),
+        (["transmission", "--band", "1:8:x"], "argument --band: invalid literal for int() with base 10: 'x'"),
+        (["sweep", "--separations", "70:80"], "argument --separations: a range is START:STOP:STEP, got '70:80'"),
+    ],
+)
+def test_malformed_band_and_range_flags_exit_2_at_the_flag(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
