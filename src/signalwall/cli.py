@@ -48,8 +48,10 @@ def _parse_band(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError("band must be F1:F2 or F1:F2:N in GHz")
     try:
         n = int(parts[2]) if len(parts) == 3 else 141
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    except ValueError:
+        n = 0
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"band F1:F2:N needs an integer N >= 2, got N = {parts[2]!r}")
     return _finite(parts[0]), _finite(parts[1]), n
 
 

@@ -10,14 +10,16 @@ A magnitude fit minimizes the RMS error in dB between the measured |S21|
 and the exact slab transmission, using a derivative-free simplex search
 restarted from deterministic seeded points inside the bounds: the objective
 has Fabry-Perot local minima, hence the multistart.  A complex fit solves
-the residual log(t_model/s21) as bounded trust-region least squares, with a
-started from the group delay (the slope of the unwrapped S21 phase, as in
-Nicolson & Ross 1970 and Weir 1974) and (c, d) from the same seeded points.
+the residual log(t_model/s21) as bounded trust-region least squares with the
+exact Jacobian of :func:`slab_log_jacobian`, with a started from the group
+delay (the slope of the unwrapped S21 phase, as in Nicolson & Ross 1970 and
+Weir 1974) and (c, d) from the same seeded points.
 The slab model is the closed-form (Airy) transmission of one slab in vacuum,
 equal to the transfer-matrix cascade of :mod:`signalwall.layered_em` for a
 one-layer stack at a fraction of its cost; its reference planes are the slab
-faces.  Every objective evaluation is one call of :func:`slab_transmission`;
-``FitResult.evaluations`` counts them.
+faces.  Every objective evaluation is one call of :func:`slab_transmission`
+and every Jacobian one call of :func:`slab_log_jacobian`;
+``FitResult.evaluations`` counts both.
 """
 
 from __future__ import annotations
@@ -136,11 +138,23 @@ class FitResult:
     iterations: int
     converged: bool
     starts: list = field(default_factory=list, repr=False)  # one entry per start
-    evaluations: int = 0  # model calls over all starts, finite-difference Jacobian calls included
+    evaluations: int = 0  # model value and Jacobian calls over all starts
 
     @property
     def model(self) -> PermittivityModel:
         return PermittivityModel(self.a, self.b, self.c, self.d)
+
+
+def _slab(a, b, c, d, thickness_mm, frequencies_ghz):
+    """The model, GHz grid, n, r^2, p and one-way vacuum phase k0 t of :func:`slab_transmission`."""
+    f = np.atleast_1d(np.asarray(frequencies_ghz, dtype=float))
+    if np.any(f <= 0.0):
+        raise MaterialError("frequency must be > 0 GHz")
+    model = PermittivityModel(a, b, c, d)
+    n = np.sqrt(model.complex_permittivity(f))  # Im eps <= 0, so the principal root already has Im n <= 0
+    r2 = ((1.0 - n) / (1.0 + n)) ** 2
+    k0t = (2.0 * math.pi * 1e9 / C0) * thickness_mm * 1e-3 * f
+    return model, f, n, r2, np.exp(-1j * k0t * n), k0t
 
 
 def slab_transmission(a, b, c, d, thickness_mm, frequencies_ghz):
@@ -152,14 +166,24 @@ def slab_transmission(a, b, c, d, thickness_mm, frequencies_ghz):
     factor p = exp(-j k0 n t),  t = (1 - r^2) p / (1 - r^2 p^2).  Equal to
     the transfer-matrix cascade of a one-layer stack.
     """
-    f = np.atleast_1d(np.asarray(frequencies_ghz, dtype=float))
-    if np.any(f <= 0.0):
-        raise MaterialError("frequency must be > 0 GHz")
-    eps = PermittivityModel(a, b, c, d).complex_permittivity(f)
-    n = np.sqrt(eps)  # Im eps <= 0, so the principal root already has Im n <= 0
-    r2 = ((1.0 - n) / (1.0 + n)) ** 2
-    p = np.exp(-1j * (2.0 * math.pi * 1e9 / C0) * thickness_mm * 1e-3 * f * n)
+    *_, r2, p, _ = _slab(a, b, c, d, thickness_mm, frequencies_ghz)
     return (1.0 - r2) * p / (1.0 - r2 * p * p)
+
+
+def slab_log_jacobian(a, b, c, d, thickness_mm, frequencies_ghz):
+    """d log t / d(a, c, d) of :func:`slab_transmission` at fixed b, one row per frequency.
+
+    With k0 t the one-way vacuum phase and r' = dr/dn = -2 / (1 + n)^2,
+    d log t / dn = -2 r r' / (1 - r^2) - j k0 t + (2 r r' p^2 - 2 j k0 t r^2 p^2) / (1 - r^2 p^2),
+    times dn/deps = 1 / (2 n) and the permittivity gradient of
+    `PermittivityModel.permittivity_gradient`.  It stays finite where t
+    underflows to 0: p^2 does too.
+    """
+    model, f, n, r2, p, k0t = _slab(a, b, c, d, thickness_mm, frequencies_ghz)
+    dr2 = -4.0 * (1.0 - n) / (1.0 + n) ** 3  # 2 r r'
+    p2 = p * p
+    dlog_dn = -dr2 / (1.0 - r2) - 1j * k0t + p2 * (dr2 - 2j * k0t * r2) / (1.0 - r2 * p2)
+    return (dlog_dn / (2.0 * n))[:, None] * model.permittivity_gradient(f)
 
 
 def slab_transmission_db(a, b, c, d, thickness_mm, frequencies_ghz):
@@ -210,18 +234,19 @@ def fit_permittivity(
     instead, which weighs magnitude error in nepers and phase error in
     radians evenly across a wide dynamic range and needs phase-calibrated
     data.  Its residual vector [Re, Im] goes to a bounded trust-region
-    least-squares solve (``least_squares``, method "trf"); no magnitude fit
-    runs first.  The phase slope pins a down (see `_group_delay_starts`), and
-    each start value of a is paired with the (c, d) of the same seeded starts,
-    so a complex fit runs ``n_starts`` solves per alias tooth, usually one.
+    least-squares solve (``least_squares``, method "trf") with the exact
+    Jacobian of `slab_log_jacobian`; no magnitude fit runs first.  The phase
+    slope pins a down (see `_group_delay_starts`), and each start value of a
+    is paired with the (c, d) of the same seeded starts, so a complex fit
+    runs ``n_starts`` solves per alias tooth, usually one.
     Each start's ``residual`` is sqrt(2 cost / n), the RMS of |log(t_model/s21)|.
 
     The best successful run wins; ties resolve to the lowest start index, so
     results are reproducible for a given seed.
     ``iterations`` counts Nelder-Mead iterations or trust-region Jacobians,
-    ``evaluations`` every model call.  The reported residual is always the
-    dB-magnitude RMS of the returned fit.  The unknowns need at least 3
-    magnitude points, or 2 complex ones.
+    ``evaluations`` every model value and Jacobian call.  The reported
+    residual is always the dB-magnitude RMS of the returned fit.  The
+    unknowns need at least 3 magnitude points, or 2 complex ones.
     """
     thickness = thickness_mm if thickness_mm is not None else spectrum.thickness_mm
     if thickness is None or thickness <= 0.0:
@@ -268,6 +293,13 @@ def fit_permittivity(
         with np.errstate(divide="ignore"):  # t underflowing to 0 gives -inf: a failed start or a point the simplex leaves
             return level(x)
 
+    def jacobian(x):
+        """d[Re, Im] log(t_model/s21) / d(a, c, d) at x, counted in ``evaluations``."""
+        nonlocal evaluations
+        evaluations += 1
+        jac = slab_log_jacobian(x[0], b_fixed, x[1], x[2], thickness, f)
+        return np.concatenate([jac.real, jac.imag])
+
     def rms(x):
         return float(np.sqrt(np.mean(residuals(x) ** 2)))
 
@@ -283,7 +315,7 @@ def fit_permittivity(
         if not np.all(np.isfinite(residuals(x0))):  # the model underflows here; least_squares would reject the start
             x, residual, nit, success = x0, math.inf, 0, False
         elif complex_objective:
-            result = least_squares(residuals, x0, method="trf", bounds=(lo, hi), max_nfev=_MAX_ITER)
+            result = least_squares(residuals, x0, jac=jacobian, method="trf", bounds=(lo, hi), max_nfev=_MAX_ITER)
             x, residual, nit, success = result.x, math.sqrt(2.0 * result.cost / f.size), result.njev, result.success
         else:
             options = {"maxiter": _MAX_ITER, "xatol": 1e-6, "fatol": 1e-10}

@@ -71,6 +71,12 @@ class PermittivityModel:
         """eps' - j eps'' for GHz frequencies > 0, scalar or ndarray."""
         return self.a * frequency_ghz**self.b - 1j * loss_permittivity(self.conductivity(frequency_ghz), frequency_ghz)
 
+    def permittivity_gradient(self, frequency_ghz):
+        """d eps / d(a, c, d) at fixed b: one column per coefficient, one row per GHz frequency > 0."""
+        f = np.asarray(frequency_ghz, dtype=float)
+        d_eps_dc = -1j * loss_permittivity(np.power(f, self.d), f)  # no division by c, which may be 0
+        return np.stack([f**self.b, d_eps_dc, self.c * np.log(f) * d_eps_dc], axis=-1)
+
 
 @dataclass(frozen=True)
 class FixedPermittivity:

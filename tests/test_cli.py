@@ -850,8 +850,11 @@ def test_input_rules_exit_2_before_any_work(tmp_path, monkeypatch, capsys, argv,
     "argv, message",
     [
         (["transmission", "--band", "1:2:3:4"], "argument --band: band must be F1:F2 or F1:F2:N in GHz"),
-        (["transmission", "--band", "1:8:x"], "argument --band: invalid literal for int() with base 10: 'x'"),
+        (["transmission", "--band", "1:8:x"], "argument --band: band F1:F2:N needs an integer N >= 2, got N = 'x'"),
         (["sweep", "--separations", "70:80"], "argument --separations: a range is START:STOP:STEP, got '70:80'"),
+        (["transmission", "--band", "1:8:1e3"], "argument --band: band F1:F2:N needs an integer N >= 2, got N = '1e3'"),
+        (["transmission", "--band", "1:8:0"], "argument --band: band F1:F2:N needs an integer N >= 2, got N = '0'"),
+        (["transmission", "--band", "1:8:1"], "argument --band: band F1:F2:N needs an integer N >= 2, got N = '1'"),
     ],
 )
 def test_malformed_band_and_range_flags_exit_2_at_the_flag(tmp_path, monkeypatch, capsys, argv, message):

@@ -15,6 +15,7 @@ from signalwall.inverse import (
     read_spectrum,
     read_spectrum_csv,
     read_touchstone,
+    slab_log_jacobian,
     slab_transmission,
     slab_transmission_db,
 )
@@ -124,6 +125,45 @@ def test_closed_form_slab_matches_transfer_matrix():
     assert compared >= total // 4
 
 
+@pytest.mark.parametrize("thickness", [45.0, 290.0])
+@pytest.mark.parametrize("b", [0.0, 0.1])
+@pytest.mark.parametrize("c", [0.0, 0.205])
+def test_slab_log_jacobian_matches_central_differences(thickness, b, c):
+    # differences of log(t(x + h) / t(x)) stay off the branch cut of log t; c = 0 is a legal bound,
+    # where the c column takes the one-sided second-order difference
+    f = np.linspace(1.0, 20.0, 96)
+    x = np.array([5.84, c, 0.06])
+
+    def t(y):
+        return slab_transmission(y[0], b, y[1], y[2], thickness, f)
+
+    def log_ratio(step):
+        return np.log(t(x + step) / t(x))
+
+    jac = slab_log_jacobian(x[0], b, x[1], x[2], thickness, f)
+    assert jac.shape == (f.size, 3)
+    for k, h in enumerate((1e-5, 1e-6, 1e-5)):
+        step = h * np.eye(3)[k]
+        if x[k] < h:
+            numeric = (4.0 * log_ratio(step) - log_ratio(2.0 * step)) / (2.0 * h)
+        else:
+            numeric = (log_ratio(step) - log_ratio(-step)) / (2.0 * h)
+        assert np.max(np.abs(jac[:, k] - numeric)) <= 1e-6 * np.max(np.abs(jac[:, k])), k
+    if c == 0.0:
+        assert np.all(jac[:, 2] == 0.0)  # d moves nothing without a conductivity
+
+
+def test_slab_log_jacobian_is_finite_where_the_model_underflows():
+    # the midpoint of the default bounds on the 290 mm slab at 50-100 GHz, where t is 0 in float64
+    f = np.linspace(50.0, 100.0, 101)
+    a, c, d = np.mean(inverse.DEFAULT_BOUNDS, axis=1)
+    assert np.any(slab_transmission(a, 0.0, c, d, THICKNESS_MM, f) == 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jac = slab_log_jacobian(a, 0.0, c, d, THICKNESS_MM, f)
+    assert np.all(np.isfinite(jac))
+
+
 @pytest.mark.parametrize(
     "coefficients",
     [(0.0, 0.0, 0.1, 0.5), (-2.0, 0.0, 0.1, 0.5), (5.0, 0.0, -0.1, 0.5)]
@@ -161,16 +201,20 @@ def test_invalid_bounds_rejected_before_any_evaluation(clean_spectrum, monkeypat
 def test_evaluations_count_every_model_call(clean_spectrum, monkeypatch, complex_objective):
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return slab_transmission(*args)
+    def counting(model):
+        def call(*args):
+            calls.append(args)
+            return model(*args)
+
+        return call
 
     spectrum = MeasuredSpectrum(
         clean_spectrum.frequencies_ghz,
         slab_transmission(TRUE[0], 0.0, TRUE[1], TRUE[2], THICKNESS_MM, clean_spectrum.frequencies_ghz),
         thickness_mm=THICKNESS_MM,
     )
-    monkeypatch.setattr(inverse, "slab_transmission", counting)
+    monkeypatch.setattr(inverse, "slab_transmission", counting(slab_transmission))
+    monkeypatch.setattr(inverse, "slab_log_jacobian", counting(slab_log_jacobian))
     monkeypatch.setattr(inverse, "_MAX_ITER", 200)
     fit = fit_permittivity(spectrum, n_starts=3, complex_objective=complex_objective)
     # the fit evaluates its returned optimum once more for the dB residual

@@ -413,3 +413,15 @@ def test_solve_memory_is_bounded(antenna_cell, boundary):
     finally:
         tracemalloc.stop()
     assert peak <= 13e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_halving_the_shield_lowers_the_70_mm_u_value(antenna_cell, boundary):
+    # a 0.1 mm stainless shield leaves 0.586 of the default 1.045 mm^2 of metal per line: the 70 mm cell then passes 0.17
+    cell = antenna_cell.with_separation(70.0)
+    u = {}
+    for shield_mm in (0.2, 0.1):
+        coax = dataclasses.replace(cell.coax, shield_thickness_mm=shield_mm)
+        u[shield_mm] = solve_steady_state(voxelize_unit_cell(dataclasses.replace(cell, coax=coax)), boundary).u
+    assert u[0.2] == pytest.approx(0.17475, abs=5e-6)
+    assert u[0.1] == pytest.approx(0.16416, abs=5e-6)
+    assert u[0.1] < 0.17 < u[0.2]
