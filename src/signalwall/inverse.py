@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .constants import C0
 from .materials import VALID_RANGE_GHZ, MaterialError, PermittivityModel
@@ -247,6 +246,8 @@ def fit_permittivity(
     ``evaluations`` every model value and Jacobian call.  The reported
     residual is always the dB-magnitude RMS of the returned fit.  The
     unknowns need at least 3 magnitude points, or 2 complex ones.
+    ``scipy.optimize`` is imported at the first fit, after the input checks,
+    so a rejected input never loads it.
     """
     thickness = thickness_mm if thickness_mm is not None else spectrum.thickness_mm
     if thickness is None or thickness <= 0.0:
@@ -276,6 +277,7 @@ def fit_permittivity(
             "fit input has fewer than 10 points or spans less than one octave; the estimate may be poorly conditioned",
             stacklevel=2,
         )
+    from scipy.optimize import least_squares, minimize  # here, after the checks: only a fit pays its 0.6-0.7 s import
 
     def db_error(x):
         return slab_transmission_db(x[0], b_fixed, x[1], x[2], thickness, f) - measured_db

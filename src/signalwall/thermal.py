@@ -31,7 +31,8 @@ balances its two face heat flows to ``_BALANCE_TOL``.  The operator is
 stored as seven bands of a ``scipy.sparse.dia_array`` at ascending offsets
 (the x, y and z neighbours below, the diagonal, the neighbours above), so a
 product sums each row in column order as CSR does, from 7 numbers per
-unknown.  The CG loop is the
+unknown.  ``scipy.sparse`` is imported at the first assembly, so the
+analytical U-value and the EM commands never load it.  The CG loop is the
 package's own and runs in place on preallocated vectors, with the recurrence
 and stopping test of ``scipy.sparse.linalg.cg``.  Its inner products are
 summed in one thread by ``np.einsum``: a threaded BLAS dot splits its sum by
@@ -56,13 +57,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .antenna_link import UnitCell
 from .layered_em import LayerStack
 from .materials import Material
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class ThermalError(ValueError):
@@ -418,6 +422,8 @@ class _FoldedSystem:
 
 def _assemble(grid: VoxelGrid, bc: ThermalBoundary) -> _FoldedSystem:
     """Folded FV operator, load, start and diagonal; the face arrays die on return."""
+    import scipy.sparse as sp  # here, not at module scope: only an FV solve pays its ~0.3 s import
+
     qx = _mirror_classes(grid.dx_m, grid.material, 0)
     qy = _mirror_classes(grid.dy_m, grid.material, 1)
     kx, ky = np.bincount(qx).astype(float), np.bincount(qy).astype(float)  # images per class
