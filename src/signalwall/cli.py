@@ -90,6 +90,9 @@ def _check_output(path) -> None:
 
 
 def cmd_transmission(args) -> int:
+    if args.combine and not args.with_antennas:
+        raise ValueError(f"--combine {args.combine}: ignored without --with-antennas, which adds the path it combines")
+    mode = args.combine or "incoherent"
     scenario = load_scenario(args.scenario, args.materials)
     f1, f2, n = args.band
     spectrum = transmission_spectrum(scenario.wall, f1, f2, n, args.theta, args.pol)
@@ -98,9 +101,9 @@ def cmd_transmission(args) -> int:
     summary_freqs = np.array([f for f in (3.5, 8.0) if f1 <= f <= f2])
     lines = []
     if args.with_antennas:
-        combined = link_budget(cell, spectrum.frequencies_ghz, args.theta, args.pol, args.combine).combined
+        combined = link_budget(cell, spectrum.frequencies_ghz, args.theta, args.pol, mode).combined
         spectrum = dataclasses.replace(spectrum, t=combined)
-        budget = link_budget(cell, summary_freqs, args.theta, args.pol, args.combine)
+        budget = link_budget(cell, summary_freqs, args.theta, args.pol, mode)
         for f, level, gain in zip(summary_freqs, amplitude_db(budget.combined), budget.improvement_db):
             lines.append(f"  {f:.1f} GHz: combined {level:8.2f} dB   improvement {gain:6.2f} dB")
         onset = improvement_onset_ghz(cell, f1, f2, args.theta, args.pol)
@@ -123,6 +126,10 @@ def cmd_transmission(args) -> int:
 
 
 def cmd_uvalue(args) -> int:
+    if args.analytical and not args.fv:
+        for flag, value in (("--export-vtk", args.export_vtk), ("--bare", args.bare)):
+            if value:
+                raise ValueError(f"{flag}: ignored with --analytical alone, which skips the finite-volume solve")
     scenario = load_scenario(args.scenario, args.materials)
     run_both = args.fv == args.analytical  # neither or both flags -> show both
     run_fv = run_both or args.fv
@@ -151,6 +158,8 @@ def cmd_uvalue(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.interpolate and not args.reference:
+        raise ValueError("--interpolate: ignored without --reference, the spectrum it resamples")
     dut = read_spectrum(args.input)
     if args.reference:
         dut = normalize_spectrum(dut, read_spectrum(args.reference), interpolate=args.interpolate)
@@ -257,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_finite, default=0.0, help="incidence angle from the normal, degrees")
     p.add_argument("--pol", choices=POLARIZATIONS, default="RHCP")
     p.add_argument("--band", type=_parse_band, default=(1.0, 8.0, 141), help="F1:F2[:N] in GHz (default 1:8:141)")
-    p.add_argument("--combine", choices=COMBINATION_MODES, default="incoherent")
+    p.add_argument("--combine", choices=COMBINATION_MODES, help="with --with-antennas (default incoherent)")
     p.add_argument("-o", "--output", default="transmission.csv", help="spectrum CSV path")
     p.set_defaults(func=cmd_transmission)
 
@@ -277,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="empty-fixture spectrum to normalize by; the model's S21 reference planes are the slab faces, "
         "so a fixture with air in the slab's place leaves a phase of exp(+-j k0 t) that biases --complex",
     )
-    p.add_argument("--interpolate", action="store_true", help="resample the reference onto the DUT grid")
+    p.add_argument("--interpolate", action="store_true", help="with --reference, resample it onto the DUT grid")
     p.add_argument("--b", type=_finite, default=0.0, help="fixed exponent b")
     p.add_argument(
         "--starts", type=int, default=16, help="multistart count; with --complex, per group-delay start of a"

@@ -68,13 +68,6 @@ class SweepResult:
     records: list[SeparationRecord]
     selected_mm: float | None
     rationale: str
-    u_limit: float
-
-    def record(self, separation_mm: float) -> SeparationRecord:
-        for rec in self.records:
-            if rec.separation_mm == separation_mm:
-                return rec
-        raise KeyError(separation_mm)
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -132,7 +125,7 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
             f"U <= {cfg.u_limit} W/(m^2 K); the closest is "
             f"{min(records, key=lambda r: r.u).u:.4f} at {max(cfg.separations_mm):.0f} mm"
         )
-    return SweepResult(records, selected, rationale, cfg.u_limit)
+    return SweepResult(records, selected, rationale)
 
 
 def min_feasible_separation(

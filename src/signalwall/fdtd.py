@@ -27,11 +27,11 @@ as it is stepped, so no array spans all the steps of a run.
 The time loop holds the fields node-major, (n_nodes, n_runs), so every
 shifted slice is one contiguous block, and updates them in place through
 preallocated difference buffers.  Both incident waveforms are evaluated
-once per call, at the same accumulated step times a scalar loop would
-use, and each node sees the same operations in the same order, so the
-traces are bit-identical to a row-major loop with the source evaluated
-every step.  A run that has not decayed is extended from its saved fields
-rather than restarted.
+once per call, step n at time n * dt, and each node sees the same
+operations in the same order, so the traces are bit-identical to a
+row-major loop with the source evaluated every step.  A run that has not
+decayed is extended from its saved fields rather than restarted.  A field
+that grows without bound raises `FdtdError`, like every other fault here.
 """
 
 from __future__ import annotations
@@ -47,11 +47,7 @@ from .materials import VALID_RANGE_GHZ
 
 
 class FdtdError(ValueError):
-    """Invalid FDTD configuration."""
-
-
-class FdtdInstabilityError(RuntimeError):
-    """Field growth detected during time stepping."""
+    """Invalid FDTD configuration, or field growth detected during time stepping."""
 
 
 # vacuum padding outside the source plane and the transmit probe, and their
@@ -197,14 +193,14 @@ def _auto_steps(stack: LayerStack, eps_center, pulse: _Pulse, layout: _Layout) -
 class _Fields:
     """Leapfrog state between `_time_step_batch` calls, node-major.
 
-    ``t_n`` is the accumulated time of the next step, so a continued run
-    sees the same source samples as one run of the combined length.
+    ``step`` counts the steps run; the source is sampled at step * dt, so a
+    continued run sees the same source samples as one run of the combined
+    length.
     """
 
     ex: np.ndarray  # (n_nodes, n_runs)
     hy: np.ndarray  # (n_nodes - 1, n_runs)
     step: int = 0
-    t_n: float = 0.0
 
     @classmethod
     def zeros(cls, n_nodes: int, n_runs: int) -> "_Fields":
@@ -230,10 +226,8 @@ def _time_step_batch(eps, sig, layout: _Layout, pulse: _Pulse, n_steps: int, fie
     cb = (1.0 / dz) / (eps_abs / dt + 0.5 * sig)
     ch = dt / (MU0 * dz)
 
-    # the incident waveforms at every step, sampled at the accumulated t_n
-    t = np.empty(n_steps)
-    t[0], t[1:] = fields.t_n, dt
-    np.add.accumulate(t, out=t)
+    # the incident waveforms at every step n, sampled at n * dt
+    t = np.arange(fields.step, fields.step + n_steps) * dt
     h_inc = ch * _source(pulse, t)  # incident wave referenced to the TFSF plane
     e_inc = _source(pulse, (t + 0.5 * dt) + 0.5 * dz / C0)
 
@@ -276,9 +270,8 @@ def _time_step_batch(eps, sig, layout: _Layout, pulse: _Pulse, n_steps: int, fie
         if (fields.step + n) % 2000 == 1999:
             peak = float(np.max(np.abs(ex)))
             if not math.isfinite(peak) or peak > peak_guard:
-                raise FdtdInstabilityError(f"field grew to {peak:.3g} at step {fields.step + n}; the time loop is unstable")
+                raise FdtdError(f"field grew to {peak:.3g} at step {fields.step + n}; the time loop is unstable")
     fields.step += n_steps
-    fields.t_n = float(t[-1]) + dt
     return trace.T
 
 

@@ -65,9 +65,6 @@ class LayerStack:
     def depth_mm(self) -> float:
         return sum(l.thickness_mm for l in self.layers)
 
-    def reversed(self) -> "LayerStack":
-        return LayerStack(tuple(reversed(self.layers)))
-
 
 def _check_theta(theta_deg: float) -> None:
     """Reject an incidence angle outside [0, 90) degrees from the wall normal."""
@@ -98,10 +95,6 @@ class Spectrum:
     r: np.ndarray
     polarization: str
     theta_deg: float
-
-    @property
-    def t_db(self) -> np.ndarray:
-        return amplitude_db(self.t)
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

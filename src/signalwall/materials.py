@@ -36,10 +36,6 @@ class MaterialError(ValueError):
     """Invalid material definition or evaluation request."""
 
 
-class UnknownMaterialError(KeyError):
-    """Material name not present in the database."""
-
-
 def _require_finite(value, label):
     if not (isinstance(value, (int, float)) and math.isfinite(value)):
         raise MaterialError(f"{label} must be a finite number, got {value!r}")
@@ -184,19 +180,13 @@ class MaterialDatabase:
             return self._by_key[key]
         except KeyError:
             known = ", ".join(sorted(m.name for m in self._materials))
-            raise UnknownMaterialError(f"unknown material {name!r} (known: {known})") from None
+            raise MaterialError(f"unknown material {name!r} (known: {known})") from None
 
     def __contains__(self, name: str) -> bool:
         return _normalize(name) in self._by_key
 
     def __iter__(self):
         return iter(self._materials)
-
-    def __len__(self):
-        return len(self._materials)
-
-    def names(self) -> list[str]:
-        return [m.name for m in self._materials]
 
     def merged_with(self, materials: Iterable[Material]) -> "MaterialDatabase":
         """New database where the given materials override same-name entries."""

@@ -239,18 +239,6 @@ class VoxelGrid:
     def area_m2(self):
         return float(self.x_nodes_mm[-1] * self.y_nodes_mm[-1] * 1e-6)
 
-    def conductivity_field(self):
-        return self.conductivity_by_id[self.material]
-
-    def cross_section_area_m2(self, material_name: str, z_mm: float) -> float:
-        """Painted area of one material in the x-y plane nearest to z_mm."""
-        mat_id = self.material_names.index(material_name)
-        zc = 0.5 * (self.z_nodes_mm[:-1] + self.z_nodes_mm[1:])
-        k = int(np.argmin(np.abs(zc - z_mm)))
-        mask = self.material[:, :, k] == mat_id
-        areas = np.outer(self.dx_m, self.dy_m)
-        return float(np.sum(areas[mask]))
-
 
 def equivalent_square_side_mm(radius_mm: float) -> float:
     """Side of the square with the same area as a circle of this radius."""

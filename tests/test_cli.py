@@ -590,6 +590,26 @@ def test_fdtd_validate_rejects_a_layer_below_unit_permittivity_before_time_stepp
     assert "error: layer 1 (thin) has eps' = 0.5 at 2 GHz" in capsys.readouterr().err
 
 
+def test_fdtd_validate_reports_an_unstable_time_loop_as_a_usage_exit(monkeypatch, capsys):
+    from signalwall import fdtd
+
+    material_arrays = fdtd._material_arrays
+
+    def below_unit_permittivity(stack, layout, freeze_ghz):
+        eps, sig = material_arrays(stack, layout, freeze_ghz)
+        eps[:, layout.i_stack + 10: layout.i_stack + 20] = 0.25  # no input gets eps' < 1 past the check
+        return eps, sig
+
+    monkeypatch.setattr(fdtd, "_material_arrays", below_unit_permittivity)
+    with np.errstate(all="ignore"):
+        assert main(["fdtd-validate", "--band", "2:3", "--step", "1", "--dz", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: field grew to ")
+    assert captured.err.endswith("; the time loop is unstable\n")
+    assert "Traceback" not in captured.err
+
+
 def test_with_antennas_runs_a_thin_shield_without_a_warning(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert main(["transmission", "--with-antennas", "-o", str(out)]) == 0
@@ -926,6 +946,49 @@ def test_an_empty_gain_table_exits_2_at_the_antenna(tmp_path, capsys):
     path = _default_scenario_file(tmp_path, lambda cell: cell.update(antenna={"gain_table": []}))
     assert main(["transmission", "--with-antennas", "--scenario", str(path), "-o", str(tmp_path / "t.csv")]) == 2
     assert capsys.readouterr().err == "error: unit_cell.antenna: gain table must not be empty\n"
+
+
+@pytest.mark.parametrize(
+    "argv, written, message",
+    [
+        (
+            ["uvalue", "--analytical", "--export-vtk", "t.vtk"],
+            "t.vtk",
+            "--export-vtk: ignored with --analytical alone, which skips the finite-volume solve",
+        ),
+        (
+            ["uvalue", "--analytical", "--bare"],
+            None,
+            "--bare: ignored with --analytical alone, which skips the finite-volume solve",
+        ),
+        (
+            ["transmission", "--combine", "coherent_worst", "-o", "c.csv"],
+            "c.csv",
+            "--combine coherent_worst: ignored without --with-antennas, which adds the path it combines",
+        ),
+        (
+            ["fit-permittivity", "dut.csv", "--thickness", "45", "--interpolate"],
+            None,
+            "--interpolate: ignored without --reference, the spectrum it resamples",
+        ),
+    ],
+    ids=["export-vtk", "bare", "combine", "interpolate"],
+)
+def test_a_flag_its_command_would_ignore_exits_2_naming_both_flags(tmp_path, monkeypatch, capsys, argv, written, message):
+    from signalwall import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("no input may be read before the flags are checked")
+
+    for name in ("load_scenario", "read_spectrum"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    Path("dut.csv").write_text("freq_GHz,s21_dB\n2,-10\n5,-20\n8,-30\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert written is None or not Path(written).exists()
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,7 @@ def test_feasibility_monotone(fast_sweep):
 
 def test_feasible_iff_below_limit(fast_sweep):
     for rec in fast_sweep.records:
-        assert rec.feasible == (rec.u <= fast_sweep.u_limit)
+        assert rec.feasible == (rec.u <= FAST.u_limit)
 
 
 def test_improvement_positive_above_onset(fast_sweep):
@@ -52,7 +52,7 @@ def test_improvement_positive_above_onset(fast_sweep):
 
 
 def test_selected_is_feasible_with_best_mean_improvement(fast_sweep):
-    selected = fast_sweep.record(fast_sweep.selected_mm)
+    (selected,) = [rec for rec in fast_sweep.records if rec.separation_mm == fast_sweep.selected_mm]
     assert selected.feasible
     for rec in fast_sweep.records:
         if rec.feasible:

@@ -193,11 +193,11 @@ def _reference_time_loop(eps, sig, layout, pulse, n_steps):
     hy = np.zeros((n_runs, n_nodes - 1))
     trans = np.zeros((n_runs, n_steps))
     i_tfsf = layout.i_tfsf
-    t_n = 0.0
     # the source sees each time as a one-element array, as the batch's does:
     # on a Python float, ** 2 goes through libm's pow, which differs from
     # numpy's square in the last bit at a few steps
     for n in range(n_steps):
+        t_n = n * dt
         hy -= ch * (ex[:, 1:] - ex[:, :-1])
         hy[:, i_tfsf - 1] += ch * fdtd._source(pulse, np.array([t_n]))
         ex_left, ex_right = ex[:, 0].copy(), ex[:, -1].copy()
@@ -208,7 +208,6 @@ def _reference_time_loop(eps, sig, layout, pulse, n_steps):
         ex[:, 0] = ex_left_in + mur * (ex[:, 1] - ex_left)
         ex[:, -1] = ex_right_in + mur * (ex[:, -2] - ex_right)
         trans[:, n] = ex[:, layout.i_transmit]
-        t_n += dt
     return trans, ex, hy
 
 
@@ -230,6 +229,13 @@ def test_time_loop_matches_row_major_reference_bit_for_bit(wall, dz_mm):
     assert np.array_equal(trans, ref_trans)
     assert np.array_equal(fields.ex.T, ref_ex)
     assert np.array_equal(fields.hy.T, ref_hy)
+
+
+def test_a_field_that_grows_without_bound_raises_at_the_guard_step(wall):
+    eps, sig, layout, pulse = _wall_batch(wall, 2.0)
+    eps[:, layout.i_stack + 10: layout.i_stack + 20] = 0.25  # below the eps' >= 1 that dt = dz / c0 needs
+    with np.errstate(all="ignore"), pytest.raises(FdtdError, match="at step 1999; the time loop is unstable"):
+        fdtd._time_step_batch(eps, sig, layout, pulse, 4000)
 
 
 def test_folded_reference_row_equals_a_vacuum_run(wall):

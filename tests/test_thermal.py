@@ -56,6 +56,13 @@ def test_featureless_grid_matches_analytical(antenna_cell, boundary, bare_fv_res
     assert bare_fv_result.u == pytest.approx(expected, rel=0.005)
 
 
+def _painted_area_m2(grid, material_name, z_mm):
+    """Painted area of one material in the x-y plane nearest to z_mm."""
+    zc = 0.5 * (grid.z_nodes_mm[:-1] + grid.z_nodes_mm[1:])
+    mask = grid.material[:, :, np.argmin(np.abs(zc - z_mm))] == grid.material_names.index(material_name)
+    return float(np.sum(np.outer(grid.dx_m, grid.dy_m)[mask]))
+
+
 def test_voxelized_conductor_cross_section(antenna_cell):
     grid = voxelize_unit_cell(antenna_cell)
     spec = antenna_cell.coax
@@ -64,7 +71,7 @@ def test_voxelized_conductor_cross_section(antenna_cell):
     pin = math.pi * spec.inner_radius_mm**2
     expected = spec.count * (annulus + pin) * 1e-6
     assert expected == pytest.approx(2 * 1.045e-6, rel=0.005)
-    painted = grid.cross_section_area_m2("stainless_steel", 180.0)
+    painted = _painted_area_m2(grid, "stainless_steel", 180.0)
     assert painted == pytest.approx(expected, rel=0.05)
 
 
@@ -72,7 +79,7 @@ def test_voxelized_dielectric_cross_section(antenna_cell):
     grid = voxelize_unit_cell(antenna_cell)
     spec = antenna_cell.coax
     expected = spec.count * math.pi * (spec.shield_inner_radius_mm**2 - spec.inner_radius_mm**2) * 1e-6
-    painted = grid.cross_section_area_m2("ptfe_low_density", 180.0)
+    painted = _painted_area_m2(grid, "ptfe_low_density", 180.0)
     assert painted == pytest.approx(expected, rel=0.05)
 
 
@@ -168,7 +175,7 @@ def test_antenna_cell_solved_on_mirror_quarter(antenna_cell, antenna_fv_result):
 
 def _dense_fv(grid, bc):
     """Reference solve: the full-cell finite-volume system, assembled cell by cell, solved densely."""
-    lam = grid.conductivity_field()
+    lam = grid.conductivity_by_id[grid.material]
     widths = (grid.dx_m, grid.dy_m, grid.dz_m)
     shape = lam.shape
     n = lam.size
