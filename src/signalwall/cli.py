@@ -198,18 +198,17 @@ def cmd_sweep(args) -> int:
     print(f"{'sep mm':>7} {'U':>8} {'feasible':>8}  " + "  ".join(f"{f:g} GHz" for f in cfg.frequencies_ghz))
     for rec in result.records:
         gains = "  ".join(f"{rec.improvement_db[f]:+6.1f}" for f in cfg.frequencies_ghz)
-        print(f"{rec.separation_mm:7.0f} {rec.u:8.4f} {str(rec.feasible):>8}  {gains}")
+        print(f"{rec.separation_mm:7g} {rec.u:8.4f} {str(rec.feasible):>8}  {gains}")
     unconverged = ", ".join(f"{rec.separation_mm:g}" for rec in result.records if not rec.converged)
     if unconverged:
         print(f"warning: finite-volume solve did not converge at {unconverged} mm", file=sys.stderr)
     if args.output:
         result.write_csv(args.output)
         print(f"sweep table written to {args.output}")
-    if result.selected_mm is None:
+    if result.smallest_feasible_mm is None:
         print(result.rationale)
         return EXIT_INFEASIBLE
-    smallest = min(rec.separation_mm for rec in result.records if rec.feasible)
-    print(f"smallest feasible separation: {smallest:.0f} mm (U limit {cfg.u_limit} W/(m^2 K))")
+    print(f"smallest feasible separation: {result.smallest_feasible_mm:g} mm (U limit {cfg.u_limit} W/(m^2 K))")
     print(result.rationale)
     return EXIT_OK
 

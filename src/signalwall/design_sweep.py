@@ -2,8 +2,8 @@
 
 Sweeps the square unit-cell size (equal to the antenna-system separation on
 the wall), evaluates the finite-volume U-value and the combined
-electromagnetic transmission per frequency, and selects the best separation
-that respects the regulatory U-value limit.
+electromagnetic transmission per frequency, and reports the smallest
+separation that respects the regulatory U-value limit.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antenna_link import UnitCell, COMBINATION_MODES, link_budget
+from .antenna_link import UnitCell, link_budget
 from .layered_em import amplitude_db
 from .materials import VALID_RANGE_GHZ
 from .thermal import ThermalBoundary, solve_steady_state, voxelize_unit_cell
@@ -27,7 +27,6 @@ class SweepConfig:
     separations_mm: tuple[float, ...] = tuple(float(s) for s in range(70, 201, 10))
     frequencies_ghz: tuple[float, ...] = (1.5, 3.5, 5.0, 8.0)
     u_limit: float = 0.17
-    combination: str = "incoherent"
 
     def __post_init__(self):
         if not self.separations_mm:
@@ -45,8 +44,6 @@ class SweepConfig:
             raise SweepError("frequencies must not repeat")
         if self.u_limit <= 0.0:
             raise SweepError("U-value limit must be > 0")
-        if self.combination not in COMBINATION_MODES:
-            raise SweepError(f"combination must be one of {COMBINATION_MODES}")
 
 
 @dataclass
@@ -66,7 +63,7 @@ class SeparationRecord:
 @dataclass
 class SweepResult:
     records: list[SeparationRecord]
-    selected_mm: float | None
+    smallest_feasible_mm: float | None
     rationale: str
 
     def write_csv(self, path):
@@ -81,13 +78,11 @@ class SweepResult:
 
 
 def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = ThermalBoundary()) -> SweepResult:
-    """Evaluate every separation and select the best feasible one.
+    """Evaluate every separation and report the smallest feasible one.
 
-    Selection maximizes the mean dB improvement over the configured
-    frequencies among feasible separations, ties going to the larger (and
-    cheaper to build) separation.  Mutual coupling between neighbouring
-    antenna systems is not modelled, so rankings between adjacent dense
-    spacings can differ from full-wave results; the rationale says so.
+    Mutual coupling between neighbouring antenna systems is not modelled,
+    so the improvements at the densest spacings can differ from full-wave
+    results; the rationale says so.
     """
     if not cell_template.has_antenna_system:
         raise SweepError("sweep needs a unit cell with an antenna system")
@@ -96,7 +91,7 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
     for s, sized in zip(cfg.separations_mm, cells):
         grid = voxelize_unit_cell(sized)
         thermal = solve_steady_state(grid, bc)
-        budget = link_budget(sized, cfg.frequencies_ghz, mode=cfg.combination)
+        budget = link_budget(sized, cfg.frequencies_ghz)
         records.append(
             SeparationRecord(
                 separation_mm=float(s),
@@ -109,23 +104,20 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
         )
 
     feasible = [r for r in records if r.feasible]
-    if feasible:
-        best = max(feasible, key=lambda r: (round(r.mean_improvement_db, 9), r.separation_mm))
-        selected = best.separation_mm
+    if not feasible:
+        closest = min(records, key=lambda r: r.u)
         rationale = (
-            f"selected {selected:.0f} mm: best mean improvement {best.mean_improvement_db:.1f} dB over "
-            f"{list(cfg.frequencies_ghz)} GHz among separations with U <= {cfg.u_limit} W/(m^2 K). "
-            "Mutual coupling between neighbouring antenna systems is not modelled; it penalizes the densest "
-            "spacings in full-wave studies, so rankings within ~10 mm of the feasibility edge are soft."
+            f"no separation in {[f'{s:g}' for s in cfg.separations_mm]} mm meets "
+            f"U <= {cfg.u_limit} W/(m^2 K); the closest is {closest.u:.4f} at {closest.separation_mm:g} mm"
         )
-    else:
-        selected = None
-        rationale = (
-            f"no separation in {[f'{s:.0f}' for s in cfg.separations_mm]} mm meets "
-            f"U <= {cfg.u_limit} W/(m^2 K); the closest is "
-            f"{min(records, key=lambda r: r.u).u:.4f} at {max(cfg.separations_mm):.0f} mm"
-        )
-    return SweepResult(records, selected, rationale)
+        return SweepResult(records, None, rationale)
+    edge = min(feasible, key=lambda r: r.separation_mm)
+    rationale = (
+        f"mean improvement at the edge: {edge.mean_improvement_db:.1f} dB over {list(cfg.frequencies_ghz)} GHz. "
+        "Mutual coupling between neighbouring antenna systems is not modelled; it penalizes the densest "
+        "spacings in full-wave studies, so improvements within ~10 mm of the feasibility edge are soft."
+    )
+    return SweepResult(records, edge.separation_mm, rationale)
 
 
 def min_feasible_separation(

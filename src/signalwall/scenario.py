@@ -212,9 +212,7 @@ def scenario_from_dict(data: dict, db: MaterialDatabase | None = None) -> Scenar
             **_section(root.get("thermal", {}), "thermal", r_si=float, r_se=float, t_inside_k=float, t_outside_k=float)
         )
 
-    sweep_fields = _section(
-        root.get("sweep", {}), "sweep", separations_mm=list, frequencies_ghz=list, u_limit=float, combination=str
-    )
+    sweep_fields = _section(root.get("sweep", {}), "sweep", separations_mm=list, frequencies_ghz=list, u_limit=float)
     for key in ("separations_mm", "frequencies_ghz"):
         if key in sweep_fields:
             sweep_fields[key] = _items(sweep_fields[key], float, f"sweep.{key}")

@@ -333,6 +333,35 @@ def test_sweep_names_every_unconverged_separation_on_stderr(tmp_path, monkeypatc
     assert code == 0 and "True" in printed.out
 
 
+
+def _stub_sweep_solves(monkeypatch, u_of_separation):
+    from signalwall import design_sweep
+    from signalwall.thermal import UValueResult
+
+    def solve(grid, *args, **kwargs):
+        return UValueResult(u=u_of_separation[float(grid.x_nodes_mm[-1])], converged=True, iterations=1, residual=0.0)
+
+    monkeypatch.setattr(design_sweep, "solve_steady_state", solve)
+
+
+def test_infeasible_sweep_names_the_separation_with_the_lowest_u(monkeypatch, capsys):
+    # U need not fall with separation (near the pad size it does not), so the closest record is not the largest one
+    _stub_sweep_solves(monkeypatch, {150.0: 0.20, 160.0: 0.21})
+    assert main(["sweep", "--separations", "150,160", "--u-limit", "0.05"]) == 3
+    assert "the closest is 0.2000 at 150 mm" in capsys.readouterr().out
+
+
+def test_fractional_separations_print_unrounded(monkeypatch, capsys):
+    _stub_sweep_solves(monkeypatch, {72.5: 0.15, 150.0: 0.14})
+    assert main(["sweep", "--separations", "72.5,150"]) == 0
+    printed = capsys.readouterr().out
+    rows = [line.split()[0] for line in printed.splitlines() if line.split() and line.split()[0][0].isdigit()]
+    assert rows == ["72.5", "150"]
+    assert "smallest feasible separation: 72.5 mm" in printed
+    _stub_sweep_solves(monkeypatch, {72.5: 0.20, 150.0: 0.21})
+    assert main(["sweep", "--separations", "72.5,150"]) == 3
+    assert "no separation in ['72.5', '150'] mm" in capsys.readouterr().out
+
 def test_sweep_warns_when_the_solver_stops_short(monkeypatch, capsys):
     from signalwall import thermal
 

@@ -285,6 +285,15 @@ def test_old_cable_keys_are_unknown(section, key, value):
         scenario_from_dict(_scenario_with(section, key, value))
 
 
+def test_sweep_combination_is_an_unknown_field():
+    # the sweep always combines the paths incoherently; transmission --combine keeps the other modes
+    data = json.loads(default_scenario_text())
+    assert set(data["sweep"]) == {"separations_mm", "frequencies_ghz", "u_limit"}
+    data["sweep"]["combination"] = "incoherent"
+    with pytest.raises(ScenarioError, match=r"^sweep\.combination: unknown field$"):
+        scenario_from_dict(data)
+
+
 @pytest.mark.parametrize(
     "drop, message",
     [
