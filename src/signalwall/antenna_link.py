@@ -25,7 +25,7 @@ from .layered_em import LayerStack, _check_band, _check_theta, _coefficients, am
 from .materials import Material
 
 COMBINATION_MODES = ("incoherent", "coherent_best", "coherent_worst")
-ONSET_TOL_GHZ = 0.01  # bisection width of the improvement onset
+ONSET_TOL_GHZ = 0.005  # largest step of the improvement onset's grid; the onset lies within half a step of the crossing
 
 
 # the material property each cable role reads
@@ -303,34 +303,21 @@ def improvement_onset_ghz(
 
     The crossover t_antenna = |t_wall| is where the combined incoherent level
     sits 3 dB above the bare wall; below it the antenna system no longer
-    gives a meaningful improvement.  A 0.1 GHz scan, closed by the band end,
-    brackets the first crossing, which is then bisected to ``ONSET_TOL_GHZ``.
-    Returns None when no crossing exists in the band.  A band that
-    ``transmission_spectrum`` would reject raises ValueError.
+    gives a meaningful improvement.  One link budget over the band, on a grid
+    of steps no wider than ``ONSET_TOL_GHZ``, finds the first step where the
+    antenna path comes to lead; the onset is that step's midpoint.  Returns
+    the band start when the antenna path already leads there, and None when
+    no crossing exists in the band.  A band that ``transmission_spectrum``
+    would reject raises ValueError.
     """
     if not cell.has_antenna_system:
         return None
     _check_band(f_start_ghz, f_stop_ghz)
-
-    def excess(f):
-        """t_antenna - |t_wall| at each frequency of ``f`` (scalar or array), as an array."""
-        t_wall, t_antenna, _ = link_budget(cell, f, theta_deg, polarization)
-        return t_antenna - np.abs(t_wall)
-
-    grid = np.arange(f_start_ghz, f_stop_ghz + 1e-9, 0.1)
-    if grid[-1] < f_stop_ghz - 1e-9:
-        grid = np.append(grid, f_stop_ghz)
-    values = excess(grid)
-    if values[0] >= 0.0:
-        return float(grid[0])
-    ahead = np.flatnonzero(values >= 0.0)
+    grid = np.linspace(f_start_ghz, f_stop_ghz, math.ceil((f_stop_ghz - f_start_ghz) / ONSET_TOL_GHZ) + 1)
+    t_wall, t_antenna, _ = link_budget(cell, grid, theta_deg, polarization)
+    ahead = np.flatnonzero(t_antenna >= np.abs(t_wall))
     if ahead.size == 0:
         return None
-    lo, hi = grid[ahead[0] - 1], grid[ahead[0]]
-    while hi - lo > ONSET_TOL_GHZ:
-        mid = 0.5 * (lo + hi)
-        if excess(mid)[0] >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return float(0.5 * (lo + hi))
+    if ahead[0] == 0:
+        return float(grid[0])
+    return float(0.5 * (grid[ahead[0] - 1] + grid[ahead[0]]))

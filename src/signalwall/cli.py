@@ -109,7 +109,7 @@ def cmd_transmission(args) -> int:
         onset = improvement_onset_ghz(cell, f1, f2, args.theta, args.pol)
         if onset is None:
             lines.append("  improvement onset: none in band")
-        elif onset == f1:  # the antenna path already leads at the first scanned frequency
+        elif onset == f1:  # the antenna path already leads at the band start
             lines.append(f"  improvement onset: at or below {f1:.2f} GHz (band start)")
         else:
             lines.append(f"  improvement onset: {onset:.2f} GHz")

@@ -127,21 +127,24 @@ _XY_COARSE_MM = 12.0  # lateral cap
 _XY_FEATURE_MM = 2.0  # spacing hint at foam/laminate edges
 _XY_CABLE_MM = 0.4  # spacing hint at cable feature lines
 _GROWTH = 1.6  # width ratio of neighbouring graded cells
+_MAX_CELLS = 5_000_000  # largest mesh; at ~131 B per cell an unfolded solve traces under 0.65 GB
 
 
 def _graded_spacings(width, h_left, h_right, h_max):
     """Cell widths filling ``width``, growing by ``_GROWTH`` from both ends."""
-    h_left = min(max(h_left, 1e-6), h_max)
-    h_right = min(max(h_right, 1e-6), h_max)
+    h_left = min(h_left, h_max)
+    h_right = min(h_right, h_max)
     if width <= min(1.25 * min(h_left, h_right), h_max):
         return np.array([width])
-    left = [h_left]
-    right = [h_right]
-    while sum(left) + sum(right) < width:
-        if sum(left) <= sum(right):
+    left, right = [h_left], [h_right]
+    left_sum, right_sum = h_left, h_right  # running totals, added in list order as sum() would
+    while left_sum + right_sum < width:
+        if left_sum <= right_sum:
             left.append(min(left[-1] * _GROWTH, h_max))
+            left_sum += left[-1]
         else:
             right.append(min(right[-1] * _GROWTH, h_max))
+            right_sum += right[-1]
     spacings = np.array(left + right[::-1])
     return spacings * (width / spacings.sum())
 
@@ -315,7 +318,11 @@ def voxelize_unit_cell(cell: UnitCell) -> VoxelGrid:
                 f"mesh too coarse near the cable: {widest:.3f} mm cells vs {2 * cell.coax.outer_radius_mm:.3f} mm diameter"
             )
 
-    material = np.full([len(c) for c in centres], -1, dtype=np.int16)
+    shape = [len(c) for c in centres]
+    if math.prod(shape) > _MAX_CELLS:
+        cells = f"{math.prod(shape):,} cells ({' x '.join(map(str, shape))})"
+        raise ThermalError(f"mesh of {cells} exceeds the {_MAX_CELLS:,}-cell limit")
+    material = np.full(shape, -1, dtype=np.int16)
     materials: list[Material] = []  # distinct by identity, in paint order; a voxel's id indexes this
     for box in boxes:
         mat_id = next((i for i, m in enumerate(materials) if m is box.material), len(materials))

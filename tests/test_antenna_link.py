@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signalwall import antenna_link
 from signalwall.antenna_link import (
     COMBINATION_MODES,
+    ONSET_TOL_GHZ,
     AntennaSpec,
     CoaxSpec,
     UnitCell,
@@ -314,23 +316,61 @@ def test_improvement_onset_in_band(antenna_cell):
     assert abs(t_ant) == pytest.approx(abs(t_wall), rel=0.05)
 
 
-@pytest.mark.parametrize(
-    "theta, pol, onset",
-    [(0.0, "RHCP", 2.2718750000000014), (45.0, "TM", 2.2531250000000007)],
-)
-def test_onset_bisection_values(antenna_cell, theta, pol, onset):
-    # the 0.1 GHz scan and the bisection share one TMM call; these are the
-    # onsets the bisection gave when it built an Incidence per midpoint
+@pytest.mark.parametrize("theta, pol, onset", [(0.0, "RHCP", 2.2725), (45.0, "TM", 2.2525)])
+def test_onset_grid_values(antenna_cell, theta, pol, onset):
+    # the midpoint of the first 0.005 GHz step of 1-8 GHz over which the antenna path comes to lead
     assert improvement_onset_ghz(antenna_cell, 1.0, 8.0, theta, pol) == onset
 
 
 @pytest.mark.parametrize(
     "band, theta, pol, onset",
-    [((1.0, 2.0), 0.0, "RHCP", None), ((1.0, 2.0), 60.0, "TE", 1.9656250000000008), ((2.5, 8.0), 0.0, "RHCP", 2.5)],
-    ids=["no-crossing", "bisected", "band-start"],
+    [((1.0, 2.0), 0.0, "RHCP", None), ((1.0, 2.0), 60.0, "TE", 1.9674999999999998), ((2.5, 8.0), 0.0, "RHCP", 2.5)],
+    ids=["no-crossing", "midpoint", "band-start"],
 )
 def test_onset_reads_the_first_scanned_point_where_the_antenna_path_leads(antenna_cell, band, theta, pol, onset):
     assert improvement_onset_ghz(antenna_cell, *band, theta, pol) == onset
+
+
+def test_one_onset_is_one_link_budget(monkeypatch, antenna_cell):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return link_budget(*args, **kwargs)
+
+    monkeypatch.setattr(antenna_link, "link_budget", counting)
+    improvement_onset_ghz(antenna_cell)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "separation, band, theta, pol",
+    [
+        (150.0, (1.0, 8.0), 0.0, "RHCP"),
+        (150.0, (1.0, 8.0), 45.0, "TM"),
+        (150.0, (2.0, 2.29), 0.0, "RHCP"),
+        (150.0, (1.0, 2.0), 60.0, "TE"),
+        (80.0, (1.0, 8.0), 30.0, "TE"),
+        (500.0, (1.0, 8.0), 0.0, "TM"),
+        (150.0, (2.5, 8.0), 0.0, "RHCP"),
+        (150.0, (1.0, 2.0), 0.0, "RHCP"),
+    ],
+)
+def test_onset_lies_within_half_a_step_of_a_fine_scan(antenna_cell, separation, band, theta, pol):
+    cell = antenna_cell.with_separation(separation)
+    step = 1e-4
+    scan = np.linspace(*band, round((band[1] - band[0]) / step) + 1)
+    t_wall, t_antenna, _ = link_budget(cell, scan, theta, pol)
+    ahead = np.flatnonzero(t_antenna >= np.abs(t_wall))
+    onset = improvement_onset_ghz(cell, *band, theta, pol)
+    if ahead.size == 0:
+        assert onset is None
+    elif ahead[0] == 0:
+        assert onset == band[0]
+    else:
+        # the scan places the crossing within half its own step of its first leading step's midpoint
+        crossing = 0.5 * (scan[ahead[0] - 1] + scan[ahead[0]])
+        assert abs(onset - crossing) <= ONSET_TOL_GHZ / 2 + step / 2
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +47,10 @@ def test_onset_at_the_band_start_is_reported_as_a_bound(tmp_path, capsys):
 
 
 def test_onset_between_the_last_scan_step_and_the_band_end_is_found(tmp_path, capsys):
-    # the 0.1 GHz scan of 2.0:2.29 ends at 2.2 GHz; the crossing lies between that step and 2.29 GHz
+    # the crossing lies at 2.2736 GHz, 0.016 GHz below the band end; the default band prints it as 2.27 GHz too
     assert main(["transmission", "--band", "2.0:2.29:30", "--with-antennas", "-o", str(tmp_path / "t.csv")]) == 0
     onset_lines = [line for line in capsys.readouterr().out.splitlines() if "improvement onset" in line]
-    assert onset_lines == ["  improvement onset: 2.28 GHz"]
+    assert onset_lines == ["  improvement onset: 2.27 GHz"]
 
 
 def test_onset_without_a_crossing_in_the_band_is_reported(tmp_path, capsys):
@@ -805,6 +806,19 @@ def _edited_default_scenario(edit):
     data = json.loads(default_scenario_text())
     edit(data)
     return data
+
+
+def test_a_cell_too_wide_to_mesh_exits_2_within_seconds(tmp_path, capsys):
+    # a 1 km square cell: the mesher's work grows linearly with the cells per axis, and the
+    # count is refused before any array of that size is made
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_edited_default_scenario(lambda d: d["unit_cell"].update(sx_mm=1e6, sy_mm=1e6))))
+    start = time.perf_counter()
+    assert main(["uvalue", "--fv", "--scenario", str(path)]) == 2
+    assert time.perf_counter() - start < 20.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mesh of 1,237,124,928,900 cells (83370 x 83365 x 178) exceeds the 5,000,000-cell limit\n"
 
 
 def _materials(**entry):

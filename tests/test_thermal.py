@@ -304,6 +304,15 @@ def test_geometry_exceeding_cell_rejected(antenna_cell):
         antenna_cell.with_separation(45.0)
 
 
+def test_a_mesh_over_the_cell_limit_is_refused_before_its_arrays(monkeypatch, antenna_cell):
+    # the default 150 mm cell meshes to 367,392 cells: the limit admits that count and refuses one more
+    monkeypatch.setattr(thermal, "_MAX_CELLS", 367_392)
+    assert voxelize_unit_cell(antenna_cell).n_cells == 367_392
+    monkeypatch.setattr(thermal, "_MAX_CELLS", 367_391)
+    with pytest.raises(ThermalError, match=r"^mesh of 367,392 cells \(\d+ x \d+ x \d+\) exceeds the 367,391-cell limit$"):
+        voxelize_unit_cell(antenna_cell)
+
+
 def test_cable_resolution_guaranteed_even_with_coarse_options(antenna_cell):
     # feature-snapped meshing keeps the cable pack resolved (diameter spans
     # at least two cells) no matter how coarse the far-field targets are
