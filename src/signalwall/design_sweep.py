@@ -15,7 +15,7 @@ import numpy as np
 from .antenna_link import UnitCell, link_budget
 from .layered_em import amplitude_db
 from .materials import VALID_RANGE_GHZ
-from .thermal import ThermalBoundary, solve_steady_state, voxelize_unit_cell
+from .thermal import ThermalBoundary, ThermalError, solve_steady_state, voxelize_unit_cell
 
 
 class SweepError(ValueError):
@@ -87,9 +87,14 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
     if not cell_template.has_antenna_system:
         raise SweepError("sweep needs a unit cell with an antenna system")
     cells = [cell_template.with_separation(s) for s in cfg.separations_mm]  # a cell too small fails before any solve
-    records = []
+    grids = []  # a cell that cannot be meshed fails, named, before any solve
     for s, sized in zip(cfg.separations_mm, cells):
-        grid = voxelize_unit_cell(sized)
+        try:
+            grids.append(voxelize_unit_cell(sized))
+        except ThermalError as exc:
+            raise ThermalError(f"{s:g} mm: {exc}") from None
+    records = []
+    for s, sized, grid in zip(cfg.separations_mm, cells, grids):
         thermal = solve_steady_state(grid, bc)
         budget = link_budget(sized, cfg.frequencies_ghz)
         records.append(

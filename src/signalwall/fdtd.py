@@ -7,7 +7,12 @@ the incident wave evaluated analytically, and first-order Mur terminations.
 The time step is the magic one, dt = dz / c0: vacuum propagation is exact
 in 1-D, the Mur update is an exact one-cell shift, and the source injection
 is leak-free.  It is stable only where eps' >= 1, so a layer below that is
-rejected before any time stepping.
+rejected before any time stepping.  Because vacuum carries a wave one node
+per step unchanged, a wider vacuum gap would only delay the transmit trace
+of the stack run and the free-space reference alike, a delay their
+transform ratio cancels.  So the grid is the stack plus `_VACUUM_NODES`
+nodes in each gap: Mur end to source plane, source plane to stack, stack to
+probe and probe to Mur end.
 
 A time-domain run holds each layer's (eps', sigma) constant, so
 :func:`validate_against_tmm` runs one simulation per comparison frequency,
@@ -26,12 +31,13 @@ as it is stepped, so no array spans all the steps of a run.
 
 The time loop holds the fields node-major, (n_nodes, n_runs), so every
 shifted slice is one contiguous block, and updates them in place through
-preallocated difference buffers.  Both incident waveforms are evaluated
-once per call, step n at time n * dt, and each node sees the same
-operations in the same order, so the traces are bit-identical to a
-row-major loop with the source evaluated every step.  A run that has not
-decayed is extended from its saved fields rather than restarted.  A field
-that grows without bound raises `FdtdError`, like every other fault here.
+preallocated difference buffers.  Both incident waveforms, and the E
+correction of every run, are evaluated once per call, step n at time
+n * dt, and each node sees the same operations in the same order, so the
+traces are bit-identical to a row-major loop with the source evaluated
+every step.  A run that has not decayed is extended from its saved fields
+rather than restarted.  A field that grows without bound raises
+`FdtdError`, like every other fault here.
 """
 
 from __future__ import annotations
@@ -50,10 +56,9 @@ class FdtdError(ValueError):
     """Invalid FDTD configuration, or field growth detected during time stepping."""
 
 
-# vacuum padding outside the source plane and the transmit probe, and their
-# distance from the stack faces
-_PAD_MM = 60.0
-_PROBE_OFFSET_MM = 20.0
+# vacuum nodes in each of the grid's four gaps; the module docstring says why
+# so few suffice
+_VACUUM_NODES = 4
 # grid cells per wavelength in the densest layer at the top of the band
 _CELLS_PER_WAVELENGTH = 20.0
 # time steps per block of the streamed transform, which bounds its kernel at
@@ -61,8 +66,12 @@ _CELLS_PER_WAVELENGTH = 20.0
 _DFT_BLOCK = 2048
 # comparison points per call, the 0.01 GHz grid of the default 1-8 GHz band;
 # on the default wall its fields, coefficients and block kernel peak at
-# ~120 MB of traced memory, and the call runs ~130 s on a 2-core x86_64 VM
+# ~113 MB of traced memory, and the call runs ~80 s on a 2-core x86_64 VM
 _MAX_POINTS = 701
+# runs x nodes x initial steps per call, which grows as 1/dz^2; it admits the
+# largest run `_MAX_POINTS` allows at the default dz on the default wall:
+# 701 points on 1:1.0007 GHz, the longest pulse, 702 x 896 x 28,807 = 1.81e10
+_MAX_NODE_STEPS = 20_000_000_000
 
 
 @dataclass(frozen=True)
@@ -118,15 +127,13 @@ class _Layout:
 
 def _build_layout(stack: LayerStack, cfg: Fdtd1dConfig) -> _Layout:
     dz = cfg.dz_mm * 1e-3
-    pad = max(int(round(_PAD_MM / cfg.dz_mm)), 20)
-    probe = max(int(round(_PROBE_OFFSET_MM / cfg.dz_mm)), 4)
     stack_cells = [int(round(layer.thickness_mm / cfg.dz_mm)) for layer in stack.layers]
     if any(c < 1 for c in stack_cells):
         raise FdtdError("spatial step too coarse to resolve a layer")
-    i_tfsf = pad
-    i_stack = i_tfsf + probe
-    i_transmit = i_stack + sum(stack_cells) + probe
-    n_nodes = i_transmit + pad
+    i_tfsf = _VACUUM_NODES
+    i_stack = i_tfsf + _VACUUM_NODES
+    i_transmit = i_stack + sum(stack_cells) + _VACUUM_NODES
+    n_nodes = i_transmit + _VACUUM_NODES
     return _Layout(n_nodes, i_tfsf, i_stack, i_transmit, dz, dz / C0, stack_cells)
 
 
@@ -236,10 +243,11 @@ def _time_step_batch(eps, sig, layout: _Layout, pulse: _Pulse, n_steps: int, fie
     ex_first, ex_second, ex_penult, ex_last = ex[0], ex[1], ex[-2], ex[-1]
     ex_in, ca_in, cb_in = ex[1:-1], ca[1:-1], cb[1:-1]
     i_tfsf = layout.i_tfsf
-    hy_tfsf, ex_tfsf, cb_tfsf = hy[i_tfsf - 1], ex[i_tfsf], cb[i_tfsf]
+    hy_tfsf, ex_tfsf = hy[i_tfsf - 1], ex[i_tfsf]
+    inc = np.multiply.outer(e_inc, cb[i_tfsf])  # the E correction of every run at every step
+    inc /= ETA0
     d_ex = np.empty_like(hy)
     d_hy = np.empty_like(ex_in)
-    inc = np.empty(n_runs)
     trace = np.empty((n_steps, n_runs))
     ex_transmit = ex[layout.i_transmit]
 
@@ -261,9 +269,7 @@ def _time_step_batch(eps, sig, layout: _Layout, pulse: _Pulse, n_steps: int, fie
         d_hy *= cb_in
         ex_in *= ca_in
         ex_in -= d_hy
-        np.multiply(cb_tfsf, e_inc[n], out=inc)
-        inc /= ETA0
-        ex_tfsf += inc
+        ex_tfsf += inc[n]
 
         trace[n] = ex_transmit
 
@@ -342,9 +348,9 @@ def validate_against_tmm(
     that point (batched into a single time loop), so the comparison carries
     no dispersion-freezing bias; the residual difference is the
     discretization error of the oracle.  A band outside the material
-    model's `VALID_RANGE_GHZ`, a grid of more than `_MAX_POINTS` points, or
-    a layer with eps' < 1 at a grid point is rejected before any time
-    stepping.
+    model's `VALID_RANGE_GHZ`, a grid of more than `_MAX_POINTS` points, a
+    run of more than `_MAX_NODE_STEPS` node-steps, or a layer with eps' < 1
+    at a grid point is rejected before any time stepping.
     """
     if not step_ghz > 0.0:
         raise FdtdError(f"comparison step must be > 0 GHz, got {step_ghz}")
@@ -366,9 +372,16 @@ def validate_against_tmm(
         raise FdtdError(f"dz={cfg.dz_mm} mm resolves only {f_resolved:.2f} GHz; reduce the spatial step")
 
     layout = _build_layout(stack, cfg)
-    eps, sig = _with_reference_row(*_material_arrays(stack, layout, freqs))
-
     n_steps = _auto_steps(stack, eps_center, pulse, layout)
+    n_runs = freqs.size + 1  # the free-space reference is one more run
+    node_steps = n_runs * layout.n_nodes * n_steps
+    if node_steps > _MAX_NODE_STEPS:
+        raise FdtdError(
+            f"FDTD run of {node_steps:,} node-steps ({n_runs} runs x {layout.n_nodes:,} "
+            f"nodes x {n_steps:,} steps) exceeds the {_MAX_NODE_STEPS:,}-node-step limit; "
+            "use a coarser dz or a wider step"
+        )
+    eps, sig = _with_reference_row(*_material_arrays(stack, layout, freqs))
     fdtd_t, n_steps, decayed = _run_until_decayed(eps, sig, layout, pulse, n_steps, freqs)
 
     tmm_t, _ = _coefficients(stack, freqs, 0.0, "TE")

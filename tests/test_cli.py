@@ -427,6 +427,24 @@ def test_sweep_sizes_every_cell_before_solving(monkeypatch, capsys):
         assert f"argument --separations: expected a finite number, got '{separation}'" in capsys.readouterr().err
 
 
+def test_sweep_names_a_separation_too_wide_to_mesh_before_any_solve(monkeypatch, capsys):
+    from signalwall import design_sweep
+
+    solved = []
+    solve = design_sweep.solve_steady_state
+
+    def counting_solve(grid, *args, **kwargs):
+        solved.append(float(grid.x_nodes_mm[-1]))
+        return solve(grid, *args, **kwargs)
+
+    monkeypatch.setattr(design_sweep, "solve_steady_state", counting_solve)
+    assert main(["sweep", "--separations", "80,1700"]) == 2
+    assert solved == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 1700 mm: mesh of 5,481,332 cells (178 x 173 x 178) exceeds the 5,000,000-cell limit\n"
+
+
 @pytest.mark.parametrize(
     "command", [["transmission", "--with-antennas"], ["sweep"], ["uvalue"]], ids=["transmission", "sweep", "uvalue"]
 )
@@ -819,6 +837,19 @@ def test_a_cell_too_wide_to_mesh_exits_2_within_seconds(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: mesh of 1,237,124,928,900 cells (83370 x 83365 x 178) exceeds the 5,000,000-cell limit\n"
+
+
+def test_an_fdtd_run_over_the_node_step_limit_exits_2_within_seconds(capsys):
+    # node-steps grow as 1/dz^2, so --dz 0.05 is ~100x the default run; it is refused before its arrays
+    start = time.perf_counter()
+    assert main(["fdtd-validate", "--dz", "0.05"]) == 2
+    assert time.perf_counter() - start < 20.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: FDTD run of 169,070,003,712 node-steps (72 runs x 8,816 nodes x 266,356 steps) exceeds the "
+        "20,000,000,000-node-step limit; use a coarser dz or a wider step\n"
+    )
 
 
 def _materials(**entry):

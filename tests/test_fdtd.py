@@ -245,6 +245,38 @@ def test_folded_reference_row_equals_a_vacuum_run(wall):
     assert np.array_equal(batch[-1], alone[0])
 
 
+@pytest.mark.parametrize("dz_mm", [2.0, 0.5])
+def test_vacuum_gaps_only_delay_the_transmit_trace(wall, dz_mm):
+    # at dt = dz / c0 vacuum and the Mur ends are exact, so a grid with wide pads and
+    # gaps (120 nodes outside the source plane and the probe, 40 between them and the
+    # stack) sees the same trace, later by the extra source-to-probe nodes
+    eps, sig, layout, pulse = _wall_batch(wall, dz_mm)
+    cells = sum(layout.stack_cells)
+    wide = fdtd._Layout(120 + 40 + cells + 40 + 120, 120, 160, 160 + cells + 40, layout.dz, layout.dt, layout.stack_cells)
+    wide_eps, wide_sig = fdtd._material_arrays(wall, wide, [1.5, 2.0, 2.5])
+    shift = (wide.i_transmit - wide.i_tfsf) - (layout.i_transmit - layout.i_tfsf)
+    n_steps = int(5000 / dz_mm)
+    trace = fdtd._time_step_batch(*fdtd._with_reference_row(eps, sig), layout, pulse, n_steps)
+    wide_trace = fdtd._time_step_batch(*fdtd._with_reference_row(wide_eps, wide_sig), wide, pulse, n_steps + shift)
+    peak = np.max(np.abs(wide_trace))
+    assert shift == 72 and peak > 1e-3
+    assert np.all(wide_trace[:, :shift] == 0.0)
+    assert np.max(np.abs(wide_trace[:, shift:] - trace)) <= 1e-12 * peak
+
+
+def test_node_step_limit_is_checked_before_the_material_arrays(wall, monkeypatch):
+    # the field and coefficient arrays grow with runs x nodes, and the work with steps too
+    def material_arrays(*args, **kwargs):
+        raise RuntimeError("material arrays reached")
+
+    monkeypatch.setattr(fdtd, "_material_arrays", material_arrays)
+    with pytest.raises(FdtdError, match="exceeds the 20,000,000,000-node-step limit"):
+        validate_against_tmm(wall, 1.0, 8.0, 0.1, Fdtd1dConfig(dz_mm=0.05))
+    # the largest run the point limit allows at the default dz: 701 points and the longest pulse
+    with pytest.raises(RuntimeError, match="material arrays reached"):
+        validate_against_tmm(wall, 1.0, 1.0007, 0.000001)
+
+
 def _reference_transmission(traces, dt, f_ghz):
     """Transform of whole traces, summed over blocks of `_DFT_BLOCK` steps:
     run k at f_ghz[k] over the free-space reference (the last run) there."""
