@@ -15,7 +15,7 @@ import numpy as np
 from .antenna_link import UnitCell, link_budget
 from .layered_em import amplitude_db
 from .materials import VALID_RANGE_GHZ
-from .thermal import ThermalBoundary, ThermalError, solve_steady_state, voxelize_unit_cell
+from .thermal import ThermalBoundary, solve_steady_state, voxelize_unit_cell
 
 
 class SweepError(ValueError):
@@ -87,12 +87,7 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
     if not cell_template.has_antenna_system:
         raise SweepError("sweep needs a unit cell with an antenna system")
     cells = [cell_template.with_separation(s) for s in cfg.separations_mm]  # a cell too small fails before any solve
-    grids = []  # a cell that cannot be meshed fails, named, before any solve
-    for s, sized in zip(cfg.separations_mm, cells):
-        try:
-            grids.append(voxelize_unit_cell(sized))
-        except ThermalError as exc:
-            raise ThermalError(f"{s:g} mm: {exc}") from None
+    grids = [voxelize_unit_cell(sized) for sized in cells]  # an unmeshable cell fails, named, before any solve
     records = []
     for s, sized, grid in zip(cfg.separations_mm, cells, grids):
         thermal = solve_steady_state(grid, bc)
@@ -130,11 +125,13 @@ def min_feasible_separation(
 ) -> float | None:
     """Smallest swept separation whose U-value meets the limit, or None.
 
-    Solves the separations in ascending order and stops at the first
-    feasible one.
+    Meshes every separation first, so a cell that cannot be meshed fails,
+    named, before any solve; then solves them in ascending order and stops
+    at the first feasible one.
     """
-    for s in sorted(cfg.separations_mm):
-        grid = voxelize_unit_cell(cell_template.with_separation(s))
+    separations = sorted(cfg.separations_mm)
+    grids = [voxelize_unit_cell(cell_template.with_separation(s)) for s in separations]
+    for s, grid in zip(separations, grids):
         if solve_steady_state(grid, bc).u <= cfg.u_limit:
             return float(s)
     return None

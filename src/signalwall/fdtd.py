@@ -24,8 +24,8 @@ end, or to just above 0 GHz for a band that starts lower.
 
 Transmission at a comparison frequency is the ratio of discrete Fourier
 transforms of the transmit-probe signal with the stack present versus a
-free-space reference run of identical grid and source.  The reference is one
-more (vacuum) row of the same batch, so a single time loop serves both.
+free-space reference run of identical grid and source.  The reference is the
+last (vacuum) row of the batch, so a single time loop serves both.
 The transform is streamed: each block of `_DFT_BLOCK` steps is transformed
 as it is stepped, so no array spans all the steps of a run.
 
@@ -138,19 +138,21 @@ def _build_layout(stack: LayerStack, cfg: Fdtd1dConfig) -> _Layout:
 
 
 def _material_arrays(stack: LayerStack, layout: _Layout, freeze_ghz):
-    """eps'/sigma on E-nodes, one row per freeze frequency.
+    """eps'/sigma on E-nodes: one run per freeze frequency, then the
+    free-space reference run (the same grid and source, no stack).
 
     Each layer is held at (eps', sigma) with sigma = eps'' * eps0 * omega,
-    the conductivity that gives its eps'' at that frequency.  Node i owns
-    the half-cells [i-1/2, i+1/2]; layer interfaces land exactly on nodes,
-    whose properties become the two-sided average (the standard
-    second-order interface treatment).
+    the conductivity that gives its eps'' at that frequency.  Column j of
+    the padded half-cell arrays holds the cell [j-1, j], so node i owns the
+    half-cells of columns i and i+1; layer interfaces land exactly on
+    nodes, whose properties become the two-sided average (the standard
+    second-order interface treatment).  The last row stays vacuum.
     """
     freeze = np.atleast_1d(np.asarray(freeze_ghz, dtype=float))
     omega = 2.0 * math.pi * freeze * 1e9
-    eps_half = np.ones((2, len(freeze), layout.n_nodes))
-    sig_half = np.zeros((2, len(freeze), layout.n_nodes))
-    pos = layout.i_stack
+    eps_cells = np.ones((len(freeze) + 1, layout.n_nodes + 1))
+    sig_cells = np.zeros((len(freeze) + 1, layout.n_nodes + 1))
+    pos = layout.i_stack + 1
     for k, (layer, cells) in enumerate(zip(stack.layers, layout.stack_cells)):
         eps = layer.material.complex_permittivity(freeze)
         i = int(np.argmin(eps.real))
@@ -159,19 +161,10 @@ def _material_arrays(stack: LayerStack, layout: _Layout, freeze_ghz):
                 f"layer {k + 1} ({layer.material.name}) has eps' = {eps.real[i]:.3g} at {freeze[i]:g} GHz; "
                 "the FDTD time step dz / c0 is stable only for eps' >= 1"
             )
-        eps_r = eps.real[:, None]
-        sigma = (-eps.imag * EPS0 * omega)[:, None]
-        eps_half[1, :, pos: pos + cells] = eps_r          # right half-cells
-        eps_half[0, :, pos + 1: pos + cells + 1] = eps_r  # left half-cells
-        sig_half[1, :, pos: pos + cells] = sigma
-        sig_half[0, :, pos + 1: pos + cells + 1] = sigma
+        eps_cells[:-1, pos: pos + cells] = eps.real[:, None]
+        sig_cells[:-1, pos: pos + cells] = (-eps.imag * EPS0 * omega)[:, None]
         pos += cells
-    return 0.5 * (eps_half[0] + eps_half[1]), 0.5 * (sig_half[0] + sig_half[1])
-
-
-def _with_reference_row(eps, sig):
-    """Appends the free-space reference run: the same grid and source, no stack."""
-    return np.vstack((eps, np.ones_like(eps[:1]))), np.vstack((sig, np.zeros_like(sig[:1])))
+    return 0.5 * (eps_cells[:, :-1] + eps_cells[:, 1:]), 0.5 * (sig_cells[:, :-1] + sig_cells[:, 1:])
 
 
 def _source(pulse: _Pulse, t):
@@ -381,7 +374,7 @@ def validate_against_tmm(
             f"nodes x {n_steps:,} steps) exceeds the {_MAX_NODE_STEPS:,}-node-step limit; "
             "use a coarser dz or a wider step"
         )
-    eps, sig = _with_reference_row(*_material_arrays(stack, layout, freqs))
+    eps, sig = _material_arrays(stack, layout, freqs)
     fdtd_t, n_steps, decayed = _run_until_decayed(eps, sig, layout, pulse, n_steps, freqs)
 
     tmm_t, _ = _coefficients(stack, freqs, 0.0, "TE")

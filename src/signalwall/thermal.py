@@ -21,23 +21,26 @@ knobs; its lengths are module constants in mm.  The slabs carry the caps,
 ``_XY_COARSE_MM`` across the cell and ``_Z_INSULATING_MM`` or
 ``_Z_CONDUCTIVE_MM`` through it by conductivity; the foam and laminate pads
 carry the hints ``_XY_FEATURE_MM`` at their edges and ``_Z_INTERFACE_MM`` at
-their planes, and the cable boxes ``_XY_CABLE_MM`` at their lines.
+their planes, and the cable boxes ``_XY_CABLE_MM`` at their lines.  A mesh
+over ``_MAX_CELLS`` cells, or too coarse to resolve the cable, is refused
+with a ``ThermalError`` that names its cell.
 
 The linear system is symmetric positive definite and solved with conjugate
 gradients under diagonal (Jacobi) preconditioning, started from the 1-D
-layered temperature profile.  The solve has no settable knobs: CG runs to
-``_CG_RTOL`` within ``_MAX_ITER`` iterations, and a converged solve also
-balances its two face heat flows to ``_BALANCE_TOL``.  The operator is
-stored as seven bands of a ``scipy.sparse.dia_array`` at ascending offsets
-(the x, y and z neighbours below, the diagonal, the neighbours above), so a
-product sums each row in column order as CSR does, from 7 numbers per
-unknown.  ``scipy.sparse`` is imported at the first assembly, so the
-analytical U-value and the EM commands never load it.  The CG loop is the
-package's own and runs in place on preallocated vectors, with the recurrence
-and stopping test of ``scipy.sparse.linalg.cg``.  Its inner products are
-summed in one thread by ``np.einsum``: a threaded BLAS dot splits its sum by
-thread, which moved the last bits of U with ``OPENBLAS_NUM_THREADS``, and its
-hand-off between threads stalled the loop.
+layered temperature profile.  The solve has no settable knobs: within
+``_MAX_ITER`` iterations, CG runs until ||r|| < ``_CG_RTOL`` ||b|| and its
+two face heat flows, read from the boundary planes of the iterate, agree to
+``_BALANCE_TOL``; a converged solve is one that stopped on both.  The
+operator is stored as seven bands of a ``scipy.sparse.dia_array`` at
+ascending offsets (the x, y and z neighbours below, the diagonal, the
+neighbours above), so a product sums each row in column order as CSR does,
+from 7 numbers per unknown.  ``scipy.sparse`` is imported at the first
+assembly, so the analytical U-value and the EM commands never load it.  The
+CG loop is the package's own and runs in place on preallocated vectors, with
+the recurrence and residual test of ``scipy.sparse.linalg.cg``.  Its inner
+products are summed in one thread by ``np.einsum``: a threaded BLAS dot
+splits its sum by thread, which moved the last bits of U with
+``OPENBLAS_NUM_THREADS``, and its hand-off between threads stalled the loop.
 
 The solve runs on the mirror-symmetric subspace of the cell.  A lateral axis
 folds when its cell widths mirror (to 1e-9 relative) and the material array
@@ -308,6 +311,7 @@ def voxelize_unit_cell(cell: UnitCell) -> VoxelGrid:
         nodes.append(_axis_nodes(lines, length, cap))
     x_nodes, y_nodes, z_nodes = nodes
     centres = [0.5 * (n[:-1] + n[1:]) for n in nodes]
+    named = f"cell ({cell.sx_mm} x {cell.sy_mm} mm)"
 
     if cell.has_antenna_system:
         # diameter must span at least two cells inside the pack footprint
@@ -315,13 +319,14 @@ def voxelize_unit_cell(cell: UnitCell) -> VoxelGrid:
         widest = float(np.max(np.diff(x_nodes)[np.abs(centres[0] - cx) <= half_pack]))
         if widest > cell.coax.outer_radius_mm:
             raise ThermalError(
-                f"mesh too coarse near the cable: {widest:.3f} mm cells vs {2 * cell.coax.outer_radius_mm:.3f} mm diameter"
+                f"{named}: mesh too coarse near the cable: {widest:.3f} mm cells vs "
+                f"{2 * cell.coax.outer_radius_mm:.3f} mm diameter"
             )
 
     shape = [len(c) for c in centres]
     if math.prod(shape) > _MAX_CELLS:
         cells = f"{math.prod(shape):,} cells ({' x '.join(map(str, shape))})"
-        raise ThermalError(f"mesh of {cells} exceeds the {_MAX_CELLS:,}-cell limit")
+        raise ThermalError(f"{named}: mesh of {cells} exceeds the {_MAX_CELLS:,}-cell limit")
     material = np.full(shape, -1, dtype=np.int16)
     materials: list[Material] = []  # distinct by identity, in paint order; a voxel's id indexes this
     for box in boxes:
@@ -358,9 +363,9 @@ def _mirror_classes(widths, material, axis):
     return cells
 
 
-_CG_RTOL = 1e-8  # CG stops once ||r|| < _CG_RTOL ||b||
+_CG_RTOL = 1e-8  # CG stops once ||r|| < _CG_RTOL ||b|| and the face flows balance
 _MAX_ITER = 50000  # CG iterations before a solve is reported unconverged
-_BALANCE_TOL = 1e-6  # largest relative mismatch of the two face heat flows in a converged solve
+_BALANCE_TOL = 1e-6  # largest relative mismatch of the two face heat flows at which CG stops
 
 
 def solve_steady_state(grid: VoxelGrid, bc: ThermalBoundary) -> UValueResult:
@@ -370,33 +375,38 @@ def solve_steady_state(grid: VoxelGrid, bc: ThermalBoundary) -> UValueResult:
     the module docstring) by ``_jacobi_pcg``: an in-place Jacobi-PCG loop on
     the banded (DIA) operator whose reductions do not depend on the BLAS
     thread count.  The returned temperature covers the full grid.  CG runs
-    to ``_CG_RTOL`` within ``_MAX_ITER`` iterations; the solve is converged
-    when CG is and the two face heat flows agree to ``_BALANCE_TOL``
-    (global energy balance).  A non-converged solve returns the partial
-    result with converged False.
+    until both stopping tests pass, within ``_MAX_ITER`` iterations:
+    ||r|| < ``_CG_RTOL`` ||b||, and the two face heat flows agree to
+    ``_BALANCE_TOL`` (global energy balance).  The solve is converged when
+    CG stopped on those tests; otherwise it returns the partial result with
+    converged False.
     """
     system = _assemble(grid, bc)
     y = system.x0  # solved in place
-    info, iterations = _jacobi_pcg(system.matrix, system.b, y, system.diag, _CG_RTOL, _MAX_ITER)
+    info, iterations = _jacobi_pcg(
+        system.matrix, system.b, y, system.diag, _CG_RTOL, _MAX_ITER,
+        balanced=lambda y: _balance(*system.face_flows(y, bc)) < _BALANCE_TOL,
+    )
     r = system.b - system.matrix @ y
     residual = math.sqrt(_dot(r, r)) / math.sqrt(_dot(system.b, system.b))  # ||S^T r|| = ||r||
 
+    q_in, q_out = system.face_flows(y, bc)
     t = y.reshape(*system.images.shape, grid.nz) / system.root_k  # one image of each class
-    q_in = float(np.sum(system.images * system.g_si * (bc.t_inside_k - t[:, :, -1])))
-    q_out = float(np.sum(system.images * system.g_se * (t[:, :, 0] - bc.t_outside_k)))
-    q_ref = max(abs(q_in), abs(q_out))
-    balance = abs(q_in - q_out) / q_ref if q_ref > 0.0 else math.inf
-    u = 0.5 * (q_in + q_out) / (grid.area_m2 * bc.delta_t)
-    converged = info == 0 and balance < _BALANCE_TOL
     return UValueResult(
-        u=u,
-        converged=converged,
+        u=0.5 * (q_in + q_out) / (grid.area_m2 * bc.delta_t),
+        converged=info == 0,
         iterations=iterations,
         residual=residual,
-        balance=balance,
+        balance=_balance(q_in, q_out),
         temperature=t[system.qx][:, system.qy],
         unknowns=len(y),
     )
+
+
+def _balance(q_in, q_out):
+    """Relative mismatch of the two face heat flows."""
+    q_ref = max(abs(q_in), abs(q_out))
+    return abs(q_in - q_out) / q_ref if q_ref > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -413,6 +423,15 @@ class _FoldedSystem:
     g_si: np.ndarray  # (mx, my): indoor Robin conductance per image
     qx: np.ndarray  # mirror class of every cell along x
     qy: np.ndarray  # mirror class of every cell along y
+
+    def face_flows(self, y: np.ndarray, bc: ThermalBoundary) -> tuple[float, float]:
+        """Indoor and outdoor face heat flows of the folded field ``y``, read
+        from its two boundary planes alone."""
+        planes = y.reshape(*self.images.shape, -1)
+        root_k = self.root_k[:, :, 0]
+        q_in = float(np.sum(self.images * self.g_si * (bc.t_inside_k - planes[:, :, -1] / root_k)))
+        q_out = float(np.sum(self.images * self.g_se * (planes[:, :, 0] / root_k - bc.t_outside_k)))
+        return q_in, q_out
 
 
 def _assemble(grid: VoxelGrid, bc: ThermalBoundary) -> _FoldedSystem:
@@ -501,20 +520,22 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return np.einsum("i,i->", u, v)
 
 
-def _jacobi_pcg(matrix, b, x, diag, rtol, max_iter):
+def _jacobi_pcg(matrix, b, x, diag, rtol, max_iter, balanced=lambda x: True):
     """Jacobi-preconditioned conjugate gradients on ``x``, in place.
 
     The recurrence and stopping test of ``scipy.sparse.linalg.cg``: stop
-    before a step once ||r|| < rtol ||b||, with z = r / diag.  Every inner
-    product goes through ``_dot``.  Returns ``(info, iterations)``: info is
-    0 on convergence and ``max_iter`` when the tolerance was not reached.
+    before a step once ||r|| < rtol ||b||, with z = r / diag, and, past
+    that test, once ``balanced(x)`` holds too; until then the recurrence
+    runs on unchanged.  Every inner product goes through ``_dot``.  Returns
+    ``(info, iterations)``: info is 0 when both tests passed and
+    ``max_iter`` when they did not within ``max_iter`` iterations.
     """
     atol = rtol * math.sqrt(_dot(b, b))
     r = b - matrix @ x
     z, p, tmp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     rho_prev = 0.0
     for iteration in range(max_iter):
-        if math.sqrt(_dot(r, r)) < atol:
+        if math.sqrt(_dot(r, r)) < atol and balanced(x):
             return 0, iteration
         np.divide(r, diag, out=z)
         rho = _dot(r, z)

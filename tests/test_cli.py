@@ -119,6 +119,16 @@ def test_uvalue_that_stops_short_exits_3_and_still_writes_the_vtk(tmp_path, monk
     assert vtk.read_text().startswith("# vtk DataFile Version 3.0\n")
 
 
+def test_uvalue_on_the_70_mm_cell_converges_and_exits_0(tmp_path, capsys):
+    # the residual test alone stops CG there with the face flows 1.08e-6 apart, over the 1e-6 balance
+    path = tmp_path / "s70.json"
+    path.write_text(json.dumps(_edited_default_scenario(lambda d: d["unit_cell"].update(sx_mm=70, sy_mm=70))))
+    assert main(["uvalue", "--fv", "--scenario", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "U = 0.1747 W/(m^2 K)" in captured.out
+
+
 def test_fit_prints_start_and_evaluation_counts_last(tmp_path, capsys):
     f = np.linspace(2.0, 8.0, 41)
     db = slab_transmission_db(5.24, 0.0, 0.0462, 0.78, 60.0, f)
@@ -442,7 +452,7 @@ def test_sweep_names_a_separation_too_wide_to_mesh_before_any_solve(monkeypatch,
     assert solved == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: 1700 mm: mesh of 5,481,332 cells (178 x 173 x 178) exceeds the 5,000,000-cell limit\n"
+    assert captured.err == "error: cell (1700.0 x 1700.0 mm): mesh of 5,481,332 cells (178 x 173 x 178) exceeds the 5,000,000-cell limit\n"
 
 
 @pytest.mark.parametrize(
@@ -836,7 +846,10 @@ def test_a_cell_too_wide_to_mesh_exits_2_within_seconds(tmp_path, capsys):
     assert time.perf_counter() - start < 20.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: mesh of 1,237,124,928,900 cells (83370 x 83365 x 178) exceeds the 5,000,000-cell limit\n"
+    assert captured.err == (
+        "error: cell (1000000.0 x 1000000.0 mm): mesh of 1,237,124,928,900 cells (83370 x 83365 x 178) "
+        "exceeds the 5,000,000-cell limit\n"
+    )
 
 
 def test_an_fdtd_run_over_the_node_step_limit_exits_2_within_seconds(capsys):
@@ -907,7 +920,7 @@ def _materials(**entry):
                     lambda d: d["unit_cell"]["coax"].update(inner_radius_mm=0.2, outer_radius_mm=0.25, shield_thickness_mm=0.02)
                 )
             },
-            "mesh too coarse near the cable: 0.354 mm cells vs 0.500 mm diameter",
+            "cell (150.0 x 150.0 mm): mesh too coarse near the cable: 0.354 mm cells vs 0.500 mm diameter",
         ),
     ],
     ids=[

@@ -2,9 +2,10 @@ from contextlib import contextmanager
 
 import pytest
 
-from signalwall import thermal
+from signalwall import design_sweep, thermal
 from signalwall.antenna_link import UnitCell
 from signalwall.design_sweep import SweepConfig, SweepError, min_feasible_separation, run_sweep
+from signalwall.thermal import ThermalError
 
 FAST = SweepConfig(separations_mm=(90.0, 130.0, 170.0), frequencies_ghz=(3.5, 8.0))
 
@@ -74,10 +75,32 @@ def test_reordering_separations_changes_nothing(antenna_cell, boundary, fast_swe
         assert other.transmission_db == rec.transmission_db
 
 
-def test_min_feasible_unconstrained_returns_smallest(antenna_cell, boundary):
+@pytest.fixture
+def solved(monkeypatch):
+    """The separations, in mm, that the sweep module solves, in solve order."""
+    separations = []
+    solve = design_sweep.solve_steady_state
+
+    def counting_solve(grid, *args, **kwargs):
+        separations.append(float(grid.x_nodes_mm[-1]))
+        return solve(grid, *args, **kwargs)
+
+    monkeypatch.setattr(design_sweep, "solve_steady_state", counting_solve)
+    return separations
+
+
+def test_min_feasible_unconstrained_returns_smallest(antenna_cell, boundary, solved):
     cfg = SweepConfig(separations_mm=(90.0, 130.0), u_limit=1e9)
     with coarse_mesh():
         assert min_feasible_separation(cfg, antenna_cell, boundary) == 90.0
+    assert solved == [90.0]  # it stops at the first feasible separation
+
+
+def test_min_feasible_names_a_cell_too_wide_to_mesh_before_any_solve(antenna_cell, boundary, solved):
+    cfg = SweepConfig(separations_mm=(80.0, 1700.0), u_limit=0.01)
+    with pytest.raises(ThermalError, match=r"^cell \(1700\.0 x 1700\.0 mm\): mesh of 5,481,332 cells"):
+        min_feasible_separation(cfg, antenna_cell, boundary)
+    assert solved == []
 
 
 def test_min_feasible_infeasible_returns_none(antenna_cell, boundary, wall):

@@ -298,6 +298,15 @@ def test_solver_reports_nonconvergence(monkeypatch, antenna_cell, boundary):
     assert not result.converged
 
 
+def test_cg_runs_past_its_residual_test_until_the_face_flows_balance(antenna_cell, boundary):
+    # at 70 mm the residual test alone stops CG after 1173 iterations with the face flows 1.08e-6 apart
+    result = solve_steady_state(voxelize_unit_cell(antenna_cell.with_separation(70.0)), boundary)
+    assert result.converged
+    assert result.balance < thermal._BALANCE_TOL
+    assert result.residual < thermal._CG_RTOL
+    assert result.iterations > 1173
+
+
 def test_geometry_exceeding_cell_rejected(antenna_cell):
     # the 50 mm foam block does not fit a 45 mm cell: the cell refuses before any voxelization
     with pytest.raises(ValueError, match="must hold the foam block"):
@@ -309,7 +318,8 @@ def test_a_mesh_over_the_cell_limit_is_refused_before_its_arrays(monkeypatch, an
     monkeypatch.setattr(thermal, "_MAX_CELLS", 367_392)
     assert voxelize_unit_cell(antenna_cell).n_cells == 367_392
     monkeypatch.setattr(thermal, "_MAX_CELLS", 367_391)
-    with pytest.raises(ThermalError, match=r"^mesh of 367,392 cells \(\d+ x \d+ x \d+\) exceeds the 367,391-cell limit$"):
+    limit = r"^cell \(150\.0 x 150\.0 mm\): mesh of 367,392 cells \(\d+ x \d+ x \d+\) exceeds the 367,391-cell limit$"
+    with pytest.raises(ThermalError, match=limit):
         voxelize_unit_cell(antenna_cell)
 
 
