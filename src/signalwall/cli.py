@@ -120,7 +120,8 @@ def cmd_transmission(args) -> int:
 
     spectrum.write_csv(args.output)
     print(f"wall: {scenario.name}  pol={args.pol} theta={args.theta:.1f} deg  band {f1}-{f2} GHz ({n} points)")
-    print("\n".join(lines))
+    if lines:  # a band holding neither 3.5 nor 8 GHz has no summary
+        print("\n".join(lines))
     print(f"spectrum written to {args.output}")
     return EXIT_OK
 

@@ -3,7 +3,8 @@
 Sweeps the square unit-cell size (equal to the antenna-system separation on
 the wall), evaluates the finite-volume U-value and the combined
 electromagnetic transmission per frequency, and reports the smallest
-separation that respects the regulatory U-value limit.
+separation that respects the regulatory U-value limit.  A separation whose
+thermal solve did not converge is never feasible.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
             SeparationRecord(
                 separation_mm=float(s),
                 u=thermal.u,
-                feasible=thermal.u <= cfg.u_limit,
+                feasible=thermal.converged and thermal.u <= cfg.u_limit,
                 converged=thermal.converged,
                 transmission_db=dict(zip(cfg.frequencies_ghz, amplitude_db(budget.combined).tolist())),
                 improvement_db=dict(zip(cfg.frequencies_ghz, budget.improvement_db.tolist())),
@@ -109,6 +110,7 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
         rationale = (
             f"no separation in {[f'{s:g}' for s in cfg.separations_mm]} mm meets "
             f"U <= {cfg.u_limit} W/(m^2 K); the closest is {closest.u:.4f} at {closest.separation_mm:g} mm"
+            + ("" if closest.converged else ", whose solve did not converge")
         )
         return SweepResult(records, None, rationale)
     edge = min(feasible, key=lambda r: r.separation_mm)
@@ -123,7 +125,7 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
 def min_feasible_separation(
     cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = ThermalBoundary()
 ) -> float | None:
-    """Smallest swept separation whose U-value meets the limit, or None.
+    """Smallest swept separation whose converged U-value meets the limit, or None.
 
     Meshes every separation first, so a cell that cannot be meshed fails,
     named, before any solve; then solves them in ascending order and stops
@@ -132,6 +134,7 @@ def min_feasible_separation(
     separations = sorted(cfg.separations_mm)
     grids = [voxelize_unit_cell(cell_template.with_separation(s)) for s in separations]
     for s, grid in zip(separations, grids):
-        if solve_steady_state(grid, bc).u <= cfg.u_limit:
+        thermal = solve_steady_state(grid, bc)
+        if thermal.converged and thermal.u <= cfg.u_limit:
             return float(s)
     return None

@@ -15,15 +15,16 @@ cavity, laminate sheets) on a feature-snapped rectilinear grid:
 Every part of a cell, slabs included, is a box that carries its material
 and, per axis, a spacing hint at its faces and a cap on the cells inside it.
 One mesher, ``_axis_nodes``, builds the x, y and z nodes alike from the box
-faces: cells grow by ``_GROWTH`` from the smallest hint on each face up to
-the smallest cap of the boxes that hold them.  The mesh has no settable
-knobs; its lengths are module constants in mm.  The slabs carry the caps,
-``_XY_COARSE_MM`` across the cell and ``_Z_INSULATING_MM`` or
-``_Z_CONDUCTIVE_MM`` through it by conductivity; the foam and laminate pads
-carry the hints ``_XY_FEATURE_MM`` at their edges and ``_Z_INTERFACE_MM`` at
-their planes, and the cable boxes ``_XY_CABLE_MM`` at their lines.  A mesh
-over ``_MAX_CELLS`` cells, or too coarse to resolve the cable, is refused
-with a ``ThermalError`` that names its cell.
+faces: faces within 1e-9 merge into one line at the smaller hint, and cells
+grow by ``_GROWTH`` from each line's hint up to the smallest cap of the
+boxes that hold them.  The mesh has no settable knobs; its lengths are
+module constants in mm.  The slabs carry the caps, ``_XY_COARSE_MM`` across
+the cell and ``_Z_INSULATING_MM`` or ``_Z_CONDUCTIVE_MM`` through it by
+conductivity; the foam and laminate pads carry the hints ``_XY_FEATURE_MM``
+at their edges and ``_Z_INTERFACE_MM`` at their planes, and the cable boxes
+``_XY_CABLE_MM`` at their lines.  A mesh over ``_MAX_CELLS`` cells, or too
+coarse to resolve the cable, is refused with a ``ThermalError`` that names
+its cell.
 
 The linear system is symmetric positive definite and solved with conjugate
 gradients under diagonal (Jacobi) preconditioning, started from the 1-D
@@ -152,35 +153,25 @@ def _graded_spacings(width, h_left, h_right, h_max):
     return spacings * (width / spacings.sum())
 
 
-def _axis_nodes(lines, length, h_max):
+def _axis_nodes(faces, length, h_max):
     """Node coordinates on [0, length] through every feature line.
 
-    ``lines`` maps a coordinate to the spacing hint of the cells touching it
-    (``inf`` for none); ``h_max(a, b)`` caps the cells between neighbouring
-    lines a and b, and clamps their hints.
+    ``faces`` holds (coordinate, hint) pairs; each, clipped to [0, length],
+    joins the first line within 1e-9 (the ends first) at the smaller hint.
+    ``h_max(a, b)`` caps the cells and hints between neighbouring lines a, b.
     """
-    merged = _merge_lines(lines, length)
-    coords = list(merged)
+    lines = {0.0: math.inf, length: math.inf}
+    for coord, hint in faces:
+        coord = min(max(coord, 0.0), length)
+        kept = next((line for line in lines if abs(line - coord) <= 1e-9), coord)
+        lines[kept] = min(lines.get(kept, math.inf), hint)
+    coords = sorted(lines)
     nodes = [coords[0]]
     for a, b in zip(coords, coords[1:]):
-        cumulative = a + np.cumsum(_graded_spacings(b - a, merged[a], merged[b], h_max(a, b)))
+        cumulative = a + np.cumsum(_graded_spacings(b - a, lines[a], lines[b], h_max(a, b)))
         cumulative[-1] = b
         nodes.extend(cumulative.tolist())
     return np.asarray(nodes)
-
-
-def _merge_lines(lines, length, tol=1e-9):
-    """Sorted unique {coordinate: spacing hint}, clipped to [0, length]."""
-    merged: dict[float, float] = {0.0: lines.get(0.0, math.inf), length: lines.get(length, math.inf)}
-    for coord, hint in lines.items():
-        coord = min(max(coord, 0.0), length)
-        for existing in merged:
-            if abs(existing - coord) <= tol:
-                merged[existing] = min(merged[existing], hint)
-                break
-        else:
-            merged[coord] = hint
-    return dict(sorted(merged.items()))
 
 
 @dataclass(frozen=True)
@@ -299,16 +290,12 @@ def voxelize_unit_cell(cell: UnitCell) -> VoxelGrid:
 
     nodes = []
     for axis, length in enumerate(size):
-        lines: dict[float, float] = {}  # each box face, at the smallest hint of the boxes on it
-        for box in boxes:
-            for coord in (box.lo[axis], box.hi[axis]):
-                lines[coord] = min(lines.get(coord, math.inf), box.hint[axis])
-
         def cap(a, b):
             """Smallest cap of the boxes holding the midpoint of [a, b]; the slabs tile the cell."""
             return min(box.cap[axis] for box in boxes if box.lo[axis] < 0.5 * (a + b) < box.hi[axis])
 
-        nodes.append(_axis_nodes(lines, length, cap))
+        faces = [(coord, box.hint[axis]) for box in boxes for coord in (box.lo[axis], box.hi[axis])]
+        nodes.append(_axis_nodes(faces, length, cap))
     x_nodes, y_nodes, z_nodes = nodes
     centres = [0.5 * (n[:-1] + n[1:]) for n in nodes]
     named = f"cell ({cell.sx_mm} x {cell.sy_mm} mm)"
@@ -342,16 +329,6 @@ def voxelize_unit_cell(cell: UnitCell) -> VoxelGrid:
 
 # ---------------------------------------------------------------------------
 # finite-volume solve
-
-
-def _face_conductance(half, area, axis):
-    """Harmonic-mean conductance of internal faces along one axis, from each
-    cell's centre-to-face resistance ``half`` = 0.5 d / lambda along it."""
-    sl_lo = [slice(None)] * 3
-    sl_hi = [slice(None)] * 3
-    sl_lo[axis] = slice(None, -1)
-    sl_hi[axis] = slice(1, None)
-    return area / (half[tuple(sl_lo)] + half[tuple(sl_hi)])
 
 
 def _mirror_classes(widths, material, axis):
@@ -391,7 +368,7 @@ def solve_steady_state(grid: VoxelGrid, bc: ThermalBoundary) -> UValueResult:
     residual = math.sqrt(_dot(r, r)) / math.sqrt(_dot(system.b, system.b))  # ||S^T r|| = ||r||
 
     q_in, q_out = system.face_flows(y, bc)
-    t = y.reshape(*system.images.shape, grid.nz) / system.root_k  # one image of each class
+    t = y.reshape(*system.root_k.shape[:2], grid.nz) / system.root_k  # one image of each class
     return UValueResult(
         u=0.5 * (q_in + q_out) / (grid.area_m2 * bc.delta_t),
         converged=info == 0,
@@ -418,19 +395,18 @@ class _FoldedSystem:
     x0: np.ndarray  # S^T x0, the 1-D layered profile
     diag: np.ndarray  # S^T D S: the Jacobi preconditioner of the full-cell system
     root_k: np.ndarray  # (mx, my, 1): sqrt of the images per class
-    images: np.ndarray  # (mx, my): lateral images per class
-    g_se: np.ndarray  # (mx, my): outdoor Robin conductance per image
-    g_si: np.ndarray  # (mx, my): indoor Robin conductance per image
+    g_out: np.ndarray  # (mx, my): outdoor Robin conductance of all of a class's images
+    g_in: np.ndarray  # (mx, my): indoor Robin conductance of all of a class's images
     qx: np.ndarray  # mirror class of every cell along x
     qy: np.ndarray  # mirror class of every cell along y
 
     def face_flows(self, y: np.ndarray, bc: ThermalBoundary) -> tuple[float, float]:
         """Indoor and outdoor face heat flows of the folded field ``y``, read
         from its two boundary planes alone."""
-        planes = y.reshape(*self.images.shape, -1)
         root_k = self.root_k[:, :, 0]
-        q_in = float(np.sum(self.images * self.g_si * (bc.t_inside_k - planes[:, :, -1] / root_k)))
-        q_out = float(np.sum(self.images * self.g_se * (planes[:, :, 0] / root_k - bc.t_outside_k)))
+        planes = y.reshape(*root_k.shape, -1)
+        q_in = float(np.sum(self.g_in * (bc.t_inside_k - planes[:, :, -1] / root_k)))
+        q_out = float(np.sum(self.g_out * (planes[:, :, 0] / root_k - bc.t_outside_k)))
         return q_in, q_out
 
 
@@ -454,10 +430,14 @@ def _assemble(grid: VoxelGrid, bc: ThermalBoundary) -> _FoldedSystem:
     area_y = dx[:, None, None] * dz[None, None, :]
     area_z = dx[:, None, None] * dy[None, :, None]
 
+    # harmonic-mean face conductances from each cell's centre-to-face resistance 0.5 d / lambda
+    half_x = 0.5 * dx[:, None, None] / lam
+    half_y = 0.5 * dy[None, :, None] / lam
     half_z = 0.5 * dz[None, None, :] / lam
-    gx = _face_conductance(0.5 * dx[:, None, None] / lam, area_x, 0)
-    gy = _face_conductance(0.5 * dy[None, :, None] / lam, area_y, 1)
-    gz = _face_conductance(half_z, area_z, 2)
+    gx = area_x / (half_x[:-1] + half_x[1:])
+    gy = area_y / (half_y[:, :-1] + half_y[:, 1:])
+    gz = area_z / (half_z[:, :, :-1] + half_z[:, :, 1:])
+    del half_x, half_y  # the Robin faces read half_z; the rest would only raise the peak memory
 
     # per-image diagonal D of the full-cell operator
     diag = np.zeros((hx, hy, nz))
@@ -507,9 +487,8 @@ def _assemble(grid: VoxelGrid, bc: ThermalBoundary) -> _FoldedSystem:
         x0=(root_k * _layered_profile(lam[:mx, :my], area_z[:mx, :my, 0] * images, dz, bc)).ravel(),
         diag=diag.ravel(),
         root_k=root_k,
-        images=images,
-        g_se=g_se,
-        g_si=g_si,
+        g_out=images * g_se,
+        g_in=images * g_si,
         qx=qx,
         qy=qy,
     )
@@ -526,24 +505,22 @@ def _jacobi_pcg(matrix, b, x, diag, rtol, max_iter, balanced=lambda x: True):
     The recurrence and stopping test of ``scipy.sparse.linalg.cg``: stop
     before a step once ||r|| < rtol ||b||, with z = r / diag, and, past
     that test, once ``balanced(x)`` holds too; until then the recurrence
-    runs on unchanged.  Every inner product goes through ``_dot``.  Returns
-    ``(info, iterations)``: info is 0 when both tests passed and
-    ``max_iter`` when they did not within ``max_iter`` iterations.
+    runs on unchanged.  ``p`` starts at zero and ``rho_prev`` at 1, so the
+    first update gives p = z exactly.  Every inner product goes through
+    ``_dot``.  Returns ``(info, iterations)``: info is 0 when both tests
+    passed and ``max_iter`` when they did not within ``max_iter`` iterations.
     """
     atol = rtol * math.sqrt(_dot(b, b))
     r = b - matrix @ x
-    z, p, tmp = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-    rho_prev = 0.0
+    z, p, tmp = np.empty_like(x), np.zeros_like(x), np.empty_like(x)
+    rho_prev = 1.0
     for iteration in range(max_iter):
         if math.sqrt(_dot(r, r)) < atol and balanced(x):
             return 0, iteration
         np.divide(r, diag, out=z)
         rho = _dot(r, z)
-        if iteration:
-            p *= rho / rho_prev
-            p += z
-        else:
-            p[:] = z
+        p *= rho / rho_prev
+        p += z
         q = matrix @ p
         alpha = rho / _dot(p, q)
         np.multiply(p, alpha, out=tmp)

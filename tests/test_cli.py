@@ -28,6 +28,24 @@ def test_transmission_summary_and_csv(tmp_path, capsys):
     assert len(rows) == 141
 
 
+def test_transmission_prints_a_summary_line_only_for_the_frequencies_in_band(tmp_path, capsys):
+    # 1-3 GHz holds neither 3.5 nor 8 GHz, so nothing stands between the header and the file line
+    narrow = tmp_path / "b13.csv"
+    assert main(["transmission", "--band", "1:3", "-o", str(narrow)]) == 0
+    assert capsys.readouterr().out == (
+        "wall: sandwich_wall_with_spiral_antennas  pol=RHCP theta=0.0 deg  band 1.0-3.0 GHz (141 points)\n"
+        f"spectrum written to {narrow}\n"
+    )
+    default = tmp_path / "t.csv"
+    assert main(["transmission", "-o", str(default)]) == 0
+    assert capsys.readouterr().out == (
+        "wall: sandwich_wall_with_spiral_antennas  pol=RHCP theta=0.0 deg  band 1.0-8.0 GHz (141 points)\n"
+        "  3.5 GHz: wall loss  23.07 dB\n"
+        "  8.0 GHz: wall loss  42.48 dB\n"
+        f"spectrum written to {default}\n"
+    )
+
+
 def test_transmission_with_antennas_summary(tmp_path, capsys):
     out = tmp_path / "ta.csv"
     assert main(["transmission", "--with-antennas", "-o", str(out)]) == 0
@@ -335,22 +353,33 @@ def test_sweep_names_every_unconverged_separation_on_stderr(tmp_path, monkeypatc
         code = main(["sweep", "--separations", "72.5,150,160", "-o", str(out)])
         return code, capsys.readouterr(), out.read_text()
 
-    code, printed, table = run(lambda s: s == 150.0)
-    assert printed.err == "warning: finite-volume solve did not converge at 72.5, 160 mm\n"
+    code, printed, table = run(lambda s: s == 72.5)
+    assert printed.err == "warning: finite-volume solve did not converge at 150, 160 mm\n"
     code_ok, printed_ok, table_ok = run(lambda s: True)
     assert printed_ok.err == ""
-    # the warning is all that changes: stdout, the CSV, feasibility and the exit code read as for converged solves
-    assert (code, printed.out, table) == (code_ok, printed_ok.out, table_ok)
-    assert code == 0 and "True" in printed.out
+    # an unconverged separation is not feasible: its table row reads False and its CSV rows 0,
+    # while the converged 72.5 mm stays the answer and the exit code stays 0
+    assert code == code_ok == 0
+    rows = [line.split() for line in printed.out.splitlines() if line.split() and line.split()[0][0].isdigit()]
+    assert [(row[0], row[2]) for row in rows] == [("72.5", "True"), ("150", "False"), ("160", "False")]
+    assert "smallest feasible separation: 72.5 mm" in printed.out
+    feasible = {row.split(",")[0]: row.split(",")[2] for row in table.splitlines()[1:]}
+    assert feasible == {"72.500": "1", "150.000": "0", "160.000": "0"}
+    # nothing else moves: the converged run differs only in those feasible flags
+    assert printed.out.replace(" False", "  True") == printed_ok.out  # the column is right-aligned
+    assert [row.split(",")[:2] + row.split(",")[3:] for row in table.splitlines()] == [
+        row.split(",")[:2] + row.split(",")[3:] for row in table_ok.splitlines()
+    ]
 
 
 
-def _stub_sweep_solves(monkeypatch, u_of_separation):
+def _stub_sweep_solves(monkeypatch, u_of_separation, converged=True):
     from signalwall import design_sweep
     from signalwall.thermal import UValueResult
 
     def solve(grid, *args, **kwargs):
-        return UValueResult(u=u_of_separation[float(grid.x_nodes_mm[-1])], converged=True, iterations=1, residual=0.0)
+        u = u_of_separation[float(grid.x_nodes_mm[-1])]
+        return UValueResult(u=u, converged=converged, iterations=1, residual=0.0)
 
     monkeypatch.setattr(design_sweep, "solve_steady_state", solve)
 
@@ -372,6 +401,17 @@ def test_fractional_separations_print_unrounded(monkeypatch, capsys):
     _stub_sweep_solves(monkeypatch, {72.5: 0.20, 150.0: 0.21})
     assert main(["sweep", "--separations", "72.5,150"]) == 3
     assert "no separation in ['72.5', '150'] mm" in capsys.readouterr().out
+
+
+def test_a_sweep_with_no_converged_solve_has_no_answer(monkeypatch, capsys):
+    # U = 0.15 meets the 0.17 limit, but no solve established it
+    _stub_sweep_solves(monkeypatch, {72.5: 0.15, 150.0: 0.15}, converged=False)
+    assert main(["sweep", "--separations", "72.5,150"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "warning: finite-volume solve did not converge at 72.5, 150 mm\n"
+    assert "smallest feasible separation" not in captured.out
+    assert "the closest is 0.1500 at 72.5 mm, whose solve did not converge" in captured.out
+
 
 def test_sweep_warns_when_the_solver_stops_short(monkeypatch, capsys):
     from signalwall import thermal

@@ -112,6 +112,19 @@ def test_min_feasible_infeasible_returns_none(antenna_cell, boundary, wall):
         assert min_feasible_separation(cfg, antenna_cell, boundary) is None
 
 
+def test_an_unconverged_solve_is_never_feasible(antenna_cell, boundary, monkeypatch):
+    # U = 0.15 meets the 0.17 limit, but a solve cut short at its iteration cap established nothing
+    def unconverged(grid, *args, **kwargs):
+        return thermal.UValueResult(u=0.15, converged=False, iterations=thermal._MAX_ITER, residual=1e-3)
+
+    monkeypatch.setattr(design_sweep, "solve_steady_state", unconverged)
+    cfg = SweepConfig(separations_mm=(90.0, 130.0), frequencies_ghz=(3.5,))
+    result = run_sweep(cfg, antenna_cell, boundary)
+    assert [rec.feasible for rec in result.records] == [False, False]
+    assert result.smallest_feasible_mm is None
+    assert min_feasible_separation(cfg, antenna_cell, boundary) is None
+
+
 def test_sweep_requires_antenna_system(wall, boundary):
     bare = UnitCell(150.0, 150.0, wall)
     with pytest.raises(SweepError):

@@ -159,6 +159,16 @@ def test_thin_slabs_are_split_to_respect_their_cap(db):
     assert np.allclose(dz[-4:], [1.2, 1.2, 3.1, 3.1])
 
 
+def test_mesher_merges_lines_by_one_rule():
+    # faces are clipped to [0, length], and each joins the first kept line within 1e-9 at the smaller hint
+    cap = lambda a, b: 12.0
+    faces = [(10.0, 1.0), (10.0, 0.5), (10.0 + 5e-10, 0.25), (-3.0, 2.0), (120.0, 2.0)]
+    nodes = thermal._axis_nodes(faces, 100.0, cap)
+    assert np.array_equal(nodes, thermal._axis_nodes([(0.0, 2.0), (10.0, 0.25), (100.0, 2.0)], 100.0, cap))
+    assert np.count_nonzero(np.abs(nodes - 10.0) <= 1e-9) == 1
+    assert not np.array_equal(nodes, thermal._axis_nodes([(0.0, 2.0), (10.0, 1.0), (100.0, 2.0)], 100.0, cap))
+
+
 def test_antenna_cell_u_value(antenna_fv_result, bare_fv_result):
     assert antenna_fv_result.converged
     assert antenna_fv_result.u == pytest.approx(0.16, abs=0.015)
