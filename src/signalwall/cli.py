@@ -21,7 +21,7 @@ from .antenna_link import COMBINATION_MODES, improvement_onset_ghz, link_budget
 from .design_sweep import run_sweep
 from .fdtd import Fdtd1dConfig, validate_against_tmm
 from .inverse import DEFAULT_BOUNDS, fit_permittivity, normalize_spectrum, read_spectrum
-from .layered_em import POLARIZATIONS, _coefficients, amplitude_db, transmission_spectrum
+from .layered_em import MAX_GRID_POINTS, POLARIZATIONS, _coefficients, amplitude_db, transmission_spectrum
 from .materials import FixedPermittivity
 from .scenario import load_scenario, material_database
 from .thermal import solve_steady_state, u_value_analytical, voxelize_unit_cell, write_vtk
@@ -52,6 +52,8 @@ def _parse_band(text: str) -> tuple[float, float, int]:
         n = 0
     if n < 2:
         raise argparse.ArgumentTypeError(f"band F1:F2:N needs an integer N >= 2, got N = {parts[2]!r}")
+    if n > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"band F1:F2:N allows N <= {MAX_GRID_POINTS:,}, got N = {parts[2]!r}")
     return _finite(parts[0]), _finite(parts[1]), n
 
 
@@ -71,6 +73,9 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
             start, stop, step = (_finite(v) for v in parts)
             if not step > 0.0:
                 raise argparse.ArgumentTypeError(f"range step must be > 0, got {step:g}")
+            count = (stop + 1e-9 - start) / step  # np.arange below makes ceil(count) values
+            if count > MAX_GRID_POINTS:
+                raise argparse.ArgumentTypeError(f"range {text} has {count:.3g} values, more than {MAX_GRID_POINTS:,}")
             values = tuple(np.round(np.arange(start, stop + 1e-9, step), 9).tolist())
         else:
             values = tuple(_finite(v) for v in text.split(","))
@@ -144,7 +149,7 @@ def cmd_uvalue(args) -> int:
         cell = scenario.bare_cell() if args.bare else scenario.cell
         grid = voxelize_unit_cell(cell)
         result = solve_steady_state(grid, scenario.boundary)
-        kind = "bare wall" if (args.bare or not cell.has_antenna_system) else "antenna cell"
+        kind = "antenna cell" if cell.has_antenna_system else "bare wall"
         print(
             f"finite volume ({kind}, {grid.nx}x{grid.ny}x{grid.nz} cells): U = {result.u:.4f} W/(m^2 K)"
             f"   [{result.iterations} iterations, balance {result.balance:.2e}]"

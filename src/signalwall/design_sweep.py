@@ -5,6 +5,12 @@ the wall), evaluates the finite-volume U-value and the combined
 electromagnetic transmission per frequency, and reports the smallest
 separation that respects the regulatory U-value limit.  A separation whose
 thermal solve did not converge is never feasible.
+
+The sweep and :func:`min_feasible_separation` share one scan, ``_scan``: it
+sizes and meshes every cell before the first solve, then solves the cells
+in order and applies the feasibility rule.  Every grid is held until the
+scan ends, so a sweep takes at most ``_MAX_SEPARATIONS`` separations, and
+at most ``MAX_GRID_POINTS`` frequencies.
 """
 
 from __future__ import annotations
@@ -14,9 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antenna_link import UnitCell, link_budget
-from .layered_em import amplitude_db
+from .layered_em import MAX_GRID_POINTS, amplitude_db
 from .materials import VALID_RANGE_GHZ
 from .thermal import ThermalBoundary, solve_steady_state, voxelize_unit_cell
+
+
+# most separations per sweep: every cell is meshed before the first solve, and
+# the grids of the 70-200 mm cells hold ~0.7 MB each, so 500 hold ~350 MB
+_MAX_SEPARATIONS = 500
 
 
 class SweepError(ValueError):
@@ -34,10 +45,14 @@ class SweepConfig:
             raise SweepError("separation list must not be empty")
         if any(s <= 0.0 for s in self.separations_mm):
             raise SweepError("separations must be > 0 mm")
+        if len(self.separations_mm) > _MAX_SEPARATIONS:
+            raise SweepError(f"{len(self.separations_mm):,} separations exceed the {_MAX_SEPARATIONS}-separation limit")
         if len(set(self.separations_mm)) < len(self.separations_mm):
             raise SweepError("separations must not repeat")
         if not self.frequencies_ghz:
             raise SweepError("frequency list must not be empty")
+        if len(self.frequencies_ghz) > MAX_GRID_POINTS:
+            raise SweepError(f"{len(self.frequencies_ghz):,} frequencies exceed the {MAX_GRID_POINTS:,}-point limit")
         lo, hi = VALID_RANGE_GHZ
         if not all(lo <= f <= hi for f in self.frequencies_ghz):
             raise SweepError(f"frequencies must lie in the material model's {lo:g}-{hi:g} GHz range")
@@ -78,6 +93,19 @@ class SweepResult:
                     )
 
 
+def _scan(separations, cell_template: UnitCell, bc: ThermalBoundary, u_limit: float):
+    """Yield (sized cell, thermal result, feasible) for each separation, in order.
+
+    Meshes every cell before the first solve, then solves one per step, so a
+    caller can stop early; feasible means converged with U <= ``u_limit``.
+    """
+    cells = [cell_template.with_separation(s) for s in separations]
+    grids = [voxelize_unit_cell(cell) for cell in cells]
+    for cell, grid in zip(cells, grids):
+        thermal = solve_steady_state(grid, bc)
+        yield cell, thermal, thermal.converged and thermal.u <= u_limit
+
+
 def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = ThermalBoundary()) -> SweepResult:
     """Evaluate every separation and report the smallest feasible one.
 
@@ -87,17 +115,15 @@ def run_sweep(cfg: SweepConfig, cell_template: UnitCell, bc: ThermalBoundary = T
     """
     if not cell_template.has_antenna_system:
         raise SweepError("sweep needs a unit cell with an antenna system")
-    cells = [cell_template.with_separation(s) for s in cfg.separations_mm]  # a cell too small fails before any solve
-    grids = [voxelize_unit_cell(sized) for sized in cells]  # an unmeshable cell fails, named, before any solve
     records = []
-    for s, sized, grid in zip(cfg.separations_mm, cells, grids):
-        thermal = solve_steady_state(grid, bc)
+    scan = _scan(cfg.separations_mm, cell_template, bc, cfg.u_limit)
+    for s, (sized, thermal, feasible) in zip(cfg.separations_mm, scan):
         budget = link_budget(sized, cfg.frequencies_ghz)
         records.append(
             SeparationRecord(
                 separation_mm=float(s),
                 u=thermal.u,
-                feasible=thermal.converged and thermal.u <= cfg.u_limit,
+                feasible=feasible,
                 converged=thermal.converged,
                 transmission_db=dict(zip(cfg.frequencies_ghz, amplitude_db(budget.combined).tolist())),
                 improvement_db=dict(zip(cfg.frequencies_ghz, budget.improvement_db.tolist())),
@@ -127,14 +153,8 @@ def min_feasible_separation(
 ) -> float | None:
     """Smallest swept separation whose converged U-value meets the limit, or None.
 
-    Meshes every separation first, so a cell that cannot be meshed fails,
-    named, before any solve; then solves them in ascending order and stops
-    at the first feasible one.
+    Scans the separations in ascending order and stops at the first feasible one.
     """
     separations = sorted(cfg.separations_mm)
-    grids = [voxelize_unit_cell(cell_template.with_separation(s)) for s in separations]
-    for s, grid in zip(separations, grids):
-        thermal = solve_steady_state(grid, bc)
-        if thermal.converged and thermal.u <= cfg.u_limit:
-            return float(s)
-    return None
+    scan = _scan(separations, cell_template, bc, cfg.u_limit)
+    return next((float(s) for s, (_, _, feasible) in zip(separations, scan) if feasible), None)

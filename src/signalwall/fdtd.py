@@ -179,12 +179,8 @@ def _auto_steps(stack: LayerStack, eps_center, pulse: _Pulse, layout: _Layout) -
 
     ``eps_center`` holds each layer's eps' at the pulse centre.
     """
-    optical_m = layout.n_nodes * layout.dz
-    for layer, eps in zip(stack.layers, eps_center):
-        optical_m += (math.sqrt(eps) - 1.0) * layer.thickness_mm * 1e-3
-    stack_optical = sum(
-        math.sqrt(eps) * layer.thickness_mm * 1e-3 for layer, eps in zip(stack.layers, eps_center)
-    )
+    stack_optical = sum(math.sqrt(eps) * layer.thickness_mm * 1e-3 for layer, eps in zip(stack.layers, eps_center))
+    optical_m = layout.n_nodes * layout.dz - stack.depth_mm * 1e-3 + stack_optical
     t_end = 9.0 * pulse.sigma_t + optical_m / C0 + 10e-9 + 12.0 * stack_optical / C0
     return int(math.ceil(t_end / layout.dt))
 
@@ -350,12 +346,14 @@ def validate_against_tmm(
     lo, hi = VALID_RANGE_GHZ
     if not lo <= f_start_ghz <= f_stop_ghz <= hi:
         raise FdtdError(f"comparison band {f_start_ghz:g}:{f_stop_ghz:g} GHz needs {lo:g} <= start <= stop <= {hi:g} GHz")
-    freqs = np.round(np.arange(f_start_ghz, f_stop_ghz + 1e-9, step_ghz), 9)
-    if freqs.size > _MAX_POINTS:
+    n_points = (f_stop_ghz + 1e-9 - f_start_ghz) / step_ghz  # np.arange below makes ceil(n_points)
+    if n_points > _MAX_POINTS:
+        counted = math.ceil(n_points) if math.isfinite(n_points) else n_points
         raise FdtdError(
-            f"comparison grid {f_start_ghz:g}:{f_stop_ghz:g} GHz every {step_ghz:g} GHz has {freqs.size} points, "
+            f"comparison grid {f_start_ghz:g}:{f_stop_ghz:g} GHz every {step_ghz:g} GHz has {counted} points, "
             f"more than {_MAX_POINTS}; widen the step"
         )
+    freqs = np.round(np.arange(f_start_ghz, f_stop_ghz + 1e-9, step_ghz), 9)
     pulse = _Pulse.covering(f_start_ghz, f_stop_ghz)
 
     # eps' of each layer at the pulse centre sizes the grid check and the run

@@ -112,10 +112,7 @@ def u_value_analytical(stack: LayerStack, bc: ThermalBoundary) -> UValueResult:
     """Series-resistance U-value of a laterally homogeneous wall."""
     r = bc.r_si + bc.r_se
     for layer in stack.layers:
-        lam = layer.material.thermal_conductivity
-        if lam <= 0.0:
-            raise ThermalError(f"layer {layer.material.name!r} needs thermal conductivity > 0")
-        r += layer.thickness_mm * 1e-3 / lam
+        r += layer.thickness_mm * 1e-3 / layer.material.thermal_conductivity
     return UValueResult(u=1.0 / r, converged=True, iterations=0, residual=0.0)
 
 
@@ -190,13 +187,12 @@ class _Box:
 class VoxelGrid:
     """Feature-snapped rectilinear grid with a material id per voxel."""
 
-    def __init__(self, x_nodes_mm, y_nodes_mm, z_nodes_mm, material, conductivity_by_id, material_names):
+    def __init__(self, x_nodes_mm, y_nodes_mm, z_nodes_mm, material, conductivity_by_id):
         self.x_nodes_mm = np.asarray(x_nodes_mm, dtype=float)
         self.y_nodes_mm = np.asarray(y_nodes_mm, dtype=float)
         self.z_nodes_mm = np.asarray(z_nodes_mm, dtype=float)
         self.material = np.asarray(material)
         self.conductivity_by_id = np.asarray(conductivity_by_id, dtype=float)
-        self.material_names = list(material_names)
         if self.material.shape != (self.nx, self.ny, self.nz):
             raise ThermalError("material array shape does not match the grid")
         if np.any(self.material < 0) or np.any(self.material >= len(self.conductivity_by_id)):
@@ -322,9 +318,7 @@ def voxelize_unit_cell(cell: UnitCell) -> VoxelGrid:
             materials.append(box.material)
         material[np.ix_(*((c > lo) & (c < hi) for c, lo, hi in zip(centres, box.lo, box.hi)))] = mat_id
 
-    return VoxelGrid(
-        x_nodes, y_nodes, z_nodes, material, [m.thermal_conductivity for m in materials], [m.name for m in materials]
-    )
+    return VoxelGrid(x_nodes, y_nodes, z_nodes, material, [m.thermal_conductivity for m in materials])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -493,6 +496,47 @@ def test_sweep_names_a_separation_too_wide_to_mesh_before_any_solve(monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cell (1700.0 x 1700.0 mm): mesh of 5,481,332 cells (178 x 173 x 178) exceeds the 5,000,000-cell limit\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["transmission", "--band", "1:8:1000000000000"], "argument --band: band F1:F2:N allows N <= 100,000"),
+        (["transmission", "--band", "1:8:99999999999999999999"], "argument --band: band F1:F2:N allows N <= 100,000"),
+        (["fdtd-validate", "--step", "0.000000000001"], "has 7000000001000 points, more than 701; widen the step"),
+        (["sweep", "--separations", "70:200:0.0000000001"], "argument --separations: range 70:200:0.0000000001 has"),
+        (["sweep", "--frequencies", "1:100:0.0000000001"], "argument --frequencies: range 1:100:0.0000000001 has"),
+    ],
+    ids=["band-1e12", "band-1e20", "fdtd-step", "separations-range", "frequencies-range"],
+)
+def test_a_grid_flag_over_its_point_bound_exits_2_without_a_traceback(tmp_path, argv, message):
+    # each grid would need terabytes; it is counted, and refused, before it is allocated
+    from signalwall import cli
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "signalwall.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_separation_list_over_its_bound_exits_2_before_any_mesh(monkeypatch, tmp_path, capsys):
+    from signalwall import design_sweep
+
+    meshed = []
+    monkeypatch.setattr(design_sweep, "voxelize_unit_cell", meshed.append)
+    assert main(["sweep", "--separations", "70:200:0.1"]) == 2
+    assert capsys.readouterr().err == "error: 1,301 separations exceed the 500-separation limit\n"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_edited_default_scenario(lambda d: d["sweep"].update(separations_mm=list(range(70, 571))))))
+    assert main(["sweep", "--scenario", str(path)]) == 2
+    assert "501 separations exceed the 500-separation limit" in capsys.readouterr().err
+    assert meshed == []
 
 
 @pytest.mark.parametrize(

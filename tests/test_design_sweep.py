@@ -152,6 +152,17 @@ def test_config_validation():
         SweepConfig(frequencies_ghz=(3.5, 8.0, 3.5))
 
 
+def test_lists_over_their_bounds_are_refused():
+    separations = tuple(70.0 + 0.1 * i for i in range(design_sweep._MAX_SEPARATIONS + 1))
+    with pytest.raises(SweepError, match="^501 separations exceed the 500-separation limit$"):
+        SweepConfig(separations_mm=separations)
+    SweepConfig(separations_mm=separations[:-1])
+    frequencies = tuple(1.0 + 1e-4 * i for i in range(design_sweep.MAX_GRID_POINTS + 1))
+    with pytest.raises(SweepError, match="^100,001 frequencies exceed the 100,000-point limit$"):
+        SweepConfig(frequencies_ghz=frequencies)
+    SweepConfig(frequencies_ghz=frequencies[:-1])
+
+
 @pytest.mark.parametrize("frequencies", [(0.3, 0.5), (3.5, 0.99), (8.0, 120.0), (3.5, float("nan"))])
 def test_frequencies_outside_the_material_model_range_rejected(frequencies):
     # the ITU-R P.2040 power law is fitted over 1-100 GHz; outside it the sweep would report extrapolations

@@ -77,8 +77,31 @@ def test_point_limit_is_checked_before_time_stepping(wall, monkeypatch):
     monkeypatch.setattr(fdtd, "_time_step_batch", time_loop)
     with pytest.raises(FdtdError, match="has 702 points, more than 701"):
         validate_against_tmm(wall, 1.0, 8.01, 0.01)
+    with pytest.raises(FdtdError, match="more than 701; widen the step"):
+        validate_against_tmm(wall, 1.0, 8.0, 1e-12)  # 7e12 points: counted, never allocated
+    with pytest.raises(FdtdError, match="has inf points"):
+        validate_against_tmm(wall, 1.0, 8.0, 1e-320)  # a count past the float range
     with pytest.raises(RuntimeError, match="time loop reached"):
         validate_against_tmm(wall, 1.0, 8.0, 0.01)  # 701 points, the limit
+
+
+@pytest.mark.parametrize(
+    "band, dz_mm, steps",
+    [
+        ((1.0, 8.0), 0.5, 26_650),
+        ((1.45, 8.45), 0.5, 26_644),
+        ((2.0, 3.0), 2.0, 6_963),
+        ((3.5, 3.5), 0.5, 28_671),
+        ((1.0, 1.0007), 0.5, 28_807),
+        ((1.0, 8.0), 0.15, 88_797),
+    ],
+)
+def test_auto_steps_are_pinned(wall, band, dz_mm, steps):
+    # the step count sets the length of every run; these are the counts measured on the default wall
+    pulse = fdtd._Pulse.covering(*band)
+    eps_center = [float(layer.material.complex_permittivity(pulse.center_ghz).real) for layer in wall.layers]
+    layout = fdtd._build_layout(wall, Fdtd1dConfig(dz_mm))
+    assert fdtd._auto_steps(wall, eps_center, pulse, layout) == steps
 
 
 def test_config_validation(glass_slab):
