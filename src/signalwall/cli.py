@@ -29,6 +29,7 @@ from .thermal import solve_steady_state, u_value_analytical, voxelize_unit_cell,
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
+_DEFAULT_BAND = (1.0, 8.0, 141)  # transmission's --band: F1, F2 in GHz and N, also N when a band omits it
 
 
 def _finite(text: str) -> float:
@@ -47,7 +48,7 @@ def _parse_band(text: str) -> tuple[float, float, int]:
     if len(parts) not in (2, 3):
         raise argparse.ArgumentTypeError("band must be F1:F2 or F1:F2:N in GHz")
     try:
-        n = int(parts[2]) if len(parts) == 3 else 141
+        n = int(parts[2]) if len(parts) == 3 else _DEFAULT_BAND[2]
     except ValueError:
         n = 0
     if n < 2:
@@ -270,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-antennas", action="store_true", help="combine the through-antenna path with the wall leakage")
     p.add_argument("--theta", type=_finite, default=0.0, help="incidence angle from the normal, degrees")
     p.add_argument("--pol", choices=POLARIZATIONS, default="RHCP")
-    p.add_argument("--band", type=_parse_band, default=(1.0, 8.0, 141), help="F1:F2[:N] in GHz (default 1:8:141)")
+    p.add_argument(
+        "--band", type=_parse_band, default=_DEFAULT_BAND, help="F1:F2[:N] in GHz (default %g:%g:%d)" % _DEFAULT_BAND
+    )
     p.add_argument("--combine", choices=COMBINATION_MODES, help="with --with-antennas (default incoherent)")
     p.add_argument("-o", "--output", default="transmission.csv", help="spectrum CSV path")
     p.set_defaults(func=cmd_transmission)

@@ -9,8 +9,9 @@ thermal solve did not converge is never feasible.
 The sweep and :func:`min_feasible_separation` share one scan, ``_scan``: it
 sizes and meshes every cell before the first solve, then solves the cells
 in order and applies the feasibility rule.  Every grid is held until the
-scan ends, so a sweep takes at most ``_MAX_SEPARATIONS`` separations, and
-at most ``MAX_GRID_POINTS`` frequencies.
+scan ends, so a sweep takes at most ``_MAX_SEPARATIONS`` separations, at
+most ``MAX_GRID_POINTS`` frequencies, and at most ``_MAX_ROWS`` of their
+products, since every record holds a value per frequency.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ from .thermal import ThermalBoundary, solve_steady_state, voxelize_unit_cell
 # most separations per sweep: every cell is meshed before the first solve, and
 # the grids of the 70-200 mm cells hold ~0.7 MB each, so 500 hold ~350 MB
 _MAX_SEPARATIONS = 500
+# most separation x frequency rows per sweep: every record holds a level and an
+# improvement per frequency, ~155 B a row under tracemalloc (4 and 8 separations
+# x 100,000 frequencies, mesh and solve stubbed), so 2,000,000 rows hold ~310 MB
+_MAX_ROWS = 2_000_000
 
 
 class SweepError(ValueError):
@@ -53,6 +58,12 @@ class SweepConfig:
             raise SweepError("frequency list must not be empty")
         if len(self.frequencies_ghz) > MAX_GRID_POINTS:
             raise SweepError(f"{len(self.frequencies_ghz):,} frequencies exceed the {MAX_GRID_POINTS:,}-point limit")
+        rows = len(self.separations_mm) * len(self.frequencies_ghz)
+        if rows > _MAX_ROWS:
+            raise SweepError(
+                f"{len(self.separations_mm):,} separations x {len(self.frequencies_ghz):,} frequencies = "
+                f"{rows:,} rows exceed the {_MAX_ROWS:,}-row limit"
+            )
         lo, hi = VALID_RANGE_GHZ
         if not all(lo <= f <= hi for f in self.frequencies_ghz):
             raise SweepError(f"frequencies must lie in the material model's {lo:g}-{hi:g} GHz range")

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import C0
+from .layered_em import amplitude_db
 from .materials import VALID_RANGE_GHZ, MaterialError, PermittivityModel
 
 
@@ -100,7 +101,7 @@ def normalize_spectrum(dut: MeasuredSpectrum, reference: MeasuredSpectrum, inter
     else:
         raise SpectrumFormatError("frequency grids differ; pass --interpolate to resample the reference onto the DUT grid")
 
-    low = 20.0 * np.log10(np.abs(ref_s21) + 1e-300) < REFERENCE_FLOOR_DB
+    low = amplitude_db(ref_s21) < REFERENCE_FLOOR_DB
     if np.any(low):
         raise SpectrumFormatError(
             f"reference {reference.fixture_id or 'spectrum'}: {np.count_nonzero(low)} point(s) below "

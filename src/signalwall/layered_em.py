@@ -38,7 +38,8 @@ from .materials import VALID_RANGE_GHZ, Material
 POLARIZATIONS = ("TE", "TM", "RHCP", "LHCP")
 # most points of a frequency grid asked for at a flag (a band's N, a range's
 # count, a sweep's frequencies); a 100,000-point `transmission` band traces
-# ~61 MB (~0.6 kB a point) and runs ~1.4 s on a 2-core x86_64 VM
+# ~61 MB (~0.6 kB a point) and runs ~0.45 s, process start included, on a
+# 2-core x86_64 VM
 MAX_GRID_POINTS = 100_000
 _CSV_HEADER = "freq_GHz,t_dB,t_phase_deg,r_dB,r_phase_deg,pol,theta_deg"
 
@@ -101,21 +102,19 @@ class Spectrum:
     theta_deg: float
 
     def write_csv(self, path):
+        tail = f"{self.polarization},{self.theta_deg:.3f}\n"
+        columns = (self.frequencies_ghz, amplitude_db(self.t), self.t, amplitude_db(self.r), self.r)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_CSV_HEADER + "\n")
-            for f, t, r in zip(self.frequencies_ghz, self.t, self.r):
-                fh.write(
-                    f"{f:.6f},{amplitude_db(t):.6f},{math.degrees(cmath.phase(t)):.6f},"
-                    f"{amplitude_db(r):.6f},{math.degrees(cmath.phase(r)):.6f},"
-                    f"{self.polarization},{self.theta_deg:.3f}\n"
-                )
+            fh.writelines(
+                f"{f:.6f},{t_db:.6f},{math.degrees(cmath.phase(t)):.6f},{r_db:.6f},{math.degrees(cmath.phase(r)):.6f},{tail}"
+                for f, t_db, t, r_db, r in zip(*(c.tolist() for c in columns))
+            )
 
 
 def amplitude_db(x):
-    """20*log10|x| with -inf clipped to a large negative float."""
-    mag = np.abs(x)
-    with np.errstate(divide="ignore"):
-        return np.where(mag > 0.0, 20.0 * np.log10(np.maximum(mag, 1e-300)), -6000.0)
+    """20*log10|x|, elementwise, floored at -6000 dB (the level of 1e-300, so 0 reads -6000); NaN stays NaN."""
+    return 20.0 * np.log10(np.maximum(np.abs(x), 1e-300))
 
 
 def _branch_kz(k0_sq_eps, kx):
@@ -167,6 +166,7 @@ def _tmm_linear(eps_media, d_m, f_ghz, theta_deg, pol):
 
 
 def _coefficients(stack: LayerStack, f, theta_deg, pol):
+    _check_theta(theta_deg)
     f = np.atleast_1d(np.asarray(f, dtype=float))
     ambient = np.ones_like(f, dtype=complex)
     eps_media = [ambient, *(layer.material.complex_permittivity(f) for layer in stack.layers), ambient]
@@ -201,7 +201,6 @@ def transmission_spectrum(
     _check_band(f_start_ghz, f_stop_ghz)
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
-    Incidence(f_start_ghz, theta_deg, polarization)
     f = np.linspace(f_start_ghz, f_stop_ghz, int(n_points))
     t, r = _coefficients(stack, f, theta_deg, polarization)
     return Spectrum(f, t, r, polarization, theta_deg)

@@ -539,6 +539,20 @@ def test_a_separation_list_over_its_bound_exits_2_before_any_mesh(monkeypatch, t
     assert meshed == []
 
 
+def test_a_sweep_over_its_row_bound_exits_2_before_any_mesh(monkeypatch, capsys):
+    from signalwall import design_sweep
+
+    meshed = []
+    monkeypatch.setattr(design_sweep, "voxelize_unit_cell", meshed.append)
+    assert main(["sweep", "--separations", "70:200:1", "--frequencies", "1:100:0.001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 131 separations x 99,001 frequencies = 12,969,131 rows exceed the 2,000,000-row limit\n"
+    )
+    assert meshed == []
+
+
 @pytest.mark.parametrize(
     "command", [["transmission", "--with-antennas"], ["sweep"], ["uvalue"]], ids=["transmission", "sweep", "uvalue"]
 )

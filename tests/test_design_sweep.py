@@ -163,6 +163,24 @@ def test_lists_over_their_bounds_are_refused():
     SweepConfig(frequencies_ghz=frequencies[:-1])
 
 
+def test_separations_times_frequencies_over_the_row_bound_are_refused_before_any_mesh(
+    monkeypatch, antenna_cell, boundary
+):
+    # every record holds a level and an improvement per frequency, so the bound is on the product;
+    # the largest lists of test_lists_over_their_bounds_are_refused (500 x 4, 14 x 100,000) stay accepted
+    meshed = []
+    monkeypatch.setattr(design_sweep, "voxelize_unit_cell", meshed.append)
+    separations = tuple(float(s) for s in range(70, 201))
+    frequencies = tuple(round(1.0 + 0.001 * i, 9) for i in range(99_001))
+    message = "^131 separations x 99,001 frequencies = 12,969,131 rows exceed the 2,000,000-row limit$"
+    with pytest.raises(SweepError, match=message):
+        run_sweep(SweepConfig(separations_mm=separations, frequencies_ghz=frequencies), antenna_cell, boundary)
+    with pytest.raises(SweepError, match="^500 separations x 4,001 frequencies = 2,000,500 rows exceed"):
+        SweepConfig(separations_mm=tuple(70.0 + 0.1 * i for i in range(500)), frequencies_ghz=frequencies[:4001])
+    assert meshed == []
+    SweepConfig(separations_mm=tuple(70.0 + 0.1 * i for i in range(500)), frequencies_ghz=frequencies[:4000])
+
+
 @pytest.mark.parametrize("frequencies", [(0.3, 0.5), (3.5, 0.99), (8.0, 120.0), (3.5, float("nan"))])
 def test_frequencies_outside_the_material_model_range_rejected(frequencies):
     # the ITU-R P.2040 power law is fitted over 1-100 GHz; outside it the sweep would report extrapolations

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -338,3 +339,90 @@ def test_csv_export_format(tmp_path, wall):
     fields = lines[1].split(",")
     assert fields[5] == "TM"
     assert float(fields[0]) == 1.0
+
+
+def _per_row_csv(spectrum) -> str:
+    """The CSV as written one row at a time, each level through the guarded scalar expression."""
+
+    def level(x):
+        mag = np.abs(x)
+        with np.errstate(divide="ignore"):
+            return np.where(mag > 0.0, 20.0 * np.log10(np.maximum(mag, 1e-300)), -6000.0)
+
+    rows = [layered_em._CSV_HEADER + "\n"]
+    for f, t, r in zip(spectrum.frequencies_ghz, spectrum.t, spectrum.r):
+        rows.append(
+            f"{f:.6f},{level(t):.6f},{math.degrees(cmath.phase(t)):.6f},"
+            f"{level(r):.6f},{math.degrees(cmath.phase(r)):.6f},"
+            f"{spectrum.polarization},{spectrum.theta_deg:.3f}\n"
+        )
+    return "".join(rows)
+
+
+def _underflowing_spectrum():
+    # two 300 mm slabs of (a=5, c=2 S/m, d=2): |t| falls below 1e-300 over most of 1-100 GHz
+    slab = Layer(Material("slab", 1.0, PermittivityModel(5.0, 0.0, 2.0, 2.0)), 300.0)
+    return transmission_spectrum(LayerStack([slab, slab]), 1.0, 100.0, 141, 0.0, "TE")
+
+
+def _combined_spectrum(wall, cell):
+    from signalwall.antenna_link import link_budget
+
+    spectrum = transmission_spectrum(wall, 1.0, 8.0, 141, 30.0, "RHCP")
+    combined = link_budget(cell, spectrum.frequencies_ghz, 30.0, "RHCP").combined
+    return layered_em.Spectrum(spectrum.frequencies_ghz, combined, spectrum.r, "RHCP", 30.0)
+
+
+def _phase_boundary_spectrum():
+    # phases whose sixth decimal of degrees differs between math.degrees(cmath.phase(z)) ("147.766497")
+    # and np.degrees(np.angle(z)) ("147.766498"): the columns keep the scalar phase the CSVs always had
+    t = np.array([-0.8458814333091081 + 0.5333709785720709j, 0.7861200858219755 + 0.618073790632842j])
+    return layered_em.Spectrum(np.array([2.0, 3.0]), t, t[::-1].copy(), "TE", 0.0)
+
+
+@pytest.mark.parametrize("case", ["tm45", "rhcp30-with-antennas", "underflow", "phase-boundary"])
+def test_csv_columns_match_the_per_row_formula(tmp_path, monkeypatch, wall, antenna_cell, case):
+    spectrum = {
+        "tm45": lambda: transmission_spectrum(wall, 1.0, 8.0, 141, 45.0, "TM"),
+        "rhcp30-with-antennas": lambda: _combined_spectrum(wall, antenna_cell),
+        "underflow": _underflowing_spectrum,
+        "phase-boundary": _phase_boundary_spectrum,
+    }[case]()
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return amplitude_db(x)
+
+    monkeypatch.setattr(layered_em, "amplitude_db", counted)
+    path = tmp_path / "spec.csv"
+    spectrum.write_csv(path)
+    assert calls == [spectrum.t.shape, spectrum.r.shape]
+    text = path.read_bytes().decode("utf-8")
+    assert text == _per_row_csv(spectrum)
+    if case == "phase-boundary":
+        assert text.splitlines()[1].split(",")[2] == "147.766497"
+    if case == "underflow":
+        assert np.count_nonzero(np.abs(spectrum.t) < 1e-300) >= 10
+        assert sum(line.split(",")[1] == "-6000.000000" for line in text.splitlines()[1:]) >= 10
+
+
+def test_amplitude_db_floor_and_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floored = amplitude_db(np.array([0.0, 1e-310, 1e-300, 0j]))
+        assert floored.tolist() == [-6000.0] * 4
+        assert amplitude_db(1.0) == 0.0
+        assert amplitude_db(-1.0 + 0j) == 0.0
+        assert np.isnan(amplitude_db(float("nan")))
+        assert np.isnan(amplitude_db(np.array([1.0, complex("nan")]))).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("theta", [90.0, 95.0, -10.0])
+def test_theta_outside_the_half_space_is_refused_at_the_array_entry(wall, theta):
+    with pytest.raises(ValueError, match=r"theta must be in \[0, 90\)"):
+        _coefficients(wall, 3.5, theta, "TE")
+    with pytest.raises(ValueError, match=r"theta must be in \[0, 90\)"):
+        _coefficients(wall, np.array([1.5, 3.5]), theta, "RHCP")
+    with pytest.raises(ValueError, match=r"theta must be in \[0, 90\)"):
+        transmission_spectrum(wall, 1.0, 8.0, 11, theta_deg=theta)
