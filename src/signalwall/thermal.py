@@ -104,8 +104,17 @@ class UValueResult:
     iterations: int
     residual: float
     balance: float = 0.0
-    temperature: np.ndarray | None = field(default=None, repr=False)
     unknowns: int = 0  # size of the solved linear system
+    # (field on one image of each mirror class, class of every x cell, class of every y cell)
+    folded: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+
+    @property
+    def temperature(self) -> np.ndarray | None:
+        """Cell temperatures over the full grid, unfolded from ``folded`` at each read."""
+        if self.folded is None:
+            return None
+        t, qx, qy = self.folded
+        return t[qx][:, qy]
 
 
 def u_value_analytical(stack: LayerStack, bc: ThermalBoundary) -> UValueResult:
@@ -128,7 +137,9 @@ _XY_COARSE_MM = 12.0  # lateral cap
 _XY_FEATURE_MM = 2.0  # spacing hint at foam/laminate edges
 _XY_CABLE_MM = 0.4  # spacing hint at cable feature lines
 _GROWTH = 1.6  # width ratio of neighbouring graded cells
-_MAX_CELLS = 5_000_000  # largest mesh; at ~131 B per cell an unfolded solve traces under 0.65 GB
+# largest mesh; at ~131 B per cell an unfolded solve traces under 0.65 GB, and a
+# sweep's solves in flight together hold at most this many cells
+_MAX_CELLS = 5_000_000
 
 
 def _graded_spacings(width, h_left, h_right, h_max):
@@ -345,12 +356,13 @@ def solve_steady_state(grid: VoxelGrid, bc: ThermalBoundary) -> UValueResult:
     The system is solved on the mirror-symmetric subspace of the cell (see
     the module docstring) by ``_jacobi_pcg``: an in-place Jacobi-PCG loop on
     the banded (DIA) operator whose reductions do not depend on the BLAS
-    thread count.  The returned temperature covers the full grid.  CG runs
-    until both stopping tests pass, within ``_MAX_ITER`` iterations:
-    ||r|| < ``_CG_RTOL`` ||b||, and the two face heat flows agree to
-    ``_BALANCE_TOL`` (global energy balance).  The solve is converged when
-    CG stopped on those tests; otherwise it returns the partial result with
-    converged False.
+    thread count.  The result keeps the folded field; its ``temperature``
+    unfolds it over the full grid at each read, so a solve whose field is
+    never read never allocates the full grid.  CG runs until both stopping
+    tests pass, within ``_MAX_ITER`` iterations: ||r|| < ``_CG_RTOL`` ||b||,
+    and the two face heat flows agree to ``_BALANCE_TOL`` (global energy
+    balance).  The solve is converged when CG stopped on those tests;
+    otherwise it returns the partial result with converged False.
     """
     system = _assemble(grid, bc)
     y = system.x0  # solved in place
@@ -369,8 +381,8 @@ def solve_steady_state(grid: VoxelGrid, bc: ThermalBoundary) -> UValueResult:
         iterations=iterations,
         residual=residual,
         balance=_balance(q_in, q_out),
-        temperature=t[system.qx][:, system.qy],
         unknowns=len(y),
+        folded=(t, system.qx, system.qy),
     )
 
 

@@ -317,6 +317,33 @@ def test_unknown_material_maps_to_usage_exit(tmp_path, capsys):
     assert "mythril" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("failing", [(80.0,), (150.0, 80.0)])
+def test_a_failed_sweep_solve_exits_2_with_its_message(tmp_path, monkeypatch, capsys, failing):
+    import threading
+
+    from signalwall import design_sweep
+    from signalwall.thermal import ThermalError, UValueResult
+
+    def solve(grid, *args, **kwargs):
+        separation = float(grid.x_nodes_mm[-1])
+        if separation == 150.0:
+            time.sleep(0.1)  # the 80 mm failure comes first in time, the 150 mm one first in the config
+        if separation in failing:
+            raise ThermalError(f"solve at {separation:g} mm failed")
+        return UValueResult(u=0.15, converged=True, iterations=1, residual=0.0)
+
+    monkeypatch.setattr(design_sweep, "_cores", lambda: 2)
+    monkeypatch.setattr(design_sweep, "solve_steady_state", solve)
+    before = threading.active_count()
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--separations", "150,70,80", "-o", str(out)]) == 2
+    assert threading.active_count() == before
+    printed = capsys.readouterr()
+    assert printed.err == f"error: solve at {failing[0]:g} mm failed\n"
+    assert printed.out == ""
+    assert not out.exists()
+
+
 def test_sweep_infeasible_exit_code(tmp_path, capsys):
     assert main(["sweep", "--separations", "150", "--u-limit", "0.05", "-o", str(tmp_path / "s.csv")]) == 3
     printed = capsys.readouterr().out

@@ -1,11 +1,15 @@
+import sys
+import threading
+import time
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 
 from signalwall import design_sweep, thermal
 from signalwall.antenna_link import UnitCell
 from signalwall.design_sweep import SweepConfig, SweepError, min_feasible_separation, run_sweep
-from signalwall.thermal import ThermalError
+from signalwall.thermal import ThermalError, voxelize_unit_cell
 
 FAST = SweepConfig(separations_mm=(90.0, 130.0, 170.0), frequencies_ghz=(3.5, 8.0))
 
@@ -187,3 +191,148 @@ def test_frequencies_outside_the_material_model_range_rejected(frequencies):
     with pytest.raises(SweepError, match="1-100 GHz range"):
         SweepConfig(frequencies_ghz=frequencies)
     SweepConfig(frequencies_ghz=(1.0, 100.0))
+
+
+def _sweep_on(cores, cfg, antenna_cell, boundary):
+    """run_sweep with the core count patched, and (thread, separation, result) of each solve in solve order."""
+    solves = []
+    solve = design_sweep.solve_steady_state
+
+    def recording_solve(grid, *args, **kwargs):
+        result = solve(grid, *args, **kwargs)
+        solves.append((threading.current_thread(), float(grid.x_nodes_mm[-1]), result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(design_sweep, "_cores", lambda: cores)
+        patch.setattr(design_sweep, "solve_steady_state", recording_solve)
+        with coarse_mesh():
+            return run_sweep(cfg, antenna_cell, boundary), solves
+
+
+def test_side_by_side_solves_give_the_serial_records_in_config_order(antenna_cell, boundary):
+    cfg = SweepConfig(separations_mm=(130.0, 70.0, 170.0), frequencies_ghz=(3.5, 8.0))
+    before = threading.active_count()
+    serial, serial_solves = _sweep_on(1, cfg, antenna_cell, boundary)
+    paired, paired_solves = _sweep_on(2, cfg, antenna_cell, boundary)
+    assert threading.active_count() == before
+    assert [thread for thread, _, _ in serial_solves] == [threading.current_thread()] * 3  # no thread starts
+
+    def rows(result):
+        return [(r.separation_mm, repr(r.u), r.feasible, r.converged, r.transmission_db) for r in result.records]
+
+    def solves(recorded):
+        return {s: (repr(r.u), r.iterations, r.converged) for _, s, r in recorded}
+
+    assert [r.separation_mm for r in paired.records] == list(cfg.separations_mm)
+    assert rows(paired) == rows(serial)
+    assert solves(paired_solves) == solves(serial_solves)
+
+
+def test_one_separation_starts_no_thread(antenna_cell, boundary):
+    cfg = SweepConfig(separations_mm=(90.0,), frequencies_ghz=(3.5,))
+    _, solves = _sweep_on(2, cfg, antenna_cell, boundary)
+    assert [thread for thread, _, _ in solves] == [threading.current_thread()]
+
+
+def _stub(u=0.15):
+    return thermal.UValueResult(u=u, converged=True, iterations=1, residual=0.0)
+
+
+def test_two_cores_run_two_solves_at_once(antenna_cell, boundary, monkeypatch):
+    # each of the first two solves waits for the other: they pass only if they are in flight together
+    barrier = threading.Barrier(2, timeout=30)
+
+    def paired_solve(grid, *args, **kwargs):
+        if float(grid.x_nodes_mm[-1]) > 80.0:
+            barrier.wait()
+        return _stub()
+
+    monkeypatch.setattr(design_sweep, "_cores", lambda: 2)
+    monkeypatch.setattr(design_sweep, "solve_steady_state", paired_solve)
+    cfg = SweepConfig(separations_mm=(70.0, 150.0, 200.0), frequencies_ghz=(3.5,))
+    assert [r.u for r in run_sweep(cfg, antenna_cell, boundary).records] == [0.15] * 3
+
+
+def test_solves_in_flight_stay_within_the_cell_bound(antenna_cell, boundary, monkeypatch):
+    separations = (70.0, 150.0, 200.0)
+    cells = sorted(voxelize_unit_cell(antenna_cell.with_separation(s)).n_cells for s in separations)
+    spans = []
+
+    def timed_solve(grid, *args, **kwargs):
+        start = time.perf_counter()
+        time.sleep(0.05)
+        spans.append((start, time.perf_counter()))
+        return _stub()
+
+    monkeypatch.setattr(design_sweep, "_cores", lambda: 2)
+    monkeypatch.setattr(design_sweep, "_MAX_CELLS", cells[-1] + cells[-2] - 1)  # the largest fits, no pair does
+    monkeypatch.setattr(design_sweep, "solve_steady_state", timed_solve)
+    run_sweep(SweepConfig(separations_mm=separations, frequencies_ghz=(3.5,)), antenna_cell, boundary)
+    spans.sort()
+    assert len(spans) == 3
+    assert all(end <= next_start for (_, end), (next_start, _) in zip(spans, spans[1:]))
+
+
+def test_a_failed_solve_starts_no_further_solve(antenna_cell, boundary, monkeypatch):
+    started = []
+
+    def failing_solve(grid, *args, **kwargs):
+        separation = float(grid.x_nodes_mm[-1])
+        started.append(separation)
+        if separation == 150.0:
+            raise ThermalError("150 mm failed")
+        time.sleep(0.2)
+        return _stub()
+
+    monkeypatch.setattr(design_sweep, "_cores", lambda: 2)
+    monkeypatch.setattr(design_sweep, "solve_steady_state", failing_solve)
+    before = threading.active_count()
+    cfg = SweepConfig(separations_mm=(70.0, 80.0, 90.0, 150.0), frequencies_ghz=(3.5,))
+    with pytest.raises(ThermalError, match="^150 mm failed$"):
+        run_sweep(cfg, antenna_cell, boundary)
+    assert threading.active_count() == before
+    # largest first: 150 mm and at most the 90 mm cell beside it; nothing starts after the failure
+    assert sorted(started) in ([150.0], [90.0, 150.0])
+
+
+def test_an_interrupt_starts_no_further_solve_and_joins_every_thread(antenna_cell, boundary, monkeypatch):
+    started = []
+
+    def interrupted_solve(grid, *args, **kwargs):
+        started.append(float(grid.x_nodes_mm[-1]))
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        time.sleep(0.2)
+        return _stub()
+
+    monkeypatch.setattr(design_sweep, "_cores", lambda: 2)
+    monkeypatch.setattr(design_sweep, "solve_steady_state", interrupted_solve)
+    before = threading.active_count()
+    cfg = SweepConfig(separations_mm=(70.0, 80.0, 90.0, 150.0), frequencies_ghz=(3.5,))
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(cfg, antenna_cell, boundary)
+    assert threading.active_count() == before
+    assert len(started) <= 2
+
+
+def test_more_workers_than_cores_solve_each_grid_once_in_place(monkeypatch):
+    # stress: 8 workers on any core count, thread switches forced often; a lost or repeated pop shows here
+    grids = [SimpleNamespace(n_cells=n, index=k) for k, n in enumerate((5, 3, 9, 1, 7) * 40)]
+    solved = []
+
+    def marking_solve(grid, bc):
+        solved.append(grid.index)
+        return grid.index
+
+    monkeypatch.setattr(design_sweep, "_cores", lambda: 8)
+    monkeypatch.setattr(design_sweep, "solve_steady_state", marking_solve)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = design_sweep._solve_all(grids, None)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(200))
+    assert sorted(solved) == list(range(200))
+    assert grids == [None] * 200  # each grid is let go as its solve starts

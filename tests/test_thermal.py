@@ -348,6 +348,20 @@ def test_cable_resolution_guaranteed_even_with_coarse_options(antenna_cell):
     assert np.max(np.diff(grid.x_nodes_mm)[pack]) <= spec.outer_radius_mm
 
 
+def test_temperature_is_unfolded_at_each_read(antenna_cell, antenna_fv_result):
+    grid = voxelize_unit_cell(antenna_cell)
+    t, qx, qy = antenna_fv_result.folded
+    assert t.shape == (24, 22, grid.nz)  # one image per mirror class is all a result holds
+    assert "folded" not in repr(antenna_fv_result) and "temperature" not in repr(antenna_fv_result)
+    field = antenna_fv_result.temperature
+    assert field.shape == (grid.nx, grid.ny, grid.nz)
+    # bit for bit the eager unfold, through a different indexing route
+    assert field.tobytes() == t[np.ix_(qx, qy)].tobytes()
+    field[:] = 0.0  # each read is a fresh array
+    assert np.array_equal(antenna_fv_result.temperature, t[np.ix_(qx, qy)])
+    assert u_value_analytical(antenna_cell.wall, ThermalBoundary()).temperature is None
+
+
 def test_vtk_export(tmp_path, wall, bare_fv_result):
     grid = voxelize_unit_cell(UnitCell(150.0, 150.0, wall))
     path = tmp_path / "field.vtk"
