@@ -43,6 +43,16 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
+    return value
+
+
 def _parse_band(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) not in (2, 3):
@@ -299,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--starts", type=int, default=16, help="multistart count; with --complex, per group-delay start of a"
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for the deterministic starts")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for the deterministic starts")
     p.add_argument("--complex", action="store_true", help="fit the complex S21 instead of its magnitude in dB")
     p.add_argument(
         "--bounds",

@@ -19,22 +19,38 @@ equal to the transfer-matrix cascade of :mod:`signalwall.layered_em` for a
 one-layer stack at a fraction of its cost; its reference planes are the slab
 faces.  Every objective evaluation is one call of :func:`slab_transmission`
 and every Jacobian one call of :func:`slab_log_jacobian`;
-``FitResult.evaluations`` counts both.
+``FitResult.evaluations`` counts both.  Both form their terms in
+:func:`_slab`, which keeps those of the latest evaluation: the grid terms
+(f**b, eps0 omega, k0 t, log f) while the GHz grid, thickness and b are the
+same bits, and the point terms (f**d, n, r^2, p) while (a, c, d) are too, so
+a Jacobian after the value call at its x forms only its derivative terms.
+The results are the bits of a fresh evaluation.  A fit runs at most
+`_MAX_SOLVES` solves, starts times alias teeth of a.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .constants import C0
 from .layered_em import amplitude_db
-from .materials import VALID_RANGE_GHZ, MaterialError, PermittivityModel
+from .materials import (
+    VALID_RANGE_GHZ,
+    MaterialError,
+    PermittivityModel,
+    eps0_omega,
+    power_law_coefficients,
+    power_law_gradient,
+    power_law_permittivity,
+)
 
 
 class SpectrumFormatError(ValueError):
@@ -145,16 +161,54 @@ class FitResult:
         return PermittivityModel(self.a, self.b, self.c, self.d)
 
 
-def _slab(a, b, c, d, thickness_mm, frequencies_ghz):
-    """The model, GHz grid, n, r^2, p and one-way vacuum phase k0 t of :func:`slab_transmission`."""
+class _SlabTerms(NamedTuple):
+    """The arrays of one slab evaluation, each keyed by the exact values it was formed from."""
+
+    grid_key: tuple  # (grid shape, bytes of b, k0 t per GHz and the GHz grid)
+    f_b: np.ndarray
+    e0_omega: np.ndarray
+    k0t: np.ndarray  # one-way vacuum phase k0 t
+    log_f: np.ndarray
+    point_key: bytes  # bytes of (a, c, d)
+    c: float
+    f_d: np.ndarray
+    n: np.ndarray
+    r2: np.ndarray
+    p: np.ndarray
+
+
+# The terms of the latest slab evaluation.  A fit evaluates thousands of
+# (a, c, d) on one grid, and each Jacobian follows a value call at its x, so
+# the grid terms outlive a point and the point terms serve its Jacobian.  The
+# tuple is replaced whole, never changed in place, so a thread always reads one
+# consistent set; `fit_permittivity` drops it when it returns or raises.
+_kept: _SlabTerms | None = None
+
+
+def _slab(a, b, c, d, thickness_mm, frequencies_ghz) -> _SlabTerms:
+    """The terms of :func:`slab_transmission` at these arguments, formed only where the kept ones differ."""
+    global _kept
     f = np.atleast_1d(np.asarray(frequencies_ghz, dtype=float))
-    if np.any(f <= 0.0):
-        raise MaterialError("frequency must be > 0 GHz")
-    model = PermittivityModel(a, b, c, d)
-    n = np.sqrt(model.complex_permittivity(f))  # Im eps <= 0, so the principal root already has Im n <= 0
+    a, b, c, d = power_law_coefficients(a, b, c, d)
+    k0t_per_ghz = (2.0 * math.pi * 1e9 / C0) * thickness_mm * 1e-3
+    # bytes, not floats: -0.0 == 0.0, yet it forms other terms
+    grid_key = (f.shape, struct.pack("2d", b, k0t_per_ghz) + f.tobytes())
+    point_key = struct.pack("3d", a, c, d)
+    kept = _kept
+    if kept is not None and kept.grid_key == grid_key:
+        if kept.point_key == point_key:
+            return kept
+        grid = (kept.f_b, kept.e0_omega, kept.k0t, kept.log_f)
+    else:
+        if np.any(f <= 0.0):
+            raise MaterialError("frequency must be > 0 GHz")
+        grid = (f**b, eps0_omega(f), k0t_per_ghz * f, np.log(f))
+    f_b, e0_omega, k0t, _ = grid
+    f_d = np.power(f, d)
+    n = np.sqrt(power_law_permittivity(a, f_b, c, f_d, e0_omega))  # Im eps <= 0: the principal root has Im n <= 0
     r2 = ((1.0 - n) / (1.0 + n)) ** 2
-    k0t = (2.0 * math.pi * 1e9 / C0) * thickness_mm * 1e-3 * f
-    return model, f, n, r2, np.exp(-1j * k0t * n), k0t
+    _kept = kept = _SlabTerms(grid_key, *grid, point_key, c, f_d, n, r2, np.exp(-1j * k0t * n))
+    return kept
 
 
 def slab_transmission(a, b, c, d, thickness_mm, frequencies_ghz):
@@ -166,8 +220,8 @@ def slab_transmission(a, b, c, d, thickness_mm, frequencies_ghz):
     factor p = exp(-j k0 n t),  t = (1 - r^2) p / (1 - r^2 p^2).  Equal to
     the transfer-matrix cascade of a one-layer stack.
     """
-    *_, r2, p, _ = _slab(a, b, c, d, thickness_mm, frequencies_ghz)
-    return (1.0 - r2) * p / (1.0 - r2 * p * p)
+    s = _slab(a, b, c, d, thickness_mm, frequencies_ghz)
+    return (1.0 - s.r2) * s.p / (1.0 - s.r2 * s.p * s.p)
 
 
 def slab_log_jacobian(a, b, c, d, thickness_mm, frequencies_ghz):
@@ -176,14 +230,16 @@ def slab_log_jacobian(a, b, c, d, thickness_mm, frequencies_ghz):
     With k0 t the one-way vacuum phase and r' = dr/dn = -2 / (1 + n)^2,
     d log t / dn = -2 r r' / (1 - r^2) - j k0 t + (2 r r' p^2 - 2 j k0 t r^2 p^2) / (1 - r^2 p^2),
     times dn/deps = 1 / (2 n) and the permittivity gradient of
-    `PermittivityModel.permittivity_gradient`.  It stays finite where t
-    underflows to 0: p^2 does too.
+    `power_law_gradient`.  It stays finite where t underflows to 0: p^2
+    does too.  At the (a, c, d) of the preceding value call it reuses that
+    call's n, r^2 and p.
     """
-    model, f, n, r2, p, k0t = _slab(a, b, c, d, thickness_mm, frequencies_ghz)
+    s = _slab(a, b, c, d, thickness_mm, frequencies_ghz)
+    n, r2, k0t = s.n, s.r2, s.k0t
     dr2 = -4.0 * (1.0 - n) / (1.0 + n) ** 3  # 2 r r'
-    p2 = p * p
+    p2 = s.p * s.p
     dlog_dn = -dr2 / (1.0 - r2) - 1j * k0t + p2 * (dr2 - 2j * k0t * r2) / (1.0 - r2 * p2)
-    return (dlog_dn / (2.0 * n))[:, None] * model.permittivity_gradient(f)
+    return (dlog_dn / (2.0 * n))[:, None] * power_law_gradient(s.f_b, s.c, s.f_d, s.log_f, s.e0_omega)
 
 
 def slab_transmission_db(a, b, c, d, thickness_mm, frequencies_ghz):
@@ -192,6 +248,10 @@ def slab_transmission_db(a, b, c, d, thickness_mm, frequencies_ghz):
 
 
 _MAX_ITER = 2000  # iterations per Nelder-Mead start; residual evaluations per trust-region start
+# solves per fit, starts x alias teeth of a; a magnitude start on a 121-point
+# spectrum runs ~12 ms on a 2-core x86_64 VM and keeps a ~0.8 kB start record,
+# so the largest fit runs ~2 min and keeps ~8 MB of records
+_MAX_SOLVES = 10_000
 
 
 def _group_delay_starts(spectrum: MeasuredSpectrum, thickness_mm: float, a_bounds) -> list[float]:
@@ -209,6 +269,11 @@ def _group_delay_starts(spectrum: MeasuredSpectrum, thickness_mm: float, a_bound
     n_g = -C0 / (2.0 * math.pi * t_m) * slope
     tooth = C0 / (t_m * float(np.median(np.diff(f_hz))))
     n_lo, n_hi = np.sqrt(a_bounds)
+    if not n_hi - n_lo < _MAX_SOLVES * tooth:  # also a tooth that rounds to 0
+        raise ValueError(
+            f"a {thickness_mm:g} mm slab on this grid has alias teeth {tooth:.3g} apart in n: "
+            f"more than {_MAX_SOLVES:,} starts of a inside its bounds"
+        )
     m = np.arange(math.ceil((n_lo - n_g) / tooth), math.floor((n_hi - n_g) / tooth) + 1)
     teeth = (n_g + m * tooth) ** 2 if m.size else np.array([n_g * n_g])
     return [float(a) for a in np.clip(teeth, *a_bounds)]
@@ -247,14 +312,18 @@ def fit_permittivity(
     ``evaluations`` every model value and Jacobian call.  The reported
     residual is always the dB-magnitude RMS of the returned fit.  The
     unknowns need at least 3 magnitude points, or 2 complex ones.
-    ``scipy.optimize`` is imported at the first fit, after the input checks,
-    so a rejected input never loads it.
+    ``n_starts`` times the alias teeth may not exceed `_MAX_SOLVES`, and
+    ``seed`` must be >= 0.  ``scipy.optimize`` is imported at the first fit,
+    after the input checks, so a rejected input never loads it.
     """
+    global _kept
     thickness = thickness_mm if thickness_mm is not None else spectrum.thickness_mm
-    if thickness is None or thickness <= 0.0:
-        raise ValueError("slab thickness must be given and > 0 mm")
+    if thickness is None or not 0.0 < thickness < math.inf:  # NaN too: it would pass `thickness <= 0`
+        raise ValueError(f"slab thickness must be given, finite and > 0 mm, got {thickness}")
     if n_starts < 1:
         raise ValueError(f"the start count must be >= 1, got {n_starts}")
+    if seed < 0:
+        raise ValueError(f"the seed must be >= 0, got {seed}")
     if complex_objective and spectrum.magnitude_only:
         raise ValueError("complex objective needs complex S21 data")
     f = spectrum.frequencies_ghz
@@ -272,6 +341,12 @@ def fit_permittivity(
         raise ValueError(f"bounds: the low bound of a must be > 0, got {bounds[0][0]}")
     if bounds[1][0] < 0.0:
         raise ValueError(f"bounds: the low bound of c must be >= 0, got {bounds[1][0]}")
+    a_starts = _group_delay_starts(spectrum, thickness, bounds[0]) if complex_objective else [None]
+    if n_starts * len(a_starts) > _MAX_SOLVES:
+        raise ValueError(
+            f"--starts: {n_starts:,} starts make {n_starts * len(a_starts):,} solves ({len(a_starts)} per start), "
+            f"more than the {_MAX_SOLVES:,} a fit may run"
+        )
     measured_db = spectrum.magnitude_db
     if f.size < 10 or f[-1] / f[0] < 2.0:
         warnings.warn(
@@ -304,36 +379,40 @@ def fit_permittivity(
         return np.concatenate([jac.real, jac.imag])
 
     def rms(x):
-        return float(np.sqrt(np.mean(residuals(x) ** 2)))
+        r = residuals(x)
+        return math.sqrt(np.add.reduce(r * r) / r.size)  # the bits of np.sqrt(np.mean(r**2)), at less cost per call
 
     rng = np.random.default_rng(seed)
     lo, hi = np.array(bounds).T
     starts = [0.5 * (lo + hi)]
     starts.extend(lo + (hi - lo) * rng.random(3) for _ in range(n_starts - 1))
     if complex_objective:
-        starts = [np.array([a0, *x[1:]]) for a0 in _group_delay_starts(spectrum, thickness, bounds[0]) for x in starts]
+        starts = [np.array([a0, *x[1:]]) for a0 in a_starts for x in starts]
     iterations = evaluations = 0
     diagnostics, best = [], None
-    for index, x0 in enumerate(starts):
-        if not np.all(np.isfinite(residuals(x0))):  # the model underflows here; least_squares would reject the start
-            x, residual, nit, success = x0, math.inf, 0, False
-        elif complex_objective:
-            result = least_squares(residuals, x0, jac=jacobian, method="trf", bounds=(lo, hi), max_nfev=_MAX_ITER)
-            x, residual, nit, success = result.x, math.sqrt(2.0 * result.cost / f.size), result.njev, result.success
-        else:
-            options = {"maxiter": _MAX_ITER, "xatol": 1e-6, "fatol": 1e-10}
-            result = minimize(rms, x0, method="Nelder-Mead", bounds=bounds, options=options)
-            x, residual, nit, success = result.x, float(result.fun), result.nit, result.success
-        iterations += nit
-        entry = {"start": index, "x0": np.asarray(x0), "x": x, "residual": residual, "success": bool(success)}
-        diagnostics.append(entry)
-        if success and math.isfinite(residual) and (best is None or residual < best["residual"] - 1e-15):
-            best = entry
-    if best is None:
-        return FitResult(math.nan, b_fixed, math.nan, math.nan, math.inf, iterations, False, diagnostics, evaluations)
-    a, c, d = best["x"]
-    db_rms = float(np.sqrt(np.mean(db_error(best["x"]) ** 2)))
-    return FitResult(float(a), b_fixed, float(c), float(d), db_rms, iterations, True, diagnostics, evaluations)
+    try:
+        for index, x0 in enumerate(starts):
+            if not np.all(np.isfinite(residuals(x0))):  # the model underflows here; least_squares would reject the start
+                x, residual, nit, success = x0, math.inf, 0, False
+            elif complex_objective:
+                result = least_squares(residuals, x0, jac=jacobian, method="trf", bounds=(lo, hi), max_nfev=_MAX_ITER)
+                x, residual, nit, success = result.x, math.sqrt(2.0 * result.cost / f.size), result.njev, result.success
+            else:
+                options = {"maxiter": _MAX_ITER, "xatol": 1e-6, "fatol": 1e-10}
+                result = minimize(rms, x0, method="Nelder-Mead", bounds=bounds, options=options)
+                x, residual, nit, success = result.x, float(result.fun), result.nit, result.success
+            iterations += nit
+            entry = {"start": index, "x0": np.asarray(x0), "x": x, "residual": residual, "success": bool(success)}
+            diagnostics.append(entry)
+            if success and math.isfinite(residual) and (best is None or residual < best["residual"] - 1e-15):
+                best = entry
+        if best is None:
+            return FitResult(math.nan, b_fixed, math.nan, math.nan, math.inf, iterations, False, diagnostics, evaluations)
+        a, c, d = best["x"]
+        db_rms = float(np.sqrt(np.mean(db_error(best["x"]) ** 2)))
+        return FitResult(float(a), b_fixed, float(c), float(d), db_rms, iterations, True, diagnostics, evaluations)
+    finally:
+        _kept = None  # the arrays of the last evaluation go with the fit
 
 
 # ---------------------------------------------------------------------------

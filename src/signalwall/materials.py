@@ -8,7 +8,7 @@ with sigma(f) = c * f**d in S/m, f in GHz inside the power laws and
 omega = 2*pi*f*1e9 rad/s.  The parameterization is stated for 1-100 GHz.
 
 Every public interface takes frequencies in GHz.  Here the GHz -> SI
-conversion of the loss term lives in :func:`loss_permittivity` alone; the
+conversion of the loss term lives in :func:`eps0_omega` alone; the
 solvers that need omega or the free-space wavenumber (``layered_em``,
 ``fdtd``, ``inverse``, ``antenna_link``) each convert their own GHz
 frequencies with the same 1e9 factor.
@@ -52,26 +52,43 @@ class PermittivityModel:
     d: float = 0.0
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _require_finite(getattr(self, name), f"coefficient {name}"))
-        if self.a <= 0.0:
-            raise MaterialError(f"coefficient a must be > 0, got {self.a}")
-        if self.c < 0.0:
-            raise MaterialError(f"coefficient c must be >= 0, got {self.c}")
-
-    def conductivity(self, frequency_ghz):
-        """Conductivity sigma(f) = c * f**d in S/m for f in GHz."""
-        return self.c * np.power(frequency_ghz, self.d)
+        for name, value in zip("abcd", power_law_coefficients(self.a, self.b, self.c, self.d)):
+            object.__setattr__(self, name, value)
 
     def complex_permittivity(self, frequency_ghz):
         """eps' - j eps'' for GHz frequencies > 0, scalar or ndarray."""
-        return self.a * frequency_ghz**self.b - 1j * loss_permittivity(self.conductivity(frequency_ghz), frequency_ghz)
+        f_d = np.power(frequency_ghz, self.d)
+        return power_law_permittivity(self.a, frequency_ghz**self.b, self.c, f_d, eps0_omega(frequency_ghz))
 
-    def permittivity_gradient(self, frequency_ghz):
-        """d eps / d(a, c, d) at fixed b: one column per coefficient, one row per GHz frequency > 0."""
-        f = np.asarray(frequency_ghz, dtype=float)
-        d_eps_dc = -1j * loss_permittivity(np.power(f, self.d), f)  # no division by c, which may be 0
-        return np.stack([f**self.b, d_eps_dc, self.c * np.log(f) * d_eps_dc], axis=-1)
+
+_COEFFICIENT_LABELS = tuple(f"coefficient {name}" for name in "abcd")
+
+
+def power_law_coefficients(a, b, c, d) -> tuple[float, float, float, float]:
+    """(a, b, c, d) as floats after every check of `PermittivityModel`: each finite, a > 0 and c >= 0."""
+    a, b, c, d = map(_require_finite, (a, b, c, d), _COEFFICIENT_LABELS)
+    if a <= 0.0:
+        raise MaterialError(f"coefficient a must be > 0, got {a}")
+    if c < 0.0:
+        raise MaterialError(f"coefficient c must be >= 0, got {c}")
+    return a, b, c, d
+
+
+def power_law_permittivity(a, f_b, c, f_d, e0_omega):
+    """eps' - j eps'' = a f**b - j c f**d / (eps0 omega) from the frequency terms f**b, f**d and eps0 omega.
+
+    Callers that evaluate many coefficients on one grid form its terms once.
+    """
+    return a * f_b - 1j * (c * f_d / e0_omega)
+
+
+def power_law_gradient(f_b, c, f_d, log_f, e0_omega):
+    """d eps / d(a, c, d) at fixed b from the frequency terms f**b, f**d, log f and eps0 omega.
+
+    One column per coefficient, one row per frequency.
+    """
+    d_eps_dc = -1j * (f_d / e0_omega)  # no division by c, which may be 0
+    return np.stack([f_b, d_eps_dc, c * log_f * d_eps_dc], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -98,10 +115,9 @@ class FixedPermittivity:
         return np.full(np.shape(frequency_ghz), complex(self.eps_real, -self.eps_imag))
 
 
-def loss_permittivity(sigma_s_per_m, frequency_ghz):
-    """eps'' = sigma / (eps0 * omega) with omega = 2*pi*f*1e9."""
-    omega = 2.0 * math.pi * np.asarray(frequency_ghz, dtype=float) * 1e9
-    return sigma_s_per_m / (EPS0 * omega)
+def eps0_omega(frequency_ghz):
+    """eps0 * omega, the scale of eps'' = sigma / (eps0 * omega), with omega = 2*pi*f*1e9 for f in GHz."""
+    return EPS0 * (2.0 * math.pi * np.asarray(frequency_ghz, dtype=float) * 1e9)
 
 
 @dataclass(frozen=True)

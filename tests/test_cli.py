@@ -284,6 +284,22 @@ def test_fit_rejects_a_start_count_below_one(tmp_path, capsys, starts):
     assert f"start count must be >= 1, got {starts}" in captured.err
 
 
+def test_fit_refuses_more_solves_than_its_cap_before_any_start(tmp_path, monkeypatch, capsys):
+    from signalwall import inverse
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a start was drawn or the model evaluated")
+
+    monkeypatch.setattr(inverse, "slab_transmission", no_work)
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+    path = tmp_path / "meas.csv"
+    path.write_text("freq_GHz,s21_dB\n2.0,-3.0\n4.0,-4.0\n8.0,-5.0\n")
+    assert main(["fit-permittivity", str(path), "--thickness", "60", "--starts", "100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --starts: 100,000,000 starts make 100,000,000 solves (1 per start)")
+
+
 def test_fit_rejects_nonpositive_a_bound(tmp_path, capsys):
     path = tmp_path / "meas.csv"
     path.write_text("freq_GHz,s21_dB\n2.0,-3.0\n4.0,-4.0\n8.0,-5.0\n")
@@ -1087,6 +1103,8 @@ def test_input_rules_exit_2_before_any_work(tmp_path, monkeypatch, capsys, argv,
         (["transmission", "--band", "1:8:1e3"], "argument --band: band F1:F2:N needs an integer N >= 2, got N = '1e3'"),
         (["transmission", "--band", "1:8:0"], "argument --band: band F1:F2:N needs an integer N >= 2, got N = '0'"),
         (["transmission", "--band", "1:8:1"], "argument --band: band F1:F2:N needs an integer N >= 2, got N = '1'"),
+        (["fit-permittivity", "m.csv", "--thickness", "6", "--seed", "-1"], "argument --seed: expected an integer >= 0, got -1"),
+        (["fit-permittivity", "m.csv", "--thickness", "6", "--seed", "x"], "argument --seed: expected an integer, got 'x'"),
     ],
 )
 def test_malformed_band_and_range_flags_exit_2_at_the_flag(tmp_path, monkeypatch, capsys, argv, message):

@@ -88,3 +88,19 @@ def test_a_rejected_fit_exits_2_before_loading_scipy_optimize(tmp_path):
     (tmp_path / "two.csv").write_text("freq_GHz,s21_dB\n2,-10\n8,-30\n")
     argv = ["fit-permittivity", str(tmp_path / "two.csv"), "--thickness", "45"]
     assert "scipy.optimize" not in _scipy_modules(_main(argv, exit_code=2))
+
+
+def test_a_fit_refused_at_its_start_count_or_seed_loads_no_scipy_optimize(tmp_path):
+    path = tmp_path / "three.csv"
+    path.write_text("freq_GHz,s21_dB\n2,-10\n5,-20\n8,-30\n")
+    body = _main(["fit-permittivity", str(path), "--thickness", "45", "--starts", "100000000"], exit_code=2)
+    body += f"""
+from signalwall.inverse import fit_permittivity, read_spectrum
+try:
+    fit_permittivity(read_spectrum({str(path)!r}), thickness_mm=45.0, seed=-1)
+except ValueError as exc:
+    assert str(exc) == "the seed must be >= 0, got -1", exc
+else:
+    raise AssertionError("a negative seed was accepted")
+"""
+    assert "scipy.optimize" not in _scipy_modules(body)

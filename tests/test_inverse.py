@@ -1,4 +1,7 @@
+import functools
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -167,16 +170,96 @@ def test_slab_log_jacobian_is_finite_where_the_model_underflows():
 @pytest.mark.parametrize(
     "coefficients",
     [(0.0, 0.0, 0.1, 0.5), (-2.0, 0.0, 0.1, 0.5), (5.0, 0.0, -0.1, 0.5)]
-    + [tuple(np.nan if i == j else v for j, v in enumerate((5.0, 0.0, 0.1, 0.5))) for i in range(4)],
+    + [tuple(np.nan if i == j else v for j, v in enumerate((5.0, 0.0, 0.1, 0.5))) for i in range(4)]
+    + [("5.0", 0.0, 0.1, 0.5), (5.0, 0.0, "0.1", 0.5)],
 )
 def test_slab_transmission_rejects_invalid_coefficients(coefficients):
-    with pytest.raises(MaterialError):
-        slab_transmission(*coefficients, 50.0, np.linspace(2.0, 8.0, 5))
+    f = np.linspace(2.0, 8.0, 5)
+    for model in (slab_transmission, slab_log_jacobian):
+        with pytest.raises(MaterialError, match="^coefficient [abcd] must be"):
+            model(*coefficients, 50.0, f)
+        slab_transmission(5.0, 0.0, 0.1, 0.5, 50.0, f)  # and again with the terms of a valid call kept
+        with pytest.raises(MaterialError, match="^coefficient [abcd] must be"):
+            model(*coefficients, 50.0, f)
 
 
 def test_slab_transmission_rejects_nonpositive_frequency():
     with pytest.raises(MaterialError):
         slab_transmission(5.0, 0.0, 0.1, 0.5, 50.0, np.array([0.0, 1.0]))
+
+
+def _cold(model, *args):
+    """``model(*args)`` with the kept slab terms cleared first."""
+    inverse._kept = None
+    return model(*args)
+
+
+def _bits(array):
+    return array.shape, array.tobytes()  # -0.0 and 0.0, or two NaN payloads, differ here
+
+
+@pytest.fixture
+def no_kept_terms():
+    inverse._kept = None
+    yield
+    inverse._kept = None
+
+
+def test_kept_slab_terms_give_the_bits_of_cold_calls(no_kept_terms):
+    f = np.linspace(2.0, 8.0, 61)
+    # the first grid and three that each differ from it in one of f, thickness and b
+    grids = [(f, 45.0, 0.0), (np.geomspace(1.5, 12.0, 61), 45.0, 0.0), (f, 290.0, 0.0), (f, 45.0, 0.05)]
+    rng = np.random.default_rng(11)
+    x = [5.0, 0.1, 0.5]
+    for step in range(400):
+        f, thickness, b = grids[rng.integers(len(grids))]
+        draw = rng.random()  # a new point, one that differs from the last in a single coefficient, or the last
+        if draw < 0.4:
+            x = [rng.uniform(1.0, 15.0), rng.uniform(0.0, 2.0) if step % 7 else 0.0, rng.uniform(0.0, 2.0)]
+        elif draw < 0.7:
+            x[rng.integers(3)] += 1e-9
+        args = (x[0], b, x[1], x[2], thickness, f)
+        if rng.random() < 0.8:  # a value call, then mostly its Jacobian at the same x
+            assert _bits(slab_transmission(*args)) == _bits(_cold(slab_transmission, *args))
+            slab_transmission(*args)
+        assert _bits(slab_log_jacobian(*args)) == _bits(_cold(slab_log_jacobian, *args))
+
+
+def test_kept_slab_terms_follow_a_grid_changed_in_place(no_kept_terms):
+    f = np.linspace(2.0, 8.0, 31)
+    args = (5.0, 0.0, 0.1, 0.5, 45.0, f)
+    before = slab_transmission(*args)
+    f *= 1.01
+    assert _bits(slab_transmission(*args)) == _bits(_cold(slab_transmission, *args))
+    assert not np.array_equal(slab_transmission(*args), before)
+    f[0] = 0.0
+    with pytest.raises(MaterialError, match="frequency must be > 0 GHz"):
+        slab_transmission(*args)
+
+
+def test_threads_evaluating_different_grids_get_the_bits_of_cold_calls(no_kept_terms):
+    # four grids, two of them at the same (a, c, d), on more threads than cores
+    cases = [(4.0 + k // 2, 0.02 * k, 0.1, 0.3, 30.0 + 20.0 * k, np.linspace(2.0, 8.0, 41 + 10 * k)) for k in range(4)]
+    expected = [(_bits(_cold(slab_transmission, *args)), _bits(_cold(slab_log_jacobian, *args))) for args in cases]
+    mismatches = []
+
+    def evaluate(k):
+        for _ in range(2000):
+            if (_bits(slab_transmission(*cases[k])), _bits(slab_log_jacobian(*cases[k]))) != expected[k]:
+                mismatches.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=evaluate, args=(k,)) for k in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 @pytest.mark.parametrize(
@@ -232,9 +315,54 @@ def test_start_count_below_one_rejected_before_any_evaluation(clean_spectrum, mo
         fit_permittivity(clean_spectrum, n_starts=n_starts)
 
 
+def _refused_before_any_start(monkeypatch):
+    """Make a drawn start or a model call fail the test, so a refused fit can never build its starts."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a start was drawn or the model evaluated")
+
+    monkeypatch.setattr(inverse, "slab_transmission", no_work)
+    monkeypatch.setattr(np.random, "default_rng", no_work)
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "message"),
+    [
+        (
+            {"n_starts": 100_000_000},
+            "--starts: 100,000,000 starts make 100,000,000 solves (1 per start), more than the 10,000 a fit may run",
+        ),
+        ({"seed": -1}, "the seed must be >= 0, got -1"),
+    ],
+)
+def test_a_fit_past_its_solve_cap_or_with_a_negative_seed_is_refused_before_any_start(
+    clean_spectrum, monkeypatch, kwargs, message
+):
+    _refused_before_any_start(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_permittivity(clean_spectrum, **kwargs)
+
+
+def test_the_solve_cap_counts_every_alias_tooth_of_a_complex_fit(monkeypatch):
+    f = np.linspace(2.0, 8.0, 9)  # three alias teeth inside a's bounds, the grid of the every-tooth test below
+    spectrum = MeasuredSpectrum(f, slab_transmission(TRUE[0], 0.0, TRUE[1], TRUE[2], THICKNESS_MM, f))
+    monkeypatch.setattr(inverse, "_MAX_SOLVES", 8)
+    with pytest.warns(UserWarning, match="fewer than 10 points"):
+        fit = fit_permittivity(spectrum, thickness_mm=THICKNESS_MM, n_starts=2, complex_objective=True)
+    assert len(fit.starts) == 6
+    _refused_before_any_start(monkeypatch)
+    message = "--starts: 3 starts make 9 solves (3 per start), more than the 8 a fit may run"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_permittivity(spectrum, thickness_mm=THICKNESS_MM, n_starts=3, complex_objective=True)
+    # 1e12 mm puts ~7e9 teeth inside the bounds: refused before any is formed
+    with pytest.raises(ValueError, match="alias teeth .* more than 8 starts of a"):
+        fit_permittivity(spectrum, thickness_mm=1e12, n_starts=1, complex_objective=True)
+
+
 def test_zero_thickness_rejected(clean_spectrum):
-    with pytest.raises(ValueError):
-        fit_permittivity(clean_spectrum, thickness_mm=0.0)
+    for thickness in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="slab thickness must be given, finite and > 0 mm"):
+            fit_permittivity(clean_spectrum, thickness_mm=thickness)
     bare = MeasuredSpectrum(clean_spectrum.frequencies_ghz, clean_spectrum.s21)
     with pytest.raises(ValueError):
         fit_permittivity(bare)
@@ -335,6 +463,46 @@ def test_complex_fit_reaches_the_optimum_polished_from_the_truth():
         fit = fit_permittivity(spectrum, complex_objective=True)
         assert fit.converged
         assert _complex_rms((fit.a, fit.c, fit.d), spectrum) <= _polished_from_truth(spectrum) + 1e-9, seed
+
+
+def _fit_record(fit):
+    """Every field of a FitResult and of its starts, floats and arrays as their bits."""
+    starts = [(e["start"], _bits(e["x0"]), _bits(np.asarray(e["x"])), e["residual"], e["success"]) for e in fit.starts]
+    return (fit.a, fit.b, fit.c, fit.d, fit.residual_db_rms, fit.iterations, fit.converged, fit.evaluations, starts)
+
+
+def _held_arrays():
+    """The module globals of inverse that are or hold an array."""
+    return [
+        name
+        for name, value in vars(inverse).items()
+        if isinstance(value, np.ndarray) or (isinstance(value, tuple) and any(isinstance(v, np.ndarray) for v in value))
+    ]
+
+
+@pytest.mark.parametrize("complex_objective", [False, True])
+def test_a_fit_gives_the_same_bits_with_its_slab_terms_formed_afresh_at_every_call(
+    monkeypatch, no_kept_terms, complex_objective
+):
+    spectrum = _noisy_complex(np.linspace(2.0, 8.0, 41), 2)
+    if not complex_objective:
+        f, s21 = spectrum.frequencies_ghz, np.abs(spectrum.s21)
+        spectrum = MeasuredSpectrum(f, s21, magnitude_only=True, thickness_mm=THICKNESS_MM)
+    kept = _fit_record(fit_permittivity(spectrum, n_starts=4, seed=7, complex_objective=complex_objective))
+    assert _held_arrays() == []
+    for name in ("slab_transmission", "slab_log_jacobian"):
+        monkeypatch.setattr(inverse, name, functools.partial(_cold, getattr(inverse, name)))
+    assert _fit_record(fit_permittivity(spectrum, n_starts=4, seed=7, complex_objective=complex_objective)) == kept
+
+
+def test_a_fit_that_raises_leaves_no_array_behind(monkeypatch, no_kept_terms):
+    def failing(*args):
+        raise RuntimeError("Jacobian failed")
+
+    monkeypatch.setattr(inverse, "slab_log_jacobian", failing)
+    with pytest.raises(RuntimeError, match="Jacobian failed"):
+        fit_permittivity(_noisy_complex(np.linspace(2.0, 8.0, 41), 2), n_starts=2, complex_objective=True)
+    assert _held_arrays() == []
 
 
 def test_complex_fit_on_an_aliased_grid_starts_on_the_slab_tooth():
